@@ -34,6 +34,12 @@ EXIT_INPUT_ERROR = 2
 EXIT_GUARD = 3
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="detideals",
@@ -69,16 +75,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--output", choices=("csv", "json", "text"), default="csv")
     p.add_argument("--out", help="write the report to this file instead of stdout")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=_positive_int, default=None)
     p.add_argument("--allow-large", action="store_true",
                    help="permit corpora at the n=9 scale")
     p.add_argument("--checkpoint", help="write per-graph key records to this JSONL file")
-    p.add_argument("--checkpoint-every", type=int, default=1000)
+    p.add_argument("--checkpoint-every", type=_positive_int, default=1000)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True)
     p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=_positive_int, default=None)
 
     return parser
 

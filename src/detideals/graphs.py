@@ -202,10 +202,6 @@ def distance_matrix(g: Graph) -> list[list[int]]:
     return dist
 
 
-def transmissions(g: Graph) -> list[int]:
-    return [sum(row) for row in distance_matrix(g)]
-
-
 def build_matrix(g: Graph, kind: str) -> list[list[int]]:
     """The adjacency, Laplacian, distance or distance Laplacian matrix."""
     n = g.n

@@ -157,9 +157,6 @@ class StrongBasis:
         self._pairs: list = []
         self._unit = False
 
-    def contains_unit(self) -> bool:
-        return self._unit
-
     def reduce(self, terms: dict) -> dict:
         return _normal_form(terms, self.elems, self.key)
 
@@ -260,26 +257,31 @@ def strong_groebner(gens: Iterable[dict], arity: int, order: str = DEGREVLEX) ->
 # Ideal: generators + lazily computed canonical basis
 
 
-def _sort_gens(polys, arity, order):
-    """Deterministic ascending feed order; small generators first."""
+def _terms(p) -> dict:
+    """Term dict (exponent tuple -> coefficient) of a UniPoly or MultiPoly."""
+    if isinstance(p, UniPoly):
+        return {(i,): c for i, c in enumerate(p.coeffs) if c}
+    return dict(p.terms)
+
+
+def _normalize(gens: tuple, order: str) -> tuple:
+    """Nonzero generators with positive leading coefficient, deduplicated and
+    in ascending `_poly_key` order: the Groebner feed order, small ones first."""
     key = monomial_key(order)
-    dicts = []
-    seen = set()
-    for t in polys:
-        if not t:
-            continue
-        rec = _record(t, key)[0]
-        fz = frozenset(rec.items())
-        if fz in seen:
-            continue
-        seen.add(fz)
-        dicts.append(rec)
-    dicts.sort(key=lambda t: _poly_key(t, key))
-    return dicts
+    signed = set()
+    for g in set(gens):
+        t = _terms(g)
+        if t:
+            signed.add(-g if t[max(t, key=key)] < 0 else g)
+    return tuple(sorted(signed, key=lambda g: _poly_key(_terms(g), key)))
 
 
 class Ideal:
-    """An ideal with a ring tag and a canonical basis for exact comparison."""
+    """An ideal with a ring tag and a canonical basis for exact comparison.
+
+    `gens` holds the generators as given, minus zeros and duplicates, each
+    with a positive leading coefficient, in ascending `_poly_key` order.
+    """
 
     __slots__ = ("ring", "gens", "_basis")
 
@@ -299,7 +301,7 @@ class Ideal:
                 if not isinstance(g, UniPoly):
                     raise RingMismatchError("generator does not live in the tagged ring")
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "gens", _normalize(gens, ring.order))
         object.__setattr__(self, "_basis", None)
 
     def __setattr__(self, name, value):  # pragma: no cover
@@ -312,22 +314,17 @@ class Ideal:
             return self._basis
         ring = self.ring
         if ring.kind == "Qx":
-            nz = [g for g in self.gens if not g.is_zero()]
-            if not nz:
+            if not self.gens:
                 basis: tuple = ()
             else:
-                g = nz[0]
-                for h in nz[1:]:
+                g = self.gens[0]
+                for h in self.gens[1:]:
                     if g.is_constant():
                         break
                     g = gcd_poly_q(g, h)
                 basis = (g.monic(),)
         else:
-            if ring.kind == "Zx":
-                dicts = [{(i,): c for i, c in enumerate(g.coeffs) if c} for g in self.gens]
-            else:
-                dicts = [dict(g.terms) for g in self.gens]
-            raw = strong_groebner(_sort_gens(dicts, ring.arity, ring.order), ring.arity, ring.order)
+            raw = strong_groebner([_terms(g) for g in self.gens], ring.arity, ring.order)
             if ring.kind == "Zx":
                 basis = tuple(MultiPoly(1, t).to_unipoly() for t in raw)
             else:
@@ -364,18 +361,11 @@ class Ideal:
         if ring.kind == "Zx":
             if not isinstance(p, UniPoly) or p.ring != RING_Z:
                 raise RingMismatchError("element does not live in the ideal's ring")
-            terms = {(i,): c for i, c in enumerate(p.coeffs) if c}
-        else:
-            if not isinstance(p, MultiPoly) or p.arity != ring.arity:
-                raise RingMismatchError("element does not live in the ideal's ring")
-            terms = dict(p.terms)
+        elif not isinstance(p, MultiPoly) or p.arity != ring.arity:
+            raise RingMismatchError("element does not live in the ideal's ring")
         key = monomial_key(ring.order)
-        elems = []
-        for g in self.canonical_basis():
-            t = ({(i,): c for i, c in enumerate(g.coeffs) if c}
-                 if ring.kind == "Zx" else dict(g.terms))
-            elems.append(_record(t, key))
-        return not _normal_form(terms, elems, key)
+        elems = [_record(_terms(g), key) for g in self.canonical_basis()]
+        return not _normal_form(_terms(p), elems, key)
 
     def equal(self, other: "Ideal") -> bool:
         if not isinstance(other, Ideal):
@@ -387,7 +377,7 @@ class Ideal:
         ):
             raise RingMismatchError(f"cannot compare ideals over {self.ring} and {other.ring}")
         same = self.canonical_basis() == other.canonical_basis()
-        if not same and __debug__:
+        if not same:
             # canonical-form uniqueness guard: distinct lists must show a
             # failed membership somewhere
             mutual = all(other.member(g) for g in self.canonical_basis()) and all(

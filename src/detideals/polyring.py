@@ -230,13 +230,6 @@ def gcd_poly_q(a: UniPoly, b: UniPoly) -> UniPoly:
     return a.monic()
 
 
-def lcm_poly_q(a: UniPoly, b: UniPoly) -> UniPoly:
-    g = gcd_poly_q(a, b)
-    q, r = divmod_poly(a.to_q() * b.to_q(), g)
-    assert r.is_zero()
-    return q.monic()
-
-
 def squarefree_part(p: UniPoly) -> UniPoly:
     """Monic polynomial with the same roots as p, all simple: p / gcd(p, p')."""
     if p.is_zero():
@@ -361,10 +354,6 @@ class MultiPoly:
         exp[i] = 1
         return cls(arity, {tuple(exp): 1})
 
-    @classmethod
-    def from_unipoly(cls, p: UniPoly) -> "MultiPoly":
-        return cls(1, {(i,): c for i, c in enumerate(p.to_z().coeffs)})
-
     def to_unipoly(self) -> UniPoly:
         if self.arity != 1:
             raise ValueError("not univariate")
@@ -477,19 +466,15 @@ def eval_poly(p, point):
 # rendering
 
 
-def _coeff_str(c) -> str:
-    return str(c)
-
-
 def _uni_term(c, e: int, var: str) -> str:
     if e == 0:
-        return _coeff_str(c)
+        return str(c)
     v = var if e == 1 else f"{var}^{e}"
     if c == 1:
         return v
     if c == -1:
         return f"-{v}"
-    return f"{_coeff_str(c)}*{v}"
+    return f"{c}*{v}"
 
 
 def _multi_monomial(exp: tuple[int, ...], names: Sequence[str]) -> str:
@@ -530,13 +515,13 @@ def poly_str(p, var: str = "x", names: Sequence[str] | None = None,
         for exp, c in p.sorted_terms(order):
             mono = _multi_monomial(exp, names)
             if not mono:
-                term = _coeff_str(c)
+                term = str(c)
             elif c == 1:
                 term = mono
             elif c == -1:
                 term = f"-{mono}"
             else:
-                term = f"{_coeff_str(c)}*{mono}"
+                term = f"{c}*{mono}"
             if not parts:
                 parts.append(term)
             elif term.startswith("-"):

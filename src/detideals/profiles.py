@@ -17,12 +17,10 @@ from .polyring import (
     DEGREVLEX,
     RING_Q,
     RING_Z,
-    MultiPoly,
     UniPoly,
     divmod_poly,
     gcd_int_many,
     gcd_poly_q,
-    monomial_key,
     poly_str,
     rational_roots,
     squarefree_part,
@@ -78,42 +76,11 @@ def minors_k(matrix: Sequence[Sequence], k: int) -> list:
     return list(minor_tables(matrix, k)[k].values())
 
 
-def _sign_normalized_unipoly(p: UniPoly) -> UniPoly:
-    return -p if p.lc < 0 else p
-
-
-def _dedup_minors_uni(values: list[UniPoly]) -> list[UniPoly]:
-    out = set()
-    for p in values:
-        if not p.is_zero():
-            out.add(_sign_normalized_unipoly(p))
-    return sorted(out, key=lambda p: (p.degree, tuple(reversed(p.coeffs))))
-
-
-def _dedup_minors_multi(values: list[MultiPoly], order: str) -> list[MultiPoly]:
-    key = monomial_key(order)
-    out = {}
-    for p in values:
-        if p.is_zero():
-            continue
-        lm = max(p.terms, key=key)
-        if p.terms[lm] < 0:
-            p = -p
-        out[frozenset(p.terms.items())] = p
-    def sort_key(p: MultiPoly):
-        return tuple(sorted(((key(e), c) for e, c in p.terms.items()), reverse=True))
-    return sorted(out.values(), key=sort_key)
-
-
-def _ideal_chain(matrix, ring: Ring, dedup) -> tuple[Ideal, ...]:
-    """Ideals of the k-minors for k = 1..n, minors fed incrementally."""
+def _ideal_chain(matrix, ring: Ring) -> tuple[Ideal, ...]:
+    """Ideals of the k-minors for k = 1..n."""
     n = len(matrix)
-    ideals = []
     tables = minor_tables(matrix, n)
-    for k in range(1, n + 1):
-        gens = dedup(list(tables[k].values()))
-        ideals.append(Ideal(ring, gens))
-    return tuple(ideals)
+    return tuple(Ideal(ring, tables[k].values()) for k in range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -125,16 +92,12 @@ def determinantal_ideals(g: graphs.Graph, kind: str, ring: str = "Zx") -> IdealP
     g6 = graphs.write_graph6(g)
     if ring == "Qx":
         snf = snf_poly_q(graphs.char_matrix(g, kind, RING_Q))
-        ideals = []
-        for k in range(1, g.n + 1):
-            d = snf.delta(k)
-            ideals.append(Ideal(QX, [] if d.is_zero() else [d]))
-        return IdealProfile(g6, kind, QX, tuple(ideals))
+        ideals = tuple(Ideal(QX, [snf.delta(k)]) for k in range(1, g.n + 1))
+        return IdealProfile(g6, kind, QX, ideals)
     if ring != "Zx":
         raise ValueError("characteristic ideals live in Zx or Qx")
     matrix = graphs.char_matrix(g, kind, RING_Z)
-    ideals = _ideal_chain(matrix, ZX_UNI, _dedup_minors_uni)
-    return IdealProfile(g6, kind, ZX_UNI, ideals)
+    return IdealProfile(g6, kind, ZX_UNI, _ideal_chain(matrix, ZX_UNI))
 
 
 def multivariate_ideals(g: graphs.Graph, kind: str, force: bool = False) -> IdealProfile:
@@ -147,9 +110,7 @@ def multivariate_ideals(g: graphs.Graph, kind: str, force: bool = False) -> Idea
         )
     matrix = graphs.generalized_char_matrix(g, kind)
     ring = zmulti(g.n, DEGREVLEX)
-    dedup = lambda vals: _dedup_minors_multi(vals, ring.order)
-    ideals = _ideal_chain(matrix, ring, dedup)
-    return IdealProfile(graphs.write_graph6(g), kind, ring, ideals)
+    return IdealProfile(graphs.write_graph6(g), kind, ring, _ideal_chain(matrix, ring))
 
 
 def corank(profile: IdealProfile) -> int:

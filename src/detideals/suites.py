@@ -336,7 +336,7 @@ def _bipartite_representative() -> list[list[MultiPoly]]:
 
 
 def suite_symbolic_bipartite(max_n=None, workers=None) -> list[CheckResult]:
-    from .profiles import minors_k, _dedup_minors_multi
+    from .profiles import minors_k
 
     results: list[CheckResult] = []
     n, m, one = _nm_vars()
@@ -371,10 +371,10 @@ def suite_symbolic_bipartite(max_n=None, workers=None) -> list[CheckResult]:
     _check(results, "2(n+m)+1 is not in <3, n+2m>",
            not expected_l2.member((n + m).scale(2) + one))
 
-    star_minors = _dedup_minors_multi(minors_k(_star_representative(), 2), NM_RING.order)
+    star_minors = minors_k(_star_representative(), 2)
     _check(results, "2-minors of the star representative generate <L1>",
            Ideal(NM_RING, star_minors).equal(ideal_l1))
-    bip_minors = _dedup_minors_multi(minors_k(_bipartite_representative(), 2), NM_RING.order)
+    bip_minors = minors_k(_bipartite_representative(), 2)
     _check(results, "2-minors of the bipartite representative generate <L2>",
            Ideal(NM_RING, bip_minors).equal(ideal_l2))
     return results

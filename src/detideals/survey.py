@@ -15,8 +15,8 @@ from typing import Iterable, Sequence
 
 from . import graphs
 from .polyring import poly_str
-from .profiles import determinantal_ideals, evaluate_profile, variety
-from .smith import char_poly, snf_integer, snf_poly_q
+from .profiles import IdealProfile, determinantal_ideals, evaluate_profile, variety
+from .smith import char_poly, snf_integer
 
 MODES = ("cospectral", "coinvariant", "codet-Q", "codet-Z")
 
@@ -56,6 +56,17 @@ class SurveyReport:
 CSV_HEADER = "n,matrix,mode,total,with_mate"
 
 
+def _profile_text(profile: IdealProfile) -> str:
+    """Key of a Q[x] profile (its Delta_k) or a Z[x] profile (its canonical
+    bases); the Z[x] basis is unique per ideal, so equal keys mean equal ideals."""
+    if profile.ring.kind == "Qx":
+        return "deltaQ:" + ";".join(",".join(i.basis_strings()) for i in profile.ideals)
+    return "idealsZ:" + ";".join(
+        f"k={k}:[" + ",".join(ideal.basis_strings()) + "]"
+        for k, ideal in enumerate(profile.ideals, start=1)
+    )
+
+
 def _key_text(g: graphs.Graph, kind: str, mode: str) -> str:
     if mode == "cospectral":
         p = char_poly(graphs.build_matrix(g, kind))
@@ -64,14 +75,9 @@ def _key_text(g: graphs.Graph, kind: str, mode: str) -> str:
         snf = snf_integer(graphs.build_matrix(g, kind))
         return "snf:" + ",".join(str(f) for f in snf.diagonal())
     if mode == "codet-Q":
-        snf = snf_poly_q(graphs.char_matrix(g, kind, "Q"))
-        return "deltaQ:" + ";".join(poly_str(snf.delta(k)) for k in range(1, g.n + 1))
+        return _profile_text(determinantal_ideals(g, kind, "Qx"))
     if mode == "codet-Z":
-        profile = determinantal_ideals(g, kind, "Zx")
-        parts = []
-        for k, ideal in enumerate(profile.ideals, start=1):
-            parts.append(f"k={k}:[" + ",".join(ideal.basis_strings()) + "]")
-        return "idealsZ:" + ";".join(parts)
+        return _profile_text(determinantal_ideals(g, kind, "Zx"))
     raise ValueError(f"unknown survey mode {mode!r}")
 
 
@@ -148,6 +154,8 @@ def run_survey(
     checkpoint_path: str | None = None,
     checkpoint_every: int = 1000,
 ) -> SurveyReport:
+    if checkpoint_every < 1:
+        raise ValueError("checkpoint_every must be a positive integer")
     corpus = list(corpus)
     n = _validate_corpus(corpus)
     if workers is None:
@@ -161,30 +169,9 @@ def run_survey(
     for g6, key in zip(g6s, keys):
         buckets.setdefault(key, []).append(g6)
     mates = {k: v for k, v in buckets.items() if len(v) >= 2}
-
-    if mode == "codet-Z":
-        _confirm_ideal_buckets(mates, kind)
-
     with_mate = sum(len(v) for v in mates.values())
     ordered = tuple(sorted((k, tuple(v)) for k, v in mates.items()))
     return SurveyReport(n, kind, mode, len(corpus), with_mate, ordered)
-
-
-def _confirm_ideal_buckets(buckets: dict[str, list[str]], kind: str):
-    """Guard against rendering collisions: all pairs in a codet-Z bucket must
-    be ideal-equal for every k."""
-    for key, members in buckets.items():
-        profiles = [
-            determinantal_ideals(graphs.parse_graph6(g6), kind, "Zx") for g6 in members
-        ]
-        for i in range(len(profiles)):
-            for j in range(i + 1, len(profiles)):
-                for a, b in zip(profiles[i].ideals, profiles[j].ideals):
-                    if not a.equal(b):
-                        raise AssertionError(
-                            f"key collision without ideal equality in bucket {key!r}: "
-                            f"{members[i]} vs {members[j]}"
-                        )
 
 
 def verify_determined_by(
@@ -246,8 +233,7 @@ def _with_mate(keys: Sequence[str]) -> int:
     return sum(c for c in counts.values() if c >= 2)
 
 
-def cross_check(corpus: Iterable[graphs.Graph], kind: str,
-                workers: int | None = None) -> CrossCheckReport:
+def cross_check(corpus: Iterable[graphs.Graph], kind: str) -> CrossCheckReport:
     """Assert the partition relations the theory demands on a whole corpus:
     cospectral == codet-Q, coinvariant == eval-at-0 of codet-Z, codet-Z refines
     both, and codet-Q == equal-per-k-varieties."""
@@ -264,18 +250,14 @@ def cross_check(corpus: Iterable[graphs.Graph], kind: str,
         spectrum.append(_key_text(g, kind, "cospectral"))
         coinv.append(_key_text(g, kind, "coinvariant"))
         qprofile = determinantal_ideals(g, kind, "Qx")
-        qkeys.append(
-            ";".join(",".join(i.basis_strings()) for i in qprofile.ideals)
-        )
+        qkeys.append(_profile_text(qprofile))
         vparts = []
         for k in range(1, g.n + 1):
             v = variety(qprofile, k)
             vparts.append(v.status if v.status != "roots" else poly_str(v.squarefree))
         varkeys.append(";".join(vparts))
         zprofile = determinantal_ideals(g, kind, "Zx")
-        zkeys.append(
-            ";".join(",".join(i.basis_strings()) for i in zprofile.ideals)
-        )
+        zkeys.append(_profile_text(zprofile))
         eval0.append(",".join(str(d) for d in evaluate_profile(zprofile, 0)))
 
     witness = None

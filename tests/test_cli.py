@@ -149,6 +149,16 @@ def test_survey_large_guard(capsys, tmp_path):
     assert code == 3 and "allow-large" in err
 
 
+@pytest.mark.parametrize("option, value", [("--checkpoint-every", "0"),
+                                           ("--workers", "0"),
+                                           ("--workers", "two")])
+def test_survey_rejects_non_positive_counts(capsys, tmp_path, option, value):
+    code, _, err = run_cli(capsys, "survey", "--n", "4", "--matrix", "adjacency",
+                           "--mode", "cospectral", "--checkpoint",
+                           str(tmp_path / "keys.jsonl"), option, value)
+    assert code == 2 and "error" in err
+
+
 def test_survey_needs_input(capsys):
     code, _, err = run_cli(capsys, "survey", "--matrix", "adjacency",
                            "--mode", "cospectral")

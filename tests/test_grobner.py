@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -217,6 +221,30 @@ def test_qx_canonical_basis_is_monic_gcd(gens):
 
 def test_non_equal_ideals():
     assert not ideal_equal(zx(X + zc(1)), zx(zc(2), X + zc(1)))
+
+
+GUARD_SCRIPT = """
+from detideals.grobner import ZX_UNI, Ideal
+from detideals.polyring import RING_Z, UniPoly
+
+x = UniPoly.variable(RING_Z)
+a, b = Ideal(ZX_UNI, [x]), Ideal(ZX_UNI, [x])
+a.canonical_basis()
+object.__setattr__(b, "_basis", (-x,))
+try:
+    print(a.equal(b))
+except AssertionError:
+    print("guard")
+"""
+
+
+def test_uniqueness_guard_runs_without_assertions():
+    # a corrupted basis of the same ideal must trip the guard under -O too
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    out = subprocess.run([sys.executable, "-O", "-c", GUARD_SCRIPT],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "guard"
 
 
 small_mults = st.lists(

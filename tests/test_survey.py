@@ -40,6 +40,21 @@ def test_fig2_keys():
     )
 
 
+def test_fig2_key_text():
+    # checkpoints and JSON reports expose these exact strings
+    g1, _ = fig2_graphs()
+    expected = {
+        "cospectral": "charpoly:-1,4,7,-4,-7,0,1",
+        "coinvariant": "snf:1,1,1,1,1,1",
+        "codet-Q": "deltaQ:1;1;1;1;x + 1;x^6 - 7*x^4 - 4*x^3 + 7*x^2 + 4*x - 1",
+        "codet-Z": "idealsZ:k=1:[1];k=2:[1];k=3:[1];k=4:[1];"
+                   "k=5:[2*x + 2,x^3 + x^2 + x + 1];"
+                   "k=6:[x^6 - 7*x^4 - 4*x^3 + 7*x^2 + 4*x - 1]",
+    }
+    for mode, text in expected.items():
+        assert invariant_key(g1, "adjacency", mode).text == text
+
+
 def test_distinct_spectra_distinct_keys():
     k4, c4 = complete_graph(4), cycle_graph(4)
     for mode in ("cospectral", "coinvariant", "codet-Q", "codet-Z"):
@@ -85,8 +100,19 @@ def test_survey_n6_adjacency_bucket_is_fig2_pair(corpus6):
 
 
 def test_survey_n6_laplacian_codet_z(corpus6):
+    from detideals.graphs import parse_graph6
+    from detideals.profiles import determinantal_ideals
+
     report = run_survey(corpus6, "laplacian", "codet-Z", workers=1)
     assert report.with_mate == 2
+    # equal keys must mean equal ideals: for every k the mates have equal
+    # canonical bases and each one's minors lie in the other's ideal
+    (_, (a, b)), = report.buckets
+    pa, pb = (determinantal_ideals(parse_graph6(g6), "laplacian", "Zx") for g6 in (a, b))
+    for ia, ib in zip(pa.ideals, pb.ideals):
+        assert ia.equal(ib)
+        assert all(ib.member(g) for g in ia.gens)
+        assert all(ia.member(g) for g in ib.gens)
 
 
 def test_survey_determinism_across_workers(corpus6):
@@ -117,6 +143,9 @@ def test_survey_checkpoint(tmp_path, corpus5):
     rec = json.loads(lines[0])
     assert set(rec) == {"graph", "key_digest_input"}
     assert rec["key_digest_input"].startswith("snf:")
+    with pytest.raises(ValueError):
+        run_survey(corpus5, "adjacency", "coinvariant", workers=1,
+                   checkpoint_path=str(path), checkpoint_every=0)
 
 
 # ---------------------------------------------------------------------------

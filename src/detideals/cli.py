@@ -24,7 +24,6 @@ from .survey import (
     CSV_HEADER,
     LARGE_CORPUS_THRESHOLD,
     MODES,
-    default_workers,
     run_survey,
 )
 
@@ -83,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True)
-    p.add_argument("--max-n", type=int, default=None)
+    p.add_argument("--max-n", type=_positive_int, default=None)
     p.add_argument("--workers", type=_positive_int, default=None)
 
     return parser
@@ -155,13 +154,9 @@ def _cmd_snf(args) -> int:
 
 def _cmd_survey(args) -> int:
     if args.n is not None:
-        corpus = list(graphs.enumerate_connected(args.n))
+        corpus = graphs.enumerate_connected(args.n)
     elif args.input:
-        if args.input == "-":
-            corpus = list(graphs.read_graph6_lines(sys.stdin))
-        else:
-            with open(args.input, "r", encoding="ascii") as fh:
-                corpus = list(graphs.read_graph6_lines(fh))
+        corpus = _read_graphs(args)
     else:
         raise graphs.Graph6Error("survey needs --n or --input")
     if len(corpus) >= LARGE_CORPUS_THRESHOLD and not args.allow_large:
@@ -169,7 +164,7 @@ def _cmd_survey(args) -> int:
             f"corpus of {len(corpus)} graphs requires --allow-large")
     report = run_survey(
         corpus, args.matrix, args.mode,
-        workers=args.workers if args.workers is not None else default_workers(),
+        workers=args.workers,
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
     )
@@ -196,6 +191,10 @@ def _cmd_verify(args) -> int:
               file=sys.stderr)
         return EXIT_INPUT_ERROR
     results = run_suite(args.suite, max_n=args.max_n, workers=args.workers)
+    if not results:
+        print(f"error: suite {args.suite} ran no checks at --max-n {args.max_n}",
+              file=sys.stderr)
+        return EXIT_INPUT_ERROR
     ok = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"

@@ -1,8 +1,11 @@
 """Smith normal forms over Z and Q[x], Delta_k oracles, cokernel groups.
 
-snf_integer / snf_poly_q diagonalize by exact elementary operations;
-delta_bruteforce recomputes every Delta_k as a gcd over all k-minors and is
-the independent oracle the eliminations are tested against.
+snf_integer diagonalizes an integer matrix by exact elementary operations.
+snf_poly_q takes only x*I - M with M a symmetric integer matrix (every graph
+matrix here): such an M is diagonalisable, so the invariant factors over Q[x]
+follow from the characteristic polynomial alone, Delta_{k-1} being
+gcd(Delta_k, Delta_k').  delta_bruteforce recomputes every Delta_k as a gcd
+over all k-minors and is the independent oracle both are tested against.
 """
 
 from __future__ import annotations
@@ -169,76 +172,44 @@ def snf_integer(matrix: Sequence[Sequence[int]]) -> SnfResult:
 # SNF over Q[x]
 
 
-def _divisibility_fix_poly(diag: list[UniPoly]) -> list[UniPoly]:
-    d = sorted((p.monic() for p in diag), key=lambda p: (p.degree, p.coeffs))
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(d)):
-            for j in range(i + 1, len(d)):
-                _, r = divmod_poly(d[j], d[i])
-                if not r.is_zero():
-                    g = gcd_poly_q(d[i], d[j])
-                    q, _ = divmod_poly(d[i], g)
-                    d[i], d[j] = g, (q * d[j]).monic()
-                    changed = True
-        d.sort(key=lambda p: (p.degree, p.coeffs))
-    return d
+def _symmetric_operand(matrix: Sequence[Sequence[UniPoly]]) -> list[list[int]]:
+    """M for an input x*I - M; ValueError unless M is a symmetric integer matrix."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix must be square")
+    m = [[0] * n for _ in range(n)]
+    for i, row in enumerate(matrix):
+        for j, p in enumerate(row):
+            if i == j and (p.degree != 1 or p.lc != 1):
+                raise ValueError(f"diagonal entry ({i},{j}) is not x - c")
+            if i != j and not p.is_constant():
+                raise ValueError(f"off-diagonal entry ({i},{j}) is not a constant")
+            c = -Fraction(p.constant_value())
+            if c.denominator != 1:
+                raise ValueError(f"entry ({i},{j}) is not an integer")
+            m[i][j] = c.numerator
+    if any(m[i][j] != m[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("M is not symmetric")
+    return m
 
 
 def snf_poly_q(matrix: Sequence[Sequence[UniPoly]]) -> SnfResult:
-    """Invariant factors (monic) of a square matrix over Q[x]."""
-    n = len(matrix)
-    a = [[p.to_q() for p in row] for row in matrix]
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
-    diag: list[UniPoly] = []
-    for t in range(n):
-        piv = None
-        for i in range(t, n):
-            for j in range(t, n):
-                p = a[i][j]
-                if not p.is_zero() and (piv is None or p.degree < piv[0]):
-                    piv = (p.degree, i, j)
-        if piv is None:
-            break
-        _, pi, pj = piv
-        a[t], a[pi] = a[pi], a[t]
-        for row in a:
-            row[t], row[pj] = row[pj], row[t]
-        while True:
-            scale = UniPoly.const(Fraction(1) / a[t][t].lc, RING_Q)
-            a[t] = [scale * x for x in a[t]]
-            p = a[t][t]
-            dirty = False
-            for i in range(t + 1, n):
-                v = a[i][t]
-                if not v.is_zero():
-                    q, r = divmod_poly(v, p)
-                    if not q.is_zero():
-                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if not a[i][t].is_zero():
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(t + 1, n):
-                v = a[t][j]
-                if not v.is_zero():
-                    q, r = divmod_poly(v, p)
-                    if not q.is_zero():
-                        for row in a:
-                            row[j] = row[j] - q * row[t]
-                    if not a[t][j].is_zero():
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-                        break
-            if not dirty:
-                break
-        diag.append(a[t][t])
-    return SnfResult("Qx", n, tuple(_divisibility_fix_poly(diag)))
+    """Invariant factors (monic) of x*I - M over Q[x], M a symmetric integer matrix.
+
+    A symmetric M is diagonalisable, so every invariant factor is squarefree:
+    the eigenvalue lambda of multiplicity m divides exactly the last m factors
+    once each.  Hence Delta_n = det(x*I - M) and Delta_{k-1} = gcd(Delta_k,
+    Delta_k'), each step down in k lowering every multiplicity by one, and
+    f_k = Delta_k / Delta_{k-1}.
+    """
+    m = _symmetric_operand(matrix)
+    delta = char_poly(m).to_q()
+    factors = []
+    for _ in m:
+        lower = gcd_poly_q(delta, delta.derivative())
+        factors.append(divmod_poly(delta, lower)[0])
+        delta = lower
+    return SnfResult("Qx", len(m), tuple(reversed(factors)))
 
 
 # ---------------------------------------------------------------------------

@@ -236,7 +236,7 @@ def suite_appendix_b(max_n=None, workers=None) -> list[CheckResult]:
 
 def suite_kn_formula(max_n=None, workers=None) -> list[CheckResult]:
     results: list[CheckResult] = []
-    top = max_n or 8
+    top = 8 if max_n is None else max_n
     for n in range(2, top + 1):
         g = graphs.complete_graph(n)
         profile = determinantal_ideals(g, "adjacency", "Zx")
@@ -386,7 +386,7 @@ def suite_symbolic_bipartite(max_n=None, workers=None) -> list[CheckResult]:
 
 def suite_determined_complete(max_n=None, workers=None) -> list[CheckResult]:
     results: list[CheckResult] = []
-    top = max_n or 7
+    top = 7 if max_n is None else max_n
     for n in range(4, top + 1):
         corpus = graphs.enumerate_connected(n)
         kn = graphs.complete_graph(n)
@@ -402,7 +402,7 @@ def suite_determined_complete(max_n=None, workers=None) -> list[CheckResult]:
 
 def suite_determined_star(max_n=None, workers=None) -> list[CheckResult]:
     results: list[CheckResult] = []
-    top = max_n or 7
+    top = 7 if max_n is None else max_n
     for n in range(4, top + 1):
         corpus = graphs.enumerate_connected(n)
         star = graphs.star_graph(n)
@@ -441,7 +441,7 @@ KINDS = ("adjacency", "laplacian", "distance", "distlap")
 
 def suite_tables(max_n=None, workers=None) -> list[CheckResult]:
     results: list[CheckResult] = []
-    top = max_n or 7
+    top = 7 if max_n is None else max_n
 
     for n in sorted(TABLE1):
         if n > top:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import graphs
+from .grobner import QX, Ideal
 from .polyring import poly_str
 from .profiles import IdealProfile, determinantal_ideals, evaluate_profile, variety
 from .smith import char_poly, snf_integer
@@ -136,6 +137,7 @@ def _validate_corpus(corpus: Sequence[graphs.Graph]) -> int:
     if not corpus:
         raise ValueError("empty corpus")
     n = corpus[0].n
+    seen: set[graphs.Graph] = set()
     for g in corpus:
         if g.n != n:
             raise ValueError("corpus mixes vertex counts")
@@ -143,6 +145,9 @@ def _validate_corpus(corpus: Sequence[graphs.Graph]) -> int:
             raise graphs.DisconnectedGraphError(
                 f"disconnected graph in corpus: {graphs.write_graph6(g)}"
             )
+        if g in seen:
+            raise ValueError(f"repeated graph in corpus: {graphs.write_graph6(g)}")
+        seen.add(g)
     return n
 
 
@@ -233,10 +238,19 @@ def _with_mate(keys: Sequence[str]) -> int:
     return sum(c for c in counts.values() if c >= 2)
 
 
+def _qx_profile_of(zprofile: IdealProfile) -> IdealProfile:
+    """The Q[x] profile generated by a Z[x] profile's canonical bases: the
+    monic gcd of I_k's basis over Q is Delta_k, found from minors and Groebner
+    bases without the characteristic polynomial."""
+    ideals = tuple(Ideal(QX, ideal.canonical_basis()) for ideal in zprofile.ideals)
+    return IdealProfile(zprofile.graph6, zprofile.kind, QX, ideals)
+
+
 def cross_check(corpus: Iterable[graphs.Graph], kind: str) -> CrossCheckReport:
     """Assert the partition relations the theory demands on a whole corpus:
     cospectral == codet-Q, coinvariant == eval-at-0 of codet-Z, codet-Z refines
-    both, and codet-Q == equal-per-k-varieties."""
+    both, and codet-Q == equal-per-k-varieties.  The codet-Q side is built from
+    the Z[x] bases, so it is independent of the characteristic polynomial."""
     corpus = list(corpus)
     n = _validate_corpus(corpus)
     g6s = [graphs.write_graph6(g) for g in corpus]
@@ -249,15 +263,15 @@ def cross_check(corpus: Iterable[graphs.Graph], kind: str) -> CrossCheckReport:
     for g in corpus:
         spectrum.append(_key_text(g, kind, "cospectral"))
         coinv.append(_key_text(g, kind, "coinvariant"))
-        qprofile = determinantal_ideals(g, kind, "Qx")
+        zprofile = determinantal_ideals(g, kind, "Zx")
+        zkeys.append(_profile_text(zprofile))
+        qprofile = _qx_profile_of(zprofile)
         qkeys.append(_profile_text(qprofile))
         vparts = []
         for k in range(1, g.n + 1):
             v = variety(qprofile, k)
             vparts.append(v.status if v.status != "roots" else poly_str(v.squarefree))
         varkeys.append(";".join(vparts))
-        zprofile = determinantal_ideals(g, kind, "Zx")
-        zkeys.append(_profile_text(zprofile))
         eval0.append(",".join(str(d) for d in evaluate_profile(zprofile, 0)))
 
     witness = None

@@ -212,9 +212,9 @@ def test_criterion_12_property_suites():
                             lap = snf_integer(build_matrix(g, "laplacian"))
                             assert evaluate_profile(zprofile, r) == list(lap.delta_sequence())
 
-                # SNF over Q[x] vs the polynomial minor-gcd oracle (n <= 4
+                # SNF over Q[x] vs the polynomial minor-gcd oracle (n <= 5
                 # exhaustively; the integer oracle above runs on everything)
-                if n <= 4:
+                if n <= 5:
                     for kind in KINDS:
                         cm = char_matrix(g, kind, RING_Q)
                         qsnf = snf_poly_q(cm)

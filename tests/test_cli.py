@@ -159,6 +159,15 @@ def test_survey_rejects_non_positive_counts(capsys, tmp_path, option, value):
     assert code == 2 and "error" in err
 
 
+def test_survey_rejects_repeated_graph(capsys, tmp_path):
+    corpus = tmp_path / "dup.g6"
+    corpus.write_text("C~\nC~\n")
+    code, out, err = run_cli(capsys, "survey", "--input", str(corpus),
+                             "--matrix", "adjacency", "--mode", "cospectral",
+                             "--output", "text", "--workers", "1")
+    assert code == 2 and "repeated graph in corpus: C~" in err and out == ""
+
+
 def test_survey_needs_input(capsys):
     code, _, err = run_cli(capsys, "survey", "--matrix", "adjacency",
                            "--mode", "cospectral")
@@ -179,6 +188,14 @@ def test_verify_c4(capsys):
 def test_verify_unknown_suite(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "nope")
     assert code == 2 and "unknown suite" in err
+
+
+@pytest.mark.parametrize("suite, max_n", [("tables", "-1"), ("tables", "0"),
+                                          ("determined-complete", "2")])
+def test_verify_rejects_max_n_that_runs_no_check(capsys, suite, max_n):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-n", max_n)
+    assert code == 2 and "error" in err
+    assert "all checks passed" not in out
 
 
 def test_verify_appendix_b(capsys):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -145,6 +146,30 @@ def test_snf_poly_q_matches_bruteforce():
     snf = snf_poly_q(m)
     for k in range(1, 5):
         assert snf.delta(k) == delta_bruteforce(m, k)
+
+
+def _p3_with(*edits):
+    m = char_matrix(path_graph(3), "adjacency", RING_Q)
+    for i, j, entry in edits:
+        m[i][j] = entry
+    return m
+
+
+HALF = qc(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("matrix, reason", [
+    (_p3_with()[:2], "square"),
+    (_p3_with((0, 1, qc(-2))), "symmetric"),
+    (_p3_with((0, 0, XQ * XQ)), "x - c"),
+    (_p3_with((1, 2, XQ), (2, 1, XQ)), "constant"),
+    (_p3_with((1, 2, HALF), (2, 1, HALF)), "integer"),
+    (_p3_with((2, 2, XQ - HALF)), "integer"),
+])
+def test_snf_poly_q_rejects_inputs_outside_its_domain(matrix, reason):
+    # snf_poly_q takes x*I - M with M a symmetric integer matrix only
+    with pytest.raises(ValueError, match=reason):
+        snf_poly_q(matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from detideals.graphs import (
 from detideals.suites import fig2_graphs
 from detideals.survey import (
     CSV_HEADER,
+    _profile_text,
+    _qx_profile_of,
     cross_check,
     invariant_key,
     run_survey,
@@ -53,6 +55,20 @@ def test_fig2_key_text():
     }
     for mode, text in expected.items():
         assert invariant_key(g1, "adjacency", mode).text == text
+
+
+def test_codet_q_key_equals_key_from_zx_bases():
+    # snf_poly_q works from the characteristic polynomial alone; the Z[x]
+    # canonical bases come from minors and Groebner bases
+    from detideals.graphs import enumerate_connected
+    from detideals.profiles import determinantal_ideals
+
+    for n in range(1, 6):
+        for g in enumerate_connected(n):
+            for kind in KINDS:
+                zprofile = determinantal_ideals(g, kind, "Zx")
+                assert invariant_key(g, kind, "codet-Q").text == _profile_text(
+                    _qx_profile_of(zprofile))
 
 
 def test_distinct_spectra_distinct_keys():

@@ -1,0 +1,74 @@
+"""Print one SHA-256 digest per detideals output, to show that a change keeps
+the outputs byte-identical.
+
+    PYTHONPATH=src python3 tools/output_digest.py > digests.txt
+
+Run it on two checkouts and diff the two files.  It covers:
+
+* `survey --output json` reports and `--checkpoint` files for every matrix
+  kind and mode at n <= 6, plus codet-Q at n = 7;
+* `snf --ring Qx --output json` over every connected graph with n <= 7;
+* the `cross_check` reports for n = 2..6 and every kind.
+
+It uses the standard library and whatever `detideals` is on the import path.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+from detideals.cli import main
+from detideals.graphs import MATRIX_KINDS, enumerate_connected, write_graph6
+from detideals.survey import MODES, cross_check
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _cli(*argv: str) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    if code != 0:
+        sys.exit(f"detideals {' '.join(argv)} exited with {code}")
+    return out.getvalue().encode()
+
+
+def _read(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def print_digests(tmp: str) -> None:
+    out, keys = os.path.join(tmp, "report.json"), os.path.join(tmp, "keys.jsonl")
+    runs = [(n, kind, mode) for n in range(1, 7) for kind in MATRIX_KINDS for mode in MODES]
+    runs += [(7, kind, "codet-Q") for kind in MATRIX_KINDS]
+    for n, kind, mode in runs:
+        _cli("survey", "--n", str(n), "--matrix", kind, "--mode", mode,
+             "--output", "json", "--out", out, "--checkpoint", keys)
+        print(f"survey n={n} {kind} {mode} report {_sha(_read(out))}")
+        print(f"survey n={n} {kind} {mode} checkpoint {_sha(_read(keys))}", flush=True)
+
+    corpus = os.path.join(tmp, "corpus.g6")
+    for n in range(1, 8):
+        with open(corpus, "w", encoding="ascii") as fh:
+            fh.writelines(write_graph6(g) + "\n" for g in enumerate_connected(n))
+        for kind in MATRIX_KINDS:
+            doc = _cli("snf", "--input", corpus, "--matrix", kind, "--ring", "Qx",
+                       "--output", "json")
+            print(f"snf-Qx n={n} {kind} {_sha(doc)}", flush=True)
+
+    for n in range(2, 7):
+        for kind in MATRIX_KINDS:
+            report = cross_check(enumerate_connected(n), kind)
+            print(f"cross_check n={n} {kind} ok={report.ok} {_sha(repr(report).encode())}",
+                  flush=True)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        print_digests(tmp)

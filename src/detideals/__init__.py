@@ -49,6 +49,7 @@ from .smith import (
     char_poly,
     cokernel,
     delta_bruteforce,
+    deltas_q,
     snf_integer,
     snf_poly_q,
 )

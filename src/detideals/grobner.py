@@ -70,20 +70,14 @@ def _divides(a: tuple, b: tuple) -> bool:
 def _combine(t1: dict, c1: int, s1: tuple, t2: dict, c2: int, s2: tuple) -> dict:
     """c1 * x^s1 * t1 + c2 * x^s2 * t2."""
     out: dict = {}
-    for m, a in t1.items():
-        e = tuple(x + y for x, y in zip(m, s1))
-        v = out.get(e, 0) + c1 * a
-        if v:
-            out[e] = v
-        else:
-            out.pop(e, None)
-    for m, a in t2.items():
-        e = tuple(x + y for x, y in zip(m, s2))
-        v = out.get(e, 0) + c2 * a
-        if v:
-            out[e] = v
-        else:
-            out.pop(e, None)
+    for terms, c, s in ((t1, c1, s1), (t2, c2, s2)):
+        for m, a in terms.items():
+            e = tuple(x + y for x, y in zip(m, s))
+            v = out.get(e, 0) + c * a
+            if v:
+                out[e] = v
+            else:
+                out.pop(e, None)
     return out
 
 
@@ -264,6 +258,15 @@ def _terms(p) -> dict:
     return dict(p.terms)
 
 
+def _lives_in(ring: Ring, p) -> bool:
+    """True iff p is an element of the tagged ring (any UniPoly for Q[x])."""
+    if ring.kind == "ZX":
+        return isinstance(p, MultiPoly) and p.arity == ring.arity
+    if ring.kind == "Zx":
+        return isinstance(p, UniPoly) and p.ring == RING_Z
+    return isinstance(p, UniPoly)
+
+
 def _normalize(gens: tuple, order: str) -> tuple:
     """Nonzero generators with positive leading coefficient, deduplicated and
     in ascending `_poly_key` order: the Groebner feed order, small ones first."""
@@ -287,19 +290,10 @@ class Ideal:
 
     def __init__(self, ring: Ring, gens: Iterable):
         gens = tuple(gens)
-        if ring.kind == "ZX":
-            for g in gens:
-                if not isinstance(g, MultiPoly) or g.arity != ring.arity:
-                    raise RingMismatchError("generator does not live in the tagged ring")
-        elif ring.kind == "Zx":
-            for g in gens:
-                if not isinstance(g, UniPoly) or g.ring != RING_Z:
-                    raise RingMismatchError("generator does not live in the tagged ring")
-        else:  # Qx
-            gens = tuple(g.to_q() if isinstance(g, UniPoly) else g for g in gens)
-            for g in gens:
-                if not isinstance(g, UniPoly):
-                    raise RingMismatchError("generator does not live in the tagged ring")
+        if not all(_lives_in(ring, g) for g in gens):
+            raise RingMismatchError("generator does not live in the tagged ring")
+        if ring.kind == "Qx":
+            gens = tuple(g.to_q() for g in gens)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "gens", _normalize(gens, ring.order))
         object.__setattr__(self, "_basis", None)
@@ -346,11 +340,9 @@ class Ideal:
 
     def member(self, p) -> bool:
         ring = self.ring
+        if not _lives_in(ring, p):
+            raise RingMismatchError("element does not live in the ideal's ring")
         if ring.kind == "Qx":
-            if isinstance(p, UniPoly):
-                p = p.to_q()
-            if not isinstance(p, UniPoly):
-                raise RingMismatchError("element does not live in the ideal's ring")
             basis = self.canonical_basis()
             if p.is_zero():
                 return True
@@ -358,11 +350,6 @@ class Ideal:
                 return False
             _, r = divmod_poly(p, basis[0])
             return r.is_zero()
-        if ring.kind == "Zx":
-            if not isinstance(p, UniPoly) or p.ring != RING_Z:
-                raise RingMismatchError("element does not live in the ideal's ring")
-        elif not isinstance(p, MultiPoly) or p.arity != ring.arity:
-            raise RingMismatchError("element does not live in the ideal's ring")
         key = monomial_key(ring.order)
         elems = [_record(_terms(g), key) for g in self.canonical_basis()]
         return not _normal_form(_terms(p), elems, key)

@@ -239,7 +239,8 @@ def squarefree_part(p: UniPoly) -> UniPoly:
         return UniPoly.const(1, RING_Q)
     g = gcd_poly_q(p, p.derivative())
     q, r = divmod_poly(p, g)
-    assert r.is_zero()
+    if not r.is_zero():
+        raise ArithmeticError(f"gcd(p, p') leaves a remainder {poly_str(r)}")
     return q.monic()
 
 
@@ -466,18 +467,7 @@ def eval_poly(p, point):
 # rendering
 
 
-def _uni_term(c, e: int, var: str) -> str:
-    if e == 0:
-        return str(c)
-    v = var if e == 1 else f"{var}^{e}"
-    if c == 1:
-        return v
-    if c == -1:
-        return f"-{v}"
-    return f"{c}*{v}"
-
-
-def _multi_monomial(exp: tuple[int, ...], names: Sequence[str]) -> str:
+def _monomial(exp: tuple[int, ...], names: Sequence[str]) -> str:
     parts = []
     for name, e in zip(names, exp):
         if e == 1:
@@ -491,42 +481,31 @@ def poly_str(p, var: str = "x", names: Sequence[str] | None = None,
              order: str = DEGREVLEX) -> str:
     """Deterministic ASCII rendering, terms in descending monomial order."""
     if isinstance(p, UniPoly):
-        if p.is_zero():
-            return "0"
-        parts = []
-        for e in range(p.degree, -1, -1):
-            c = p.coeffs[e]
-            if not c:
-                continue
-            term = _uni_term(c, e, var)
-            if not parts:
-                parts.append(term)
-            elif term.startswith("-"):
-                parts.append(f"- {term[1:]}")
-            else:
-                parts.append(f"+ {term}")
-        return " ".join(parts)
-    if isinstance(p, MultiPoly):
-        if p.is_zero():
-            return "0"
+        terms = [((e,), c) for e, c in enumerate(p.coeffs) if c][::-1]
+        names = (var,)
+    elif isinstance(p, MultiPoly):
+        terms = p.sorted_terms(order)
         if names is None:
             names = [f"x{i}" for i in range(p.arity)]
-        parts = []
-        for exp, c in p.sorted_terms(order):
-            mono = _multi_monomial(exp, names)
-            if not mono:
-                term = str(c)
-            elif c == 1:
-                term = mono
-            elif c == -1:
-                term = f"-{mono}"
-            else:
-                term = f"{c}*{mono}"
-            if not parts:
-                parts.append(term)
-            elif term.startswith("-"):
-                parts.append(f"- {term[1:]}")
-            else:
-                parts.append(f"+ {term}")
-        return " ".join(parts)
-    raise TypeError(f"not a polynomial: {p!r}")
+    else:
+        raise TypeError(f"not a polynomial: {p!r}")
+    if not terms:
+        return "0"
+    parts = []
+    for exp, c in terms:
+        mono = _monomial(exp, names)
+        if not mono:
+            term = str(c)
+        elif c == 1:
+            term = mono
+        elif c == -1:
+            term = f"-{mono}"
+        else:
+            term = f"{c}*{mono}"
+        if not parts:
+            parts.append(term)
+        elif term.startswith("-"):
+            parts.append(f"- {term[1:]}")
+        else:
+            parts.append(f"+ {term}")
+    return " ".join(parts)

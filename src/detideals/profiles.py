@@ -20,12 +20,11 @@ from .polyring import (
     UniPoly,
     divmod_poly,
     gcd_int_many,
-    gcd_poly_q,
     poly_str,
     rational_roots,
     squarefree_part,
 )
-from .smith import minor_tables, snf_poly_q
+from .smith import deltas_q, minor_tables
 
 MULTIVARIATE_GUARD = 6
 
@@ -91,8 +90,7 @@ def determinantal_ideals(g: graphs.Graph, kind: str, ring: str = "Zx") -> IdealP
     """Characteristic ideal profile of x*I - M(G) over Z[x] or Q[x]."""
     g6 = graphs.write_graph6(g)
     if ring == "Qx":
-        snf = snf_poly_q(graphs.char_matrix(g, kind, RING_Q))
-        ideals = tuple(Ideal(QX, [snf.delta(k)]) for k in range(1, g.n + 1))
+        ideals = tuple(Ideal(QX, [d]) for d in deltas_q(graphs.build_matrix(g, kind)))
         return IdealProfile(g6, kind, QX, ideals)
     if ring != "Zx":
         raise ValueError("characteristic ideals live in Zx or Qx")
@@ -178,9 +176,7 @@ def variety(profile: IdealProfile, k: int) -> VarietyDescription:
         return VarietyDescription(k, "all_reals", None, ())
     if ideal.is_trivial():
         return VarietyDescription(k, "empty", None, ())
-    g = basis[0].to_q()
-    for p in basis[1:]:
-        g = gcd_poly_q(g, p.to_q())
+    (g,) = Ideal(QX, basis).canonical_basis()
     if g.is_constant():
         # constant nonunit ideal over Z[x] (e.g. <2>): no common roots
         return VarietyDescription(k, "empty", None, ())
@@ -219,7 +215,8 @@ def strip_rational_roots(p: UniPoly) -> tuple[list[Fraction], UniPoly]:
     rest = p
     for r in roots:
         rest, rem = divmod_poly(rest, UniPoly((-r, 1), RING_Q))
-        assert rem.is_zero()
+        if not rem.is_zero():
+            raise ArithmeticError(f"x - {r} leaves a remainder {poly_str(rem)}")
     return roots, rest.monic()
 
 

@@ -1,11 +1,12 @@
 """Smith normal forms over Z and Q[x], Delta_k oracles, cokernel groups.
 
 snf_integer diagonalizes an integer matrix by exact elementary operations.
-snf_poly_q takes only x*I - M with M a symmetric integer matrix (every graph
-matrix here): such an M is diagonalisable, so the invariant factors over Q[x]
-follow from the characteristic polynomial alone, Delta_{k-1} being
-gcd(Delta_k, Delta_k').  delta_bruteforce recomputes every Delta_k as a gcd
-over all k-minors and is the independent oracle both are tested against.
+deltas_q takes a symmetric integer matrix M (every graph matrix here): such an
+M is diagonalisable, so the Delta_k of x*I - M over Q[x] follow from the
+characteristic polynomial alone, Delta_{k-1} being gcd(Delta_k, Delta_k').
+snf_poly_q turns them into the invariant factors of x*I - M.  delta_bruteforce
+recomputes every Delta_k as a gcd over all k-minors and is the independent
+oracle both are tested against.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
+from .grobner import QX, Ideal
 from .polyring import RING_Q, RING_Z, UniPoly, divmod_poly, gcd_poly_q, poly_str
 
 
@@ -31,25 +33,22 @@ class SnfResult:
     def rank(self) -> int:
         return len(self.factors)
 
+    def _const(self, c):
+        return UniPoly.const(c, RING_Q) if self.ring == "Qx" else c
+
     def diagonal(self) -> tuple:
         """Diagonal padded with zeros to the matrix dimension."""
-        zero = UniPoly.zero(RING_Q) if self.ring == "Qx" else 0
-        return self.factors + (zero,) * (self.n - self.rank)
+        return self.factors + (self._const(0),) * (self.n - self.rank)
 
     def delta(self, k: int):
         """Delta_k = f_1 * ... * f_k (0 beyond the rank)."""
         if not 0 <= k <= self.n:
             raise ValueError("k out of range")
         if k > self.rank:
-            return UniPoly.zero(RING_Q) if self.ring == "Qx" else 0
-        if self.ring == "Qx":
-            acc = UniPoly.const(1, RING_Q)
-            for f in self.factors[:k]:
-                acc = acc * f
-            return acc
-        acc = 1
+            return self._const(0)
+        acc = self._const(1)
         for f in self.factors[:k]:
-            acc *= f
+            acc = acc * f
         return acc
 
     def delta_sequence(self) -> tuple:
@@ -172,13 +171,12 @@ def snf_integer(matrix: Sequence[Sequence[int]]) -> SnfResult:
 # SNF over Q[x]
 
 
-def _symmetric_operand(matrix: Sequence[Sequence[UniPoly]]) -> list[list[int]]:
-    """M for an input x*I - M; ValueError unless M is a symmetric integer matrix."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix must be square")
-    m = [[0] * n for _ in range(n)]
+def _operand(matrix: Sequence[Sequence[UniPoly]]) -> list[list[int]]:
+    """M for an input x*I - M; ValueError unless every diagonal entry is x - c
+    and every other entry a constant, all with integer c."""
+    m = []
     for i, row in enumerate(matrix):
+        m.append([])
         for j, p in enumerate(row):
             if i == j and (p.degree != 1 or p.lc != 1):
                 raise ValueError(f"diagonal entry ({i},{j}) is not x - c")
@@ -187,29 +185,39 @@ def _symmetric_operand(matrix: Sequence[Sequence[UniPoly]]) -> list[list[int]]:
             c = -Fraction(p.constant_value())
             if c.denominator != 1:
                 raise ValueError(f"entry ({i},{j}) is not an integer")
-            m[i][j] = c.numerator
-    if any(m[i][j] != m[j][i] for i in range(n) for j in range(i)):
-        raise ValueError("M is not symmetric")
+            m[i].append(c.numerator)
     return m
 
 
-def snf_poly_q(matrix: Sequence[Sequence[UniPoly]]) -> SnfResult:
-    """Invariant factors (monic) of x*I - M over Q[x], M a symmetric integer matrix.
+def deltas_q(matrix: Sequence[Sequence[int]]) -> tuple[UniPoly, ...]:
+    """Monic Delta_1..Delta_n of x*I - M over Q[x], M a symmetric integer matrix.
 
     A symmetric M is diagonalisable, so every invariant factor is squarefree:
     the eigenvalue lambda of multiplicity m divides exactly the last m factors
     once each.  Hence Delta_n = det(x*I - M) and Delta_{k-1} = gcd(Delta_k,
-    Delta_k'), each step down in k lowering every multiplicity by one, and
-    f_k = Delta_k / Delta_{k-1}.
+    Delta_k'), each step down in k lowering every multiplicity by one.
+    ValueError unless M is square and symmetric.
     """
-    m = _symmetric_operand(matrix)
-    delta = char_poly(m).to_q()
-    factors = []
-    for _ in m:
-        lower = gcd_poly_q(delta, delta.derivative())
-        factors.append(divmod_poly(delta, lower)[0])
-        delta = lower
-    return SnfResult("Qx", len(m), tuple(reversed(factors)))
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix must be square")
+    if any(matrix[i][j] != matrix[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("M is not symmetric")
+    delta = char_poly(matrix).to_q()
+    deltas = []
+    for _ in range(n):
+        deltas.append(delta)
+        delta = gcd_poly_q(delta, delta.derivative())
+    return tuple(reversed(deltas))
+
+
+def snf_poly_q(matrix: Sequence[Sequence[UniPoly]]) -> SnfResult:
+    """Invariant factors (monic) of x*I - M over Q[x], M a symmetric integer
+    matrix: f_k = Delta_k / Delta_{k-1} with the Delta_k of `deltas_q`."""
+    deltas = deltas_q(_operand(matrix))
+    lower = (UniPoly.const(1, RING_Q),) + deltas[:-1]
+    factors = tuple(divmod_poly(d, l)[0] for d, l in zip(deltas, lower))
+    return SnfResult("Qx", len(deltas), factors)
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +269,8 @@ def delta_bruteforce(matrix: Sequence[Sequence], k: int):
         raise ValueError("k out of range")
     minors = list(minor_tables(matrix, k)[k].values())
     if isinstance(minors[0], UniPoly):
-        g = UniPoly.zero(RING_Q)
-        for m in minors:
-            if m.is_zero():
-                continue
-            g = m.to_q().monic() if g.is_zero() else gcd_poly_q(g, m)
-            if g.is_constant():
-                break
-        return g.monic() if not g.is_zero() else g
+        basis = Ideal(QX, minors).canonical_basis()
+        return basis[0] if basis else UniPoly.zero(RING_Q)
     g = 0
     for m in minors:
         g = math.gcd(g, m)

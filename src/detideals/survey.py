@@ -92,9 +92,6 @@ def _worker(args: tuple[str, str, str]) -> str:
 
 
 def default_workers() -> int:
-    env = os.environ.get("DETIDEALS_WORKERS")
-    if env:
-        return max(1, int(env))
     return os.cpu_count() or 1
 
 
@@ -151,6 +148,18 @@ def _validate_corpus(corpus: Sequence[graphs.Graph]) -> int:
     return n
 
 
+def _classes(keys: Sequence[str]) -> dict[str, list[int]]:
+    """The indices of the graphs sharing each key, in input order."""
+    classes: dict[str, list[int]] = {}
+    for i, key in enumerate(keys):
+        classes.setdefault(key, []).append(i)
+    return classes
+
+
+def _with_mate(keys: Sequence[str]) -> int:
+    return sum(len(ids) for ids in _classes(keys).values() if len(ids) >= 2)
+
+
 def run_survey(
     corpus: Iterable[graphs.Graph],
     kind: str,
@@ -170,13 +179,10 @@ def run_survey(
                          checkpoint_path=checkpoint_path,
                          checkpoint_every=checkpoint_every)
 
-    buckets: dict[str, list[str]] = {}
-    for g6, key in zip(g6s, keys):
-        buckets.setdefault(key, []).append(g6)
-    mates = {k: v for k, v in buckets.items() if len(v) >= 2}
-    with_mate = sum(len(v) for v in mates.values())
-    ordered = tuple(sorted((k, tuple(v)) for k, v in mates.items()))
-    return SurveyReport(n, kind, mode, len(corpus), with_mate, ordered)
+    buckets = tuple(sorted(
+        (key, tuple(g6s[i] for i in ids)) for key, ids in _classes(keys).items() if len(ids) >= 2
+    ))
+    return SurveyReport(n, kind, mode, len(corpus), _with_mate(keys), buckets)
 
 
 def verify_determined_by(
@@ -189,7 +195,7 @@ def verify_determined_by(
     key = _key_text(target, kind, mode)
     keys = _compute_keys([graphs.write_graph6(g) for g in corpus], kind, mode,
                          workers if workers is not None else default_workers())
-    matches = sum(1 for k in keys if k == key)
+    matches = keys.count(key)
     if matches == 0:
         raise ValueError("target graph is not in the corpus class")
     return matches == 1
@@ -222,20 +228,6 @@ class CrossCheckReport:
             and self.codet_z_refines_all
             and self.codet_q_equals_varieties
         )
-
-
-def _partition_ids(keys: Sequence[str]) -> list[tuple[int, ...]]:
-    buckets: dict[str, list[int]] = {}
-    for i, k in enumerate(keys):
-        buckets.setdefault(k, []).append(i)
-    return [tuple(buckets[k]) for k in keys]
-
-
-def _with_mate(keys: Sequence[str]) -> int:
-    counts: dict[str, int] = {}
-    for k in keys:
-        counts[k] = counts.get(k, 0) + 1
-    return sum(c for c in counts.values() if c >= 2)
 
 
 def _qx_profile_of(zprofile: IdealProfile) -> IdealProfile:
@@ -276,25 +268,17 @@ def cross_check(corpus: Iterable[graphs.Graph], kind: str) -> CrossCheckReport:
 
     witness = None
 
-    def partitions_equal(a, b):
-        nonlocal witness
-        pa, pb = _partition_ids(a), _partition_ids(b)
-        for i, (x, y) in enumerate(zip(pa, pb)):
-            if x != y:
-                other = next(j for j in set(x) ^ set(y))
-                witness = witness or f"{g6s[i]} vs {g6s[other]}"
-                return False
-        return True
-
     def refines(fine, coarse):
         nonlocal witness
-        pf, pc = _partition_ids(fine), _partition_ids(coarse)
-        for i, (f, c) in enumerate(zip(pf, pc)):
-            if not set(f) <= set(c):
-                other = next(j for j in set(f) - set(c))
-                witness = witness or f"{g6s[i]} vs {g6s[other]}"
-                return False
+        for first, *rest in _classes(fine).values():
+            for j in rest:
+                if coarse[j] != coarse[first]:
+                    witness = witness or f"{g6s[first]} vs {g6s[j]}"
+                    return False
         return True
+
+    def partitions_equal(a, b):
+        return refines(a, b) and refines(b, a)
 
     a = partitions_equal(spectrum, qkeys)
     b = partitions_equal(coinv, eval0)

@@ -66,13 +66,16 @@ def test_corank_examples():
 
 
 def test_qx_profile_is_principal_snf_deltas():
-    g = parse_graph6("Dt_")
-    profile = determinantal_ideals(g, "laplacian", "Qx")
-    snf = snf_poly_q(char_matrix(g, "laplacian", RING_Q))
-    for k, ideal in enumerate(profile.ideals, start=1):
-        basis = ideal.canonical_basis()
-        assert len(basis) == 1
-        assert basis[0] == snf.delta(k)
+    # build_matrix -> deltas_q against char_matrix -> snf_poly_q -> products
+    for n in range(1, 6):
+        for g in enumerate_connected(n):
+            for kind in KINDS:
+                profile = determinantal_ideals(g, kind, "Qx")
+                snf = snf_poly_q(char_matrix(g, kind, RING_Q))
+                for k, ideal in enumerate(profile.ideals, start=1):
+                    basis = ideal.canonical_basis()
+                    assert len(basis) == 1
+                    assert basis[0] == snf.delta(k)
 
 
 def test_chain_membership_small_corpora():
@@ -210,6 +213,24 @@ def test_divides_in_algebraic_integers_validation():
 
 # ---------------------------------------------------------------------------
 # guards and rendering
+
+
+def test_inexact_division_raises_arithmetic_error(monkeypatch):
+    # both guards must hold under python -O too, so neither may be an assert
+    from detideals import polyring, profiles
+
+    def inexact(a, b):
+        return UniPoly.zero(RING_Q), UniPoly.const(1, RING_Q)
+
+    # gcd_poly_q divides too and would never finish with the inexact division
+    monkeypatch.setattr(polyring, "gcd_poly_q", lambda a, b: UniPoly.const(1, RING_Q))
+    monkeypatch.setattr(polyring, "divmod_poly", inexact)
+    monkeypatch.setattr(profiles, "divmod_poly", inexact)
+    p = (X * X - zc(1)).to_q()
+    with pytest.raises(ArithmeticError):
+        polyring.squarefree_part(p)
+    with pytest.raises(ArithmeticError):
+        strip_rational_roots(p)
 
 
 def test_multivariate_size_guard():

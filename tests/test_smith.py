@@ -21,6 +21,7 @@ from detideals.smith import (
     char_poly,
     cokernel,
     delta_bruteforce,
+    deltas_q,
     minor_tables,
     snf_integer,
     snf_poly_q,
@@ -172,6 +173,16 @@ def test_snf_poly_q_rejects_inputs_outside_its_domain(matrix, reason):
         snf_poly_q(matrix)
 
 
+@pytest.mark.parametrize("m, reason", [
+    ([[0, 1, 0], [1, 0, 1]], "square"),
+    ([[0, 2], [1, 0]], "symmetric"),
+])
+def test_deltas_q_rejects_non_square_and_non_symmetric(m, reason):
+    # the theorem behind deltas_q holds for symmetric matrices only
+    with pytest.raises(ValueError, match=reason):
+        deltas_q(m)
+
+
 # ---------------------------------------------------------------------------
 # cokernels
 
@@ -215,6 +226,14 @@ def test_delta_bruteforce_full_size_is_abs_det():
     assert delta_bruteforce(m, 2) == 1
     m = [[0, 2], [-2, 0]]
     assert delta_bruteforce(m, 2) == 4
+
+
+def test_delta_bruteforce_is_zero_when_every_minor_vanishes():
+    x = UniPoly.variable(RING_Z)
+    m = [[x, x, x], [x, x, x], [x, x, x]]
+    assert delta_bruteforce(m, 1) == x.to_q()
+    assert delta_bruteforce(m, 2) == UniPoly.zero(RING_Q)
+    assert delta_bruteforce(m, 3) == UniPoly.zero(RING_Q)
 
 
 def _det_by_permutations(m):

@@ -58,7 +58,7 @@ def test_fig2_key_text():
 
 
 def test_codet_q_key_equals_key_from_zx_bases():
-    # snf_poly_q works from the characteristic polynomial alone; the Z[x]
+    # deltas_q works from the characteristic polynomial alone; the Z[x]
     # canonical bases come from minors and Groebner bases
     from detideals.graphs import enumerate_connected
     from detideals.profiles import determinantal_ideals

@@ -7,7 +7,12 @@ Run it on two checkouts and diff the two files.  It covers:
 
 * `survey --output json` reports and `--checkpoint` files for every matrix
   kind and mode at n <= 6, plus codet-Q at n = 7;
-* `snf --ring Qx --output json` over every connected graph with n <= 7;
+* `snf --ring Qx --output json` and `snf --ring Z --output json` over every
+  connected graph with n <= 7;
+* `ideals --ring Zx` and `ideals --ring Qx`, JSON and text, over every
+  connected graph with n <= 6 and every kind;
+* `ideals --ring ZX --output json` (critical and distance ideals) over every
+  connected graph with n <= 5;
 * the `cross_check` reports for n = 2..6 and every kind.
 
 It uses the standard library and whatever `detideals` is on the import path.
@@ -57,10 +62,23 @@ def print_digests(tmp: str) -> None:
     for n in range(1, 8):
         with open(corpus, "w", encoding="ascii") as fh:
             fh.writelines(write_graph6(g) + "\n" for g in enumerate_connected(n))
-        for kind in MATRIX_KINDS:
-            doc = _cli("snf", "--input", corpus, "--matrix", kind, "--ring", "Qx",
-                       "--output", "json")
-            print(f"snf-Qx n={n} {kind} {_sha(doc)}", flush=True)
+        for ring in ("Qx", "Z"):
+            for kind in MATRIX_KINDS:
+                doc = _cli("snf", "--input", corpus, "--matrix", kind, "--ring", ring,
+                           "--output", "json")
+                print(f"snf-{ring} n={n} {kind} {_sha(doc)}", flush=True)
+        if n <= 6:
+            for ring in ("Zx", "Qx"):
+                for kind in MATRIX_KINDS:
+                    for output in ("json", "text"):
+                        doc = _cli("ideals", "--input", corpus, "--matrix", kind,
+                                   "--ring", ring, "--output", output)
+                        print(f"ideals-{ring} n={n} {kind} {output} {_sha(doc)}", flush=True)
+        if n <= 5:
+            for kind in ("adjacency", "distance"):
+                doc = _cli("ideals", "--input", corpus, "--matrix", kind, "--ring", "ZX",
+                           "--output", "json")
+                print(f"ideals-ZX n={n} {kind} json {_sha(doc)}", flush=True)
 
     for n in range(2, 7):
         for kind in MATRIX_KINDS:

@@ -1,13 +1,8 @@
 """Exact determinantal ideals, Smith normal forms and codeterminantal surveys."""
 
 from .polyring import (
-    DEGREVLEX,
-    LEX,
     MultiPoly,
     UniPoly,
-    content_primitive,
-    eval_poly,
-    gcd_int,
     gcd_poly_q,
     poly_str,
     rational_roots,
@@ -19,10 +14,6 @@ from .grobner import (
     Ideal,
     Ring,
     RingMismatchError,
-    canonical_basis,
-    ideal_equal,
-    ideal_member,
-    is_trivial,
     zmulti,
 )
 from .graphs import (
@@ -37,7 +28,6 @@ from .graphs import (
     distance_matrix,
     enumerate_connected,
     generalized_char_matrix,
-    make_family,
     parse_graph6,
     path_graph,
     star_graph,
@@ -57,7 +47,6 @@ from .profiles import (
     IdealProfile,
     SizeGuardError,
     VarietyDescription,
-    corank,
     determinantal_ideals,
     divides_in_algebraic_integers,
     evaluate_profile,
@@ -68,7 +57,6 @@ from .profiles import (
     variety,
 )
 from .survey import (
-    InvariantKey,
     SurveyReport,
     cross_check,
     invariant_key,

@@ -109,8 +109,6 @@ def _cmd_ideals(args) -> int:
     out = []
     for g in _read_graphs(args):
         if args.ring == "ZX":
-            if args.matrix not in ("adjacency", "distance"):
-                raise ValueError("ZX profiles use the adjacency or distance matrix")
             profile = multivariate_ideals(g, args.matrix, force=args.force)
         else:
             profile = determinantal_ideals(g, args.matrix, args.ring)
@@ -140,7 +138,7 @@ def _cmd_snf(args) -> int:
             lines.append(f"  invariant factors: {diag}")
             lines.append(f"  cokernel: {cokernel(snf)}")
         else:
-            snf = snf_poly_q(graphs.char_matrix(g, args.matrix, "Q"))
+            snf = snf_poly_q(graphs.build_matrix(g, args.matrix))
             docs.append({"graph": g6, **snf.to_json()})
             lines.append(f"graph {g6} matrix {args.matrix} ring Qx")
             for k, f in enumerate(snf.diagonal(), start=1):

@@ -221,8 +221,8 @@ def build_matrix(g: Graph, kind: str) -> list[list[int]]:
     raise ValueError(f"unknown matrix kind {kind!r}")
 
 
-def char_matrix(g: Graph, kind: str, ring: str = RING_Z) -> list[list[UniPoly]]:
-    """x*I - M over Z[x] (or Q[x] on request)."""
+def char_matrix(g: Graph, kind: str) -> list[list[UniPoly]]:
+    """x*I - M over Z[x]."""
     m = build_matrix(g, kind)
     n = g.n
     out = []
@@ -230,9 +230,9 @@ def char_matrix(g: Graph, kind: str, ring: str = RING_Z) -> list[list[UniPoly]]:
         row = []
         for j in range(n):
             if i == j:
-                row.append(UniPoly((-m[i][j], 1), ring))
+                row.append(UniPoly((-m[i][j], 1), RING_Z))
             else:
-                row.append(UniPoly((-m[i][j],), ring))
+                row.append(UniPoly((-m[i][j],), RING_Z))
         out.append(row)
     return out
 
@@ -281,19 +281,6 @@ def cycle_graph(n: int) -> Graph:
 
 def path_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def make_family(kind: str, *params: int) -> Graph:
-    if kind == "complete":
-        (n,) = params
-        return complete_graph(n)
-    if kind == "star":
-        (n,) = params
-        return star_graph(n)
-    if kind == "complete_bipartite":
-        a, b = params
-        return complete_bipartite_graph(a, b)
-    raise ValueError(f"unknown family {kind!r}")
 
 
 # ---------------------------------------------------------------------------

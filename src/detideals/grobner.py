@@ -21,7 +21,6 @@ from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 from .polyring import (
-    DEGREVLEX,
     RING_Z,
     MultiPoly,
     UniPoly,
@@ -38,7 +37,6 @@ class Ring:
 
     kind: str  # "Zx" | "Qx" | "ZX"
     arity: int = 1
-    order: str = DEGREVLEX
 
     def __post_init__(self):
         if self.kind not in ("Zx", "Qx", "ZX"):
@@ -47,12 +45,12 @@ class Ring:
             raise ValueError("univariate ring tags have arity 1")
 
 
-ZX_UNI = Ring("Zx", 1, DEGREVLEX)
-QX = Ring("Qx", 1, DEGREVLEX)
+ZX_UNI = Ring("Zx", 1)
+QX = Ring("Qx", 1)
 
 
-def zmulti(arity: int, order: str = DEGREVLEX) -> Ring:
-    return Ring("ZX", arity, order)
+def zmulti(arity: int) -> Ring:
+    return Ring("ZX", arity)
 
 
 class RingMismatchError(ValueError):
@@ -94,12 +92,12 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
     return old_s, old_t
 
 
-def _normal_form(terms: dict, elems: Sequence[tuple[dict, tuple, int]], key) -> dict:
+def _normal_form(terms: dict, elems: Sequence[tuple[dict, tuple, int]]) -> dict:
     """Full reduction with positive remainders against (terms, lm, lc>0) records."""
     work = dict(terms)
     out: dict = {}
     while work:
-        X = max(work, key=key)
+        X = max(work, key=monomial_key)
         c = work.pop(X)
         while c:
             hit = None
@@ -128,8 +126,8 @@ def _normal_form(terms: dict, elems: Sequence[tuple[dict, tuple, int]], key) -> 
     return out
 
 
-def _record(terms: dict, key) -> tuple[dict, tuple, int]:
-    lm = max(terms, key=key)
+def _record(terms: dict) -> tuple[dict, tuple, int]:
+    lm = max(terms, key=monomial_key)
     lc = terms[lm]
     if lc < 0:
         terms = {e: -c for e, c in terms.items()}
@@ -137,22 +135,26 @@ def _record(terms: dict, key) -> tuple[dict, tuple, int]:
     return terms, lm, lc
 
 
-def _poly_key(terms: dict, key):
-    return tuple(sorted(((key(e), c) for e, c in terms.items()), reverse=True))
+def _poly_key(terms: dict):
+    return tuple(sorted(((monomial_key(e), c) for e, c in terms.items()), reverse=True))
+
+
+def _record_key(rec: tuple[dict, tuple, int]):
+    """Order of basis records: leading monomial, leading coefficient, all terms."""
+    return monomial_key(rec[1]), rec[2], _poly_key(rec[0])
 
 
 class StrongBasis:
     """Incremental strong Groebner basis over Z[x0..x_{arity-1}]."""
 
-    def __init__(self, arity: int, order: str = DEGREVLEX):
+    def __init__(self, arity: int):
         self.arity = arity
-        self.key = monomial_key(order)
         self.elems: list[tuple[dict, tuple, int]] = []
         self._pairs: list = []
         self._unit = False
 
     def reduce(self, terms: dict) -> dict:
-        return _normal_form(terms, self.elems, self.key)
+        return _normal_form(terms, self.elems)
 
     def add(self, terms: dict) -> bool:
         """Feed one generator; returns True if it enlarged the basis."""
@@ -166,7 +168,7 @@ class StrongBasis:
         return True
 
     def _append(self, terms: dict):
-        rec = _record(terms, self.key)
+        rec = _record(terms)
         if not any(rec[1]) and rec[2] == 1:
             self._unit = True
         j = len(self.elems)
@@ -175,7 +177,7 @@ class StrongBasis:
         for i in range(j):
             lmi = self.elems[i][1]
             lcm = tuple(max(a, b) for a, b in zip(lmi, lmj))
-            heappush(self._pairs, (self.key(lcm), i, j))
+            heappush(self._pairs, (monomial_key(lcm), i, j))
 
     def _complete(self):
         while self._pairs:
@@ -209,11 +211,11 @@ class StrongBasis:
             elems, changed = self._interreduce(elems)
             if not changed:
                 break
-        elems.sort(key=lambda rec: (self.key(rec[1]), rec[2], _poly_key(rec[0], self.key)))
+        elems.sort(key=_record_key)
         return [dict(t) for t, _, _ in elems]
 
     def _minimalize(self, elems):
-        elems = sorted(elems, key=lambda rec: (self.key(rec[1]), rec[2], _poly_key(rec[0], self.key)))
+        elems = sorted(elems, key=_record_key)
         keep: list[tuple[dict, tuple, int]] = []
         for t, lm, lc in elems:
             if any(_divides(klm, lm) and lc % klc == 0 for _, klm, klc in keep):
@@ -228,11 +230,11 @@ class StrongBasis:
             for idx in range(len(elems)):
                 t = elems[idx][0]
                 others = elems[:idx] + elems[idx + 1 :]
-                r = _normal_form(t, others, self.key)
+                r = _normal_form(t, others)
                 if r != t:
                     dirty = changed = True
                     if r:
-                        elems[idx] = _record(r, self.key)
+                        elems[idx] = _record(r)
                     else:
                         del elems[idx]
                     break
@@ -240,8 +242,8 @@ class StrongBasis:
                 return elems, changed
 
 
-def strong_groebner(gens: Iterable[dict], arity: int, order: str = DEGREVLEX) -> list[dict]:
-    basis = StrongBasis(arity, order)
+def strong_groebner(gens: Iterable[dict], arity: int) -> list[dict]:
+    basis = StrongBasis(arity)
     for g in gens:
         basis.add(g)
     return basis.canonical()
@@ -267,16 +269,15 @@ def _lives_in(ring: Ring, p) -> bool:
     return isinstance(p, UniPoly)
 
 
-def _normalize(gens: tuple, order: str) -> tuple:
+def _normalize(gens: tuple) -> tuple:
     """Nonzero generators with positive leading coefficient, deduplicated and
     in ascending `_poly_key` order: the Groebner feed order, small ones first."""
-    key = monomial_key(order)
     signed = set()
     for g in set(gens):
         t = _terms(g)
         if t:
-            signed.add(-g if t[max(t, key=key)] < 0 else g)
-    return tuple(sorted(signed, key=lambda g: _poly_key(_terms(g), key)))
+            signed.add(-g if t[max(t, key=monomial_key)] < 0 else g)
+    return tuple(sorted(signed, key=lambda g: _poly_key(_terms(g))))
 
 
 class Ideal:
@@ -295,7 +296,7 @@ class Ideal:
         if ring.kind == "Qx":
             gens = tuple(g.to_q() for g in gens)
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "gens", _normalize(gens, ring.order))
+        object.__setattr__(self, "gens", _normalize(gens))
         object.__setattr__(self, "_basis", None)
 
     def __setattr__(self, name, value):  # pragma: no cover
@@ -318,7 +319,7 @@ class Ideal:
                     g = gcd_poly_q(g, h)
                 basis = (g.monic(),)
         else:
-            raw = strong_groebner([_terms(g) for g in self.gens], ring.arity, ring.order)
+            raw = strong_groebner([_terms(g) for g in self.gens], ring.arity)
             if ring.kind == "Zx":
                 basis = tuple(MultiPoly(1, t).to_unipoly() for t in raw)
             else:
@@ -350,18 +351,13 @@ class Ideal:
                 return False
             _, r = divmod_poly(p, basis[0])
             return r.is_zero()
-        key = monomial_key(ring.order)
-        elems = [_record(_terms(g), key) for g in self.canonical_basis()]
-        return not _normal_form(_terms(p), elems, key)
+        elems = [_record(_terms(g)) for g in self.canonical_basis()]
+        return not _normal_form(_terms(p), elems)
 
     def equal(self, other: "Ideal") -> bool:
         if not isinstance(other, Ideal):
-            raise TypeError("ideal_equal expects two Ideal values")
-        if (self.ring.kind, self.ring.arity, self.ring.order) != (
-            other.ring.kind,
-            other.ring.arity,
-            other.ring.order,
-        ):
+            raise TypeError("Ideal.equal expects another Ideal")
+        if self.ring != other.ring:
             raise RingMismatchError(f"cannot compare ideals over {self.ring} and {other.ring}")
         same = self.canonical_basis() == other.canonical_basis()
         if not same:
@@ -379,34 +375,11 @@ class Ideal:
 
     # -- rendering
 
-    def basis_strings(self, var: str = "x", names: Sequence[str] | None = None) -> list[str]:
-        ring = self.ring
-        if ring.kind == "ZX":
-            return [poly_str(g, names=names, order=ring.order) for g in self.canonical_basis()]
+    def basis_strings(self, var: str = "x") -> list[str]:
         return [poly_str(g, var=var) for g in self.canonical_basis()]
 
-    def to_json(self, k: int | None = None, var: str = "x",
-                names: Sequence[str] | None = None) -> dict:
-        out = {"ring": self.ring.kind, "basis": self.basis_strings(var=var, names=names)}
-        if k is not None:
-            out["k"] = k
-        return out
+    def to_json(self, k: int, var: str = "x") -> dict:
+        return {"ring": self.ring.kind, "basis": self.basis_strings(var=var), "k": k}
 
     def __repr__(self) -> str:
         return f"Ideal({self.ring.kind}: <{', '.join(self.basis_strings())}>)"
-
-
-def canonical_basis(ideal: Ideal) -> tuple:
-    return ideal.canonical_basis()
-
-
-def ideal_member(p, ideal: Ideal) -> bool:
-    return ideal.member(p)
-
-
-def ideal_equal(a: Ideal, b: Ideal) -> bool:
-    return a.equal(b)
-
-
-def is_trivial(ideal: Ideal) -> bool:
-    return ideal.is_trivial()

@@ -9,19 +9,22 @@ shared freely between workers.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 RING_Z = "Z"
 RING_Q = "Q"
 
-DEGREVLEX = "degrevlex"
-LEX = "lex"
 
-
-def gcd_int(a: int, b: int) -> int:
-    """Nonnegative gcd of two integers; gcd(0, 0) == 0."""
-    return math.gcd(a, b)
+def exact_int(value, what: str) -> int:
+    """value as an int; ValueError naming `what` unless value is an integer
+    (an Integral or a Fraction with denominator 1), so nothing is truncated."""
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return value.numerator
+    raise ValueError(f"{what} is not an integer: {value!r}")
 
 
 def gcd_int_many(values: Iterable[int]) -> int:
@@ -52,13 +55,8 @@ class UniPoly:
         if ring == RING_Q:
             cs = [Fraction(c) for c in coeffs]
         else:
-            cs = []
-            for c in coeffs:
-                if isinstance(c, Fraction):
-                    if c.denominator != 1:
-                        raise ValueError("non-integer coefficient in a Z polynomial")
-                    c = c.numerator
-                cs.append(int(c))
+            cs = [c if type(c) is int else exact_int(c, f"coefficient {i}")
+                  for i, c in enumerate(coeffs)]
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -244,20 +242,6 @@ def squarefree_part(p: UniPoly) -> UniPoly:
     return q.monic()
 
 
-def content_primitive(p: UniPoly) -> tuple[int, UniPoly]:
-    """Split a nonzero Z polynomial as content * primitive part.
-
-    The content is positive and the primitive part keeps the sign of p's
-    leading coefficient.
-    """
-    if p.ring != RING_Z:
-        raise ValueError("content is defined for Z polynomials")
-    if p.is_zero():
-        raise ValueError("content of the zero polynomial is undefined")
-    c = gcd_int_many(p.coeffs)
-    return c, UniPoly(tuple(a // c for a in p.coeffs), RING_Z)
-
-
 def _divisors(n: int) -> list[int]:
     n = abs(n)
     small, large = [], []
@@ -308,13 +292,11 @@ def rational_roots(p: UniPoly) -> set[Fraction]:
 # multivariate polynomials over Z
 
 
-def monomial_key(order: str):
-    """Sort key for exponent tuples; larger key == larger monomial."""
-    if order == LEX:
-        return lambda e: e
-    if order == DEGREVLEX:
-        return lambda e: (sum(e), tuple(-x for x in reversed(e)))
-    raise ValueError(f"unknown monomial order {order!r}")
+def monomial_key(e: tuple[int, ...]) -> tuple:
+    """Degrevlex sort key of an exponent tuple; larger key == larger monomial.
+    Degrevlex is the one monomial order: ideal equality and membership do not
+    depend on it."""
+    return (sum(e), tuple(-x for x in reversed(e)))
 
 
 class MultiPoly:
@@ -325,10 +307,12 @@ class MultiPoly:
     def __init__(self, arity: int, terms: dict):
         clean = {}
         for exp, c in terms.items():
-            c = int(c)
+            if type(c) is not int:
+                c = exact_int(c, f"coefficient of {exp!r}")
             if not c:
                 continue
-            exp = tuple(int(e) for e in exp)
+            if not all(type(e) is int for e in exp):
+                exp = tuple(exact_int(e, f"exponent {exp!r}") for e in exp)
             if len(exp) != arity:
                 raise ValueError("exponent arity mismatch")
             clean[exp] = c
@@ -436,31 +420,14 @@ class MultiPoly:
             total += v
         return total
 
-    def sorted_terms(self, order: str = DEGREVLEX) -> list[tuple[tuple[int, ...], int]]:
-        key = monomial_key(order)
-        return sorted(self.terms.items(), key=lambda item: key(item[0]), reverse=True)
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
+        return sorted(self.terms.items(), key=lambda item: monomial_key(item[0]), reverse=True)
 
-    def leading_term(self, order: str = DEGREVLEX) -> tuple[tuple[int, ...], int]:
+    def leading_term(self) -> tuple[tuple[int, ...], int]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        key = monomial_key(order)
-        lm = max(self.terms, key=key)
+        lm = max(self.terms, key=monomial_key)
         return lm, self.terms[lm]
-
-
-def eval_poly(p, point):
-    """Evaluate a UniPoly or MultiPoly at an exact point (scalar or vector)."""
-    if isinstance(p, UniPoly):
-        if isinstance(point, (list, tuple)):
-            if len(point) != 1:
-                raise ValueError("evaluation point arity mismatch")
-            point = point[0]
-        return p(point)
-    if isinstance(p, MultiPoly):
-        if not isinstance(point, (list, tuple)):
-            point = (point,)
-        return p(point)
-    raise TypeError(f"not a polynomial: {p!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -477,16 +444,15 @@ def _monomial(exp: tuple[int, ...], names: Sequence[str]) -> str:
     return "*".join(parts)
 
 
-def poly_str(p, var: str = "x", names: Sequence[str] | None = None,
-             order: str = DEGREVLEX) -> str:
-    """Deterministic ASCII rendering, terms in descending monomial order."""
+def poly_str(p, var: str = "x") -> str:
+    """Deterministic ASCII rendering, terms in descending monomial order;
+    `var` names the variable of a UniPoly, x0..x{n-1} those of a MultiPoly."""
     if isinstance(p, UniPoly):
         terms = [((e,), c) for e, c in enumerate(p.coeffs) if c][::-1]
         names = (var,)
     elif isinstance(p, MultiPoly):
-        terms = p.sorted_terms(order)
-        if names is None:
-            names = [f"x{i}" for i in range(p.arity)]
+        terms = p.sorted_terms()
+        names = [f"x{i}" for i in range(p.arity)]
     else:
         raise TypeError(f"not a polynomial: {p!r}")
     if not terms:

@@ -14,9 +14,7 @@ from typing import Sequence
 from . import graphs
 from .grobner import QX, ZX_UNI, Ideal, Ring, zmulti
 from .polyring import (
-    DEGREVLEX,
     RING_Q,
-    RING_Z,
     UniPoly,
     divmod_poly,
     gcd_int_many,
@@ -94,25 +92,22 @@ def determinantal_ideals(g: graphs.Graph, kind: str, ring: str = "Zx") -> IdealP
         return IdealProfile(g6, kind, QX, ideals)
     if ring != "Zx":
         raise ValueError("characteristic ideals live in Zx or Qx")
-    matrix = graphs.char_matrix(g, kind, RING_Z)
+    matrix = graphs.char_matrix(g, kind)
     return IdealProfile(g6, kind, ZX_UNI, _ideal_chain(matrix, ZX_UNI))
 
 
 def multivariate_ideals(g: graphs.Graph, kind: str, force: bool = False) -> IdealProfile:
     """Critical ideals (kind "adjacency") or distance ideals (kind "distance")
-    over Z[x0..x_{n-1}], degrevlex; guarded to n <= 6 unless forced."""
+    over Z[x0..x_{n-1}]; guarded to n <= 6 unless forced.  Any other kind is
+    refused (ValueError) before the guard, since no size makes it valid."""
+    matrix = graphs.generalized_char_matrix(g, kind)
     if g.n > MULTIVARIATE_GUARD and not force:
         raise SizeGuardError(
             f"multivariate ideals for n={g.n} exceed the guard (n <= {MULTIVARIATE_GUARD}); "
             "pass force=True to override"
         )
-    matrix = graphs.generalized_char_matrix(g, kind)
-    ring = zmulti(g.n, DEGREVLEX)
+    ring = zmulti(g.n)
     return IdealProfile(graphs.write_graph6(g), kind, ring, _ideal_chain(matrix, ring))
-
-
-def corank(profile: IdealProfile) -> int:
-    return profile.corank
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +219,7 @@ def strip_rational_roots(p: UniPoly) -> tuple[list[Fraction], UniPoly]:
 # rendering
 
 
-def profile_json(profile: IdealProfile, var: str = "x",
-                 names: Sequence[str] | None = None) -> dict:
+def profile_json(profile: IdealProfile, var: str = "x") -> dict:
     ring = profile.ring
     out = {
         "graph": profile.graph6,
@@ -233,7 +227,7 @@ def profile_json(profile: IdealProfile, var: str = "x",
         "ring": ring.kind,
         "corank": profile.corank,
         "ideals": [
-            ideal.to_json(k=k, var=var, names=names)
+            ideal.to_json(k, var=var)
             for k, ideal in enumerate(profile.ideals, start=1)
         ],
         "varieties": [],

@@ -6,19 +6,19 @@ M is diagonalisable, so the Delta_k of x*I - M over Q[x] follow from the
 characteristic polynomial alone, Delta_{k-1} being gcd(Delta_k, Delta_k').
 snf_poly_q turns them into the invariant factors of x*I - M.  delta_bruteforce
 recomputes every Delta_k as a gcd over all k-minors and is the independent
-oracle both are tested against.
+oracle both are tested against.  snf_integer, char_poly, deltas_q and
+snf_poly_q raise ValueError for a non-integer entry instead of truncating it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
 from .grobner import QX, Ideal
-from .polyring import RING_Q, RING_Z, UniPoly, divmod_poly, gcd_poly_q, poly_str
+from .polyring import RING_Q, RING_Z, UniPoly, divmod_poly, exact_int, gcd_poly_q, poly_str
 
 
 @dataclass(frozen=True)
@@ -111,10 +111,16 @@ def _divisibility_fix_int(diag: list[int]) -> list[int]:
     return d
 
 
+def _int_matrix(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
+    """A copy of an integer matrix; ValueError naming the first non-integer entry."""
+    return [[x if type(x) is int else exact_int(x, f"entry ({i},{j})")
+             for j, x in enumerate(row)] for i, row in enumerate(matrix)]
+
+
 def snf_integer(matrix: Sequence[Sequence[int]]) -> SnfResult:
     """Invariant factors of a square integer matrix by elementary operations."""
     n = len(matrix)
-    a = [[int(x) for x in row] for row in matrix]
+    a = _int_matrix(matrix)
     if any(len(row) != n for row in a):
         raise ValueError("matrix must be square")
     diag: list[int] = []
@@ -171,24 +177,6 @@ def snf_integer(matrix: Sequence[Sequence[int]]) -> SnfResult:
 # SNF over Q[x]
 
 
-def _operand(matrix: Sequence[Sequence[UniPoly]]) -> list[list[int]]:
-    """M for an input x*I - M; ValueError unless every diagonal entry is x - c
-    and every other entry a constant, all with integer c."""
-    m = []
-    for i, row in enumerate(matrix):
-        m.append([])
-        for j, p in enumerate(row):
-            if i == j and (p.degree != 1 or p.lc != 1):
-                raise ValueError(f"diagonal entry ({i},{j}) is not x - c")
-            if i != j and not p.is_constant():
-                raise ValueError(f"off-diagonal entry ({i},{j}) is not a constant")
-            c = -Fraction(p.constant_value())
-            if c.denominator != 1:
-                raise ValueError(f"entry ({i},{j}) is not an integer")
-            m[i].append(c.numerator)
-    return m
-
-
 def deltas_q(matrix: Sequence[Sequence[int]]) -> tuple[UniPoly, ...]:
     """Monic Delta_1..Delta_n of x*I - M over Q[x], M a symmetric integer matrix.
 
@@ -211,10 +199,10 @@ def deltas_q(matrix: Sequence[Sequence[int]]) -> tuple[UniPoly, ...]:
     return tuple(reversed(deltas))
 
 
-def snf_poly_q(matrix: Sequence[Sequence[UniPoly]]) -> SnfResult:
+def snf_poly_q(matrix: Sequence[Sequence[int]]) -> SnfResult:
     """Invariant factors (monic) of x*I - M over Q[x], M a symmetric integer
     matrix: f_k = Delta_k / Delta_{k-1} with the Delta_k of `deltas_q`."""
-    deltas = deltas_q(_operand(matrix))
+    deltas = deltas_q(matrix)
     lower = (UniPoly.const(1, RING_Q),) + deltas[:-1]
     factors = tuple(divmod_poly(d, l)[0] for d, l in zip(deltas, lower))
     return SnfResult("Qx", len(deltas), factors)
@@ -282,7 +270,7 @@ def delta_bruteforce(matrix: Sequence[Sequence], k: int):
 def char_poly(matrix: Sequence[Sequence[int]]) -> UniPoly:
     """det(x*I - M) for an integer matrix, by the Faddeev-LeVerrier recurrence."""
     n = len(matrix)
-    m = [[int(x) for x in row] for row in matrix]
+    m = _int_matrix(matrix)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
     cur = [row[:] for row in m]

@@ -1,6 +1,6 @@
 """Named verification suites: worked examples, golden vectors and table checks.
 
-Every ideal comparison goes through ideal_equal (canonical bases), never
+Every ideal comparison goes through Ideal.equal (canonical bases), never
 through string matching, so the checks are independent of display order.
 """
 
@@ -13,7 +13,7 @@ from . import graphs
 from .grobner import QX, ZX_UNI, Ideal, zmulti
 from fractions import Fraction
 
-from .polyring import LEX, RING_Q, RING_Z, MultiPoly, UniPoly
+from .polyring import RING_Q, RING_Z, MultiPoly, UniPoly
 from .profiles import (
     determinantal_ideals,
     evaluate_profile,
@@ -56,7 +56,7 @@ def _nm_vars():
     return n, m, one
 
 
-NM_RING = zmulti(2, LEX)  # lex with n > m
+NM_RING = zmulti(2)  # Z[n, m]
 
 
 # ---------------------------------------------------------------------------

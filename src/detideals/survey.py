@@ -25,13 +25,6 @@ LARGE_CORPUS_THRESHOLD = 20000  # anything n >= 9 sized needs the explicit flag
 
 
 @dataclass(frozen=True)
-class InvariantKey:
-    mode: str
-    kind: str
-    text: str
-
-
-@dataclass(frozen=True)
 class SurveyReport:
     n: int
     kind: str
@@ -68,7 +61,8 @@ def _profile_text(profile: IdealProfile) -> str:
     )
 
 
-def _key_text(g: graphs.Graph, kind: str, mode: str) -> str:
+def invariant_key(g: graphs.Graph, kind: str, mode: str) -> str:
+    """The canonical key text of one graph matrix in one survey mode."""
     if mode == "cospectral":
         p = char_poly(graphs.build_matrix(g, kind))
         return "charpoly:" + ",".join(str(c) for c in p.coeffs)
@@ -82,13 +76,9 @@ def _key_text(g: graphs.Graph, kind: str, mode: str) -> str:
     raise ValueError(f"unknown survey mode {mode!r}")
 
 
-def invariant_key(g: graphs.Graph, kind: str, mode: str) -> InvariantKey:
-    return InvariantKey(mode, kind, _key_text(g, kind, mode))
-
-
 def _worker(args: tuple[str, str, str]) -> str:
     g6, kind, mode = args
-    return _key_text(graphs.parse_graph6(g6), kind, mode)
+    return invariant_key(graphs.parse_graph6(g6), kind, mode)
 
 
 def default_workers() -> int:
@@ -192,7 +182,7 @@ def verify_determined_by(
     """True iff the target's invariant bucket inside the corpus is a singleton."""
     corpus = list(corpus)
     _validate_corpus(corpus)
-    key = _key_text(target, kind, mode)
+    key = invariant_key(target, kind, mode)
     keys = _compute_keys([graphs.write_graph6(g) for g in corpus], kind, mode,
                          workers if workers is not None else default_workers())
     matches = keys.count(key)
@@ -253,8 +243,8 @@ def cross_check(corpus: Iterable[graphs.Graph], kind: str) -> CrossCheckReport:
     zkeys = []
     eval0 = []
     for g in corpus:
-        spectrum.append(_key_text(g, kind, "cospectral"))
-        coinv.append(_key_text(g, kind, "coinvariant"))
+        spectrum.append(invariant_key(g, kind, "cospectral"))
+        coinv.append(invariant_key(g, kind, "coinvariant"))
         zprofile = determinantal_ideals(g, kind, "Zx")
         zkeys.append(_profile_text(zprofile))
         qprofile = _qx_profile_of(zprofile)

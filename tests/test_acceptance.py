@@ -20,7 +20,6 @@ from detideals.graphs import (
     star_graph,
     write_graph6,
 )
-from detideals.polyring import RING_Q
 from detideals.profiles import (
     determinantal_ideals,
     divides_in_algebraic_integers,
@@ -216,7 +215,7 @@ def test_criterion_12_property_suites():
                 # exhaustively; the integer oracle above runs on everything)
                 if n <= 5:
                     for kind in KINDS:
-                        cm = char_matrix(g, kind, RING_Q)
-                        qsnf = snf_poly_q(cm)
+                        cm = char_matrix(g, kind)
+                        qsnf = snf_poly_q(build_matrix(g, kind))
                         for k in range(1, n + 1):
                             assert qsnf.delta(k) == delta_bruteforce(cm, k)

@@ -70,6 +70,13 @@ def test_ideals_size_guard_exit_3(capsys):
     assert code == 3 and "guard" in err
 
 
+def test_ideals_zx_other_kind_is_input_error_before_guard(capsys):
+    # a matrix kind that ZX never accepts is bad input at any size
+    code, _, err = run_cli(capsys, "ideals", "--matrix", "laplacian",
+                           "--ring", "ZX", "FsaC?")  # a 7-vertex graph
+    assert code == 2 and "error" in err
+
+
 def test_ideals_bad_graph6_exit_2(capsys):
     code, _, err = run_cli(capsys, "ideals", "Dt")
     assert code == 2 and "error" in err

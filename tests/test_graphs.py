@@ -17,7 +17,6 @@ from detideals.graphs import (
     enumerate_connected,
     generalized_char_matrix,
     is_connected,
-    make_family,
     parse_graph6,
     path_graph,
     star_graph,
@@ -184,14 +183,14 @@ def test_generalized_char_matrix_rejects_other_kinds():
 # families
 
 
-def test_make_family():
-    assert write_graph6(make_family("complete", 4)) == "C~"
-    star = make_family("star", 5)
+def test_named_family_constructors():
+    assert write_graph6(complete_graph(4)) == "C~"
+    star = star_graph(5)
     assert star.degree(0) == 4 and all(star.degree(i) == 1 for i in range(1, 5))
-    k33 = make_family("complete_bipartite", 3, 3)
+    k33 = complete_bipartite_graph(3, 3)
     assert sorted(k33.degree(i) for i in range(6)) == [3] * 6
     with pytest.raises(ValueError):
-        make_family("wheel", 5)
+        complete_bipartite_graph(0, 3)
 
 
 # ---------------------------------------------------------------------------

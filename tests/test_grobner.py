@@ -11,11 +11,9 @@ from detideals.grobner import (
     ZX_UNI,
     Ideal,
     RingMismatchError,
-    ideal_equal,
-    ideal_member,
     zmulti,
 )
-from detideals.polyring import LEX, RING_Q, RING_Z, MultiPoly, UniPoly, gcd_poly_q
+from detideals.polyring import RING_Q, RING_Z, MultiPoly, UniPoly, gcd_poly_q
 
 X = UniPoly.variable(RING_Z)
 
@@ -31,7 +29,7 @@ def zx(*gens):
 N = MultiPoly.variable(0, 2)
 M = MultiPoly.variable(1, 2)
 ONE = MultiPoly.const(1, 2)
-NM = zmulti(2, LEX)
+NM = zmulti(2)
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +45,7 @@ def test_canonical_basis_deterministic_for_equal_ideals():
     a = zx(zc(2), X + zc(1))
     b = zx(zc(2), X - zc(1))
     assert a.canonical_basis() == b.canonical_basis()
-    assert ideal_equal(a, b)
+    assert a.equal(b)
 
 
 def test_appendix_b_ideals_equal():
@@ -57,7 +55,7 @@ def test_appendix_b_ideals_equal():
     i = zx(p1, p2)
     j = zx(p3, p2)
     assert i.canonical_basis() == j.canonical_basis()
-    assert ideal_equal(i, j)
+    assert i.equal(j)
     assert all(j.member(g) for g in (p1, p2))
     assert all(i.member(g) for g in (p3, p2))
 
@@ -78,7 +76,7 @@ def test_l2_basis_generates_3_and_n_plus_2m():
             N * N + (N * M).scale(4) - N.scale(4) + (M * M).scale(4) - M.scale(8),
         ],
     )
-    assert ideal_equal(l2, Ideal(NM, [three, N + M.scale(2)]))
+    assert l2.equal(Ideal(NM, [three, N + M.scale(2)]))
 
 
 def test_zero_ideal():
@@ -109,7 +107,7 @@ def test_membership_ring_mismatch():
     with pytest.raises(RingMismatchError):
         zx(X).member(MultiPoly.variable(0, 1))
     with pytest.raises(RingMismatchError):
-        ideal_equal(zx(X), Ideal(QX, [X.to_q()]))
+        zx(X).equal(Ideal(QX, [X.to_q()]))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +218,7 @@ def test_qx_canonical_basis_is_monic_gcd(gens):
 
 
 def test_non_equal_ideals():
-    assert not ideal_equal(zx(X + zc(1)), zx(zc(2), X + zc(1)))
+    assert not zx(X + zc(1)).equal(zx(zc(2), X + zc(1)))
 
 
 GUARD_SCRIPT = """

@@ -25,7 +25,7 @@ from detideals.profiles import (
     strip_rational_roots,
     variety,
 )
-from detideals.smith import snf_integer, snf_poly_q
+from detideals.smith import delta_bruteforce, snf_integer
 
 KINDS = ("adjacency", "laplacian", "distance", "distlap")
 
@@ -66,16 +66,17 @@ def test_corank_examples():
 
 
 def test_qx_profile_is_principal_snf_deltas():
-    # build_matrix -> deltas_q against char_matrix -> snf_poly_q -> products
-    for n in range(1, 6):
+    # deltas_q (characteristic polynomial, then gcds with derivatives) against
+    # the independent oracle: the monic gcd of all k-minors of x*I - M
+    for n in range(1, 5):
         for g in enumerate_connected(n):
             for kind in KINDS:
                 profile = determinantal_ideals(g, kind, "Qx")
-                snf = snf_poly_q(char_matrix(g, kind, RING_Q))
+                cm = char_matrix(g, kind)
                 for k, ideal in enumerate(profile.ideals, start=1):
                     basis = ideal.canonical_basis()
                     assert len(basis) == 1
-                    assert basis[0] == snf.delta(k)
+                    assert basis[0] == delta_bruteforce(cm, k)
 
 
 def test_chain_membership_small_corpora():

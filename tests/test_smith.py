@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from itertools import permutations
 
@@ -15,7 +16,7 @@ from detideals.graphs import (
     enumerate_connected,
     path_graph,
 )
-from detideals.polyring import RING_Q, RING_Z, UniPoly, poly_str
+from detideals.polyring import RING_Q, RING_Z, MultiPoly, UniPoly
 from detideals.smith import (
     GroupDescription,
     char_poly,
@@ -100,7 +101,7 @@ def test_snf_determinant_invariance(m):
 
 
 def test_snf_poly_q_k33():
-    snf = snf_poly_q(char_matrix(complete_bipartite_graph(3, 3), "laplacian", RING_Q))
+    snf = snf_poly_q(build_matrix(complete_bipartite_graph(3, 3), "laplacian"))
     xm3 = XQ - qc(3)
     assert snf.factors == (
         qc(1),
@@ -115,7 +116,7 @@ def test_snf_poly_q_k33():
 def test_snf_poly_q_single_vertex():
     from detideals.graphs import Graph
 
-    snf = snf_poly_q(char_matrix(Graph(1, (0,)), "adjacency", RING_Q))
+    snf = snf_poly_q(build_matrix(Graph(1, (0,)), "adjacency"))
     assert snf.factors == (XQ,)
 
 
@@ -123,7 +124,7 @@ def test_snf_poly_q_fig2_g1():
     from detideals.suites import fig2_graphs
 
     g1, _ = fig2_graphs()
-    snf = snf_poly_q(char_matrix(g1, "adjacency", RING_Q))
+    snf = snf_poly_q(build_matrix(g1, "adjacency"))
     assert snf.factors[4] == XQ + qc(1)
     assert snf.factors[5] == (XQ - qc(1)) * (XQ + qc(1)) * (XQ**3 - XQ**2 - qc(5) * XQ + qc(1))
 
@@ -131,7 +132,7 @@ def test_snf_poly_q_fig2_g1():
 def test_snf_poly_q_product_is_char_poly():
     for g in enumerate_connected(5)[:8]:
         for kind in ("adjacency", "distlap"):
-            snf = snf_poly_q(char_matrix(g, kind, RING_Q))
+            snf = snf_poly_q(build_matrix(g, kind))
             prod = qc(1)
             for f in snf.factors:
                 prod = prod * f
@@ -143,34 +144,53 @@ def test_snf_poly_q_product_is_char_poly():
 
 
 def test_snf_poly_q_matches_bruteforce():
-    m = char_matrix(cycle_graph(4), "laplacian", RING_Q)
-    snf = snf_poly_q(m)
+    c4 = cycle_graph(4)
+    snf = snf_poly_q(build_matrix(c4, "laplacian"))
     for k in range(1, 5):
-        assert snf.delta(k) == delta_bruteforce(m, k)
+        assert snf.delta(k) == delta_bruteforce(char_matrix(c4, "laplacian"), k)
 
 
 def _p3_with(*edits):
-    m = char_matrix(path_graph(3), "adjacency", RING_Q)
+    m = build_matrix(path_graph(3), "adjacency")
     for i, j, entry in edits:
         m[i][j] = entry
     return m
 
 
-HALF = qc(Fraction(1, 2))
+HALF = Fraction(1, 2)
 
 
 @pytest.mark.parametrize("matrix, reason", [
     (_p3_with()[:2], "square"),
-    (_p3_with((0, 1, qc(-2))), "symmetric"),
-    (_p3_with((0, 0, XQ * XQ)), "x - c"),
-    (_p3_with((1, 2, XQ), (2, 1, XQ)), "constant"),
-    (_p3_with((1, 2, HALF), (2, 1, HALF)), "integer"),
-    (_p3_with((2, 2, XQ - HALF)), "integer"),
+    (_p3_with((0, 1, 2)), "symmetric"),
 ])
 def test_snf_poly_q_rejects_inputs_outside_its_domain(matrix, reason):
-    # snf_poly_q takes x*I - M with M a symmetric integer matrix only
+    # snf_poly_q takes a symmetric integer matrix M only
     with pytest.raises(ValueError, match=reason):
         snf_poly_q(matrix)
+
+
+@pytest.mark.parametrize("call, entry", [
+    (lambda: char_poly([[HALF]]), "entry (0,0)"),
+    (lambda: deltas_q([[HALF]]), "entry (0,0)"),
+    (lambda: snf_integer([[2.7]]), "entry (0,0)"),
+    (lambda: snf_poly_q(_p3_with((1, 2, HALF), (2, 1, HALF))), "entry (1,2)"),
+    (lambda: snf_poly_q(_p3_with((2, 2, HALF))), "entry (2,2)"),
+    (lambda: UniPoly([0.5, 1]), "coefficient 0"),
+    (lambda: MultiPoly(1, {(1.5,): 2}), "exponent (1.5,)"),
+], ids=["char_poly", "deltas_q", "snf_integer", "snf_poly_q-off-diagonal",
+        "snf_poly_q-diagonal", "UniPoly", "MultiPoly"])
+def test_non_integer_input_is_rejected(call, entry):
+    # exact answers: a non-integer entry is an error, never truncated
+    with pytest.raises(ValueError, match=re.escape(entry)):
+        call()
+
+
+def test_integral_fractions_are_accepted():
+    assert UniPoly([Fraction(2), 1]) == UniPoly([2, 1])
+    assert MultiPoly(1, {(1,): Fraction(3)}) == MultiPoly(1, {(1,): 3})
+    assert snf_integer([[Fraction(4)]]).factors == (4,)
+    assert char_poly([[Fraction(-1)]]) == UniPoly([1, 1])
 
 
 @pytest.mark.parametrize("m, reason", [
@@ -207,7 +227,7 @@ def test_laplacian_kinds_have_rank_n_minus_1():
 
 
 def test_cokernel_requires_integer_ring():
-    snf = snf_poly_q(char_matrix(cycle_graph(4), "adjacency", RING_Q))
+    snf = snf_poly_q(build_matrix(cycle_graph(4), "adjacency"))
     with pytest.raises(ValueError):
         cokernel(snf)
 

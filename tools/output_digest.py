@@ -11,9 +11,10 @@ Run it on two checkouts and diff the two files.  It covers:
   connected graph with n <= 7;
 * `ideals --ring Zx` and `ideals --ring Qx`, JSON and text, over every
   connected graph with n <= 6 and every kind;
-* `ideals --ring ZX --output json` (critical and distance ideals) over every
-  connected graph with n <= 5;
-* the `cross_check` reports for n = 2..6 and every kind.
+* `ideals --ring ZX`, JSON and text (critical and distance ideals), over
+  every connected graph with n <= 5;
+* the `cross_check` reports for n = 2..6 and every kind;
+* `verify --max-n 6` of every suite except `tables`.
 
 It uses the standard library and whatever `detideals` is on the import path.
 """
@@ -27,6 +28,7 @@ import tempfile
 
 from detideals.cli import main
 from detideals.graphs import MATRIX_KINDS, enumerate_connected, write_graph6
+from detideals.suites import SUITES
 from detideals.survey import MODES, cross_check
 
 
@@ -76,15 +78,20 @@ def print_digests(tmp: str) -> None:
                         print(f"ideals-{ring} n={n} {kind} {output} {_sha(doc)}", flush=True)
         if n <= 5:
             for kind in ("adjacency", "distance"):
-                doc = _cli("ideals", "--input", corpus, "--matrix", kind, "--ring", "ZX",
-                           "--output", "json")
-                print(f"ideals-ZX n={n} {kind} json {_sha(doc)}", flush=True)
+                for output in ("json", "text"):
+                    doc = _cli("ideals", "--input", corpus, "--matrix", kind, "--ring", "ZX",
+                               "--output", output)
+                    print(f"ideals-ZX n={n} {kind} {output} {_sha(doc)}", flush=True)
 
     for n in range(2, 7):
         for kind in MATRIX_KINDS:
             report = cross_check(enumerate_connected(n), kind)
             print(f"cross_check n={n} {kind} ok={report.ok} {_sha(repr(report).encode())}",
                   flush=True)
+
+    for suite in sorted(set(SUITES) - {"tables"}):
+        doc = _cli("verify", "--suite", suite, "--max-n", "6", "--workers", "1")
+        print(f"verify {suite} {_sha(doc)}", flush=True)
 
 
 if __name__ == "__main__":

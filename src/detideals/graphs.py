@@ -222,7 +222,9 @@ def build_matrix(g: Graph, kind: str) -> list[list[int]]:
 
 
 def char_matrix(g: Graph, kind: str) -> list[list[UniPoly]]:
-    """x*I - M over Z[x]."""
+    """x*I - M over Z[x], entry by entry as UniPoly.  The Z[x] profiles build
+    its minors from M itself (`smith.char_minors`); this matrix is the input
+    of the `delta_bruteforce` oracle and of the tests of those minors."""
     m = build_matrix(g, kind)
     n = g.n
     out = []

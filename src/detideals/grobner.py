@@ -11,6 +11,16 @@ for an ideal, so ideal equality is list equality.
 No pair-skipping criterion beyond the provably redundant G-pairs is applied:
 the product criterion familiar from field coefficients is unsound here
 (e.g. the G-polynomial of the pair 2x+1, 3y+1 is xy+x-y and is essential).
+
+A Z[x] ideal with a monic generator p of degree D, which every determinantal
+ideal I_k of x*I - M is (a principal k-minor is monic), takes no Buchberger
+run: I = (p) + L with L = {f in I : deg f < D}, and L is a Z-lattice in
+Z^D whose echelon (Hermite) form gives the same canonical basis
+(Szekeres, "A canonical basis for the ideals of a polynomial domain", Amer.
+Math. Monthly 1952; Cohen, "A Course in Computational Algebraic Number
+Theory", 2.4.2).  Buchberger still runs for Z[x] generator sets with no
+monic element and for every ideal of Z[x0..x_{m-1}], and is the oracle the
+lattice path is tested against.
 """
 
 from __future__ import annotations
@@ -250,6 +260,100 @@ def strong_groebner(gens: Iterable[dict], arity: int) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
+# Z[x] ideals with a monic generator: a Z-lattice instead of Buchberger
+
+
+def _lattice_add(rows: dict, v: list) -> bool:
+    """Echelonise v into rows (pivot degree -> coefficient list, positive
+    pivot) by extended gcd; True iff v was not already in their Z-span."""
+    grew = False
+    e = len(v) - 1
+    while e >= 0:
+        b = v[e]
+        if not b:
+            e -= 1
+            continue
+        if b < 0:
+            v, b = [-c for c in v], -b
+        r = rows.get(e)
+        if r is None:
+            rows[e] = v
+            return True
+        a = r[e]
+        if b % a:
+            g = math.gcd(a, b)
+            u, w = _bezout(a, b)
+            rows[e] = [u * x + w * y for x, y in zip(r, v)]
+            v = [a // g * y - b // g * x for x, y in zip(r, v)]
+            grew = True
+        else:
+            q = b // a
+            v = [y - q * x for x, y in zip(r, v)]
+        e -= 1
+    return grew
+
+
+def _lattice_basis(gens: Sequence[UniPoly]) -> tuple[UniPoly, ...] | None:
+    """Canonical basis of the Z[x] ideal of `gens` if one of them is monic,
+    else None.
+
+    With p the shortest monic generator, of degree D, the ideal is (p) + L,
+    L the Z-lattice of its elements of degree < D: the span of the
+    generators' remainders mod p, closed under multiplication by x mod p.
+    The pivot of L's echelon row in degree e generates the leading
+    coefficients of the ideal's elements of degree e; it divides the pivot
+    one degree below, and is 1 from degree D on (p).  The basis keeps the
+    row of each degree where the pivot strictly drops, then p unless a row
+    is already monic, and reduces the coefficient of x^e into [0, c_e), c_e
+    the leading coefficient of the last kept element of degree <= e: the
+    minimal reduced strong basis of `StrongBasis.canonical`, in its order.
+    """
+    monic = [g for g in gens if g.lc == 1]
+    if not monic:
+        return None
+    p = min(monic, key=lambda g: g.degree).coeffs
+    d = len(p) - 1
+    if not d:
+        return (UniPoly.const(1, RING_Z),)
+
+    def mod_p(coeffs) -> list:
+        c = list(coeffs) + [0] * (d - len(coeffs))
+        for top in range(len(c) - 1, d - 1, -1):
+            q = c.pop()
+            if q:
+                for i in range(d):
+                    c[top - d + i] -= q * p[i]
+        return c
+
+    rows: dict = {}
+    work = [mod_p(g.coeffs) for g in gens]
+    while work:
+        v = work.pop()
+        if _lattice_add(rows, v):
+            top = v[-1]
+            xv = [0] + v[:-1]
+            work.append([c - top * a for c, a in zip(xv, p)] if top else xv)
+
+    kept: list[list] = []
+    for e in sorted(rows):
+        r = rows[e][: e + 1]
+        if not kept or r[e] != kept[-1][-1]:
+            kept.append(r)
+    if not kept or kept[-1][-1] != 1:
+        kept.append(list(p))
+    for f in kept:
+        for j in range(len(f) - 2, -1, -1):
+            below = [h for h in kept if len(h) <= j + 1]
+            if below:
+                h = below[-1]
+                q = f[j] // h[-1]
+                s = j + 1 - len(h)
+                for i, c in enumerate(h):
+                    f[s + i] -= q * c
+    return tuple(UniPoly(f, RING_Z) for f in kept)
+
+
+# ---------------------------------------------------------------------------
 # Ideal: generators + lazily computed canonical basis
 
 
@@ -274,10 +378,18 @@ def _normalize(gens: tuple) -> tuple:
     in ascending `_poly_key` order: the Groebner feed order, small ones first."""
     signed = set()
     for g in set(gens):
-        t = _terms(g)
-        if t:
-            signed.add(-g if t[max(t, key=monomial_key)] < 0 else g)
-    return tuple(sorted(signed, key=lambda g: _poly_key(_terms(g))))
+        if not g.is_zero():
+            lc = g.lc if isinstance(g, UniPoly) else g.leading_term()[1]
+            signed.add(-g if lc < 0 else g)
+    return tuple(sorted(signed, key=_feed_key))
+
+
+def _feed_key(g) -> tuple:
+    """A key in `_poly_key` order; for a UniPoly the (degree, coefficient)
+    pairs from the top, which compare as its monomial keys do."""
+    if isinstance(g, UniPoly):
+        return tuple((e, c) for e, c in reversed(tuple(enumerate(g.coeffs))) if c)
+    return _poly_key(_terms(g))
 
 
 class Ideal:
@@ -318,12 +430,14 @@ class Ideal:
                         break
                     g = gcd_poly_q(g, h)
                 basis = (g.monic(),)
+        elif ring.kind == "Zx":
+            basis = _lattice_basis(self.gens)
+            if basis is None:
+                raw = strong_groebner([_terms(g) for g in self.gens], 1)
+                basis = tuple(MultiPoly(1, t).to_unipoly() for t in raw)
         else:
             raw = strong_groebner([_terms(g) for g in self.gens], ring.arity)
-            if ring.kind == "Zx":
-                basis = tuple(MultiPoly(1, t).to_unipoly() for t in raw)
-            else:
-                basis = tuple(MultiPoly(ring.arity, t) for t in raw)
+            basis = tuple(MultiPoly(ring.arity, t) for t in raw)
         object.__setattr__(self, "_basis", basis)
         return basis
 

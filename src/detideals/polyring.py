@@ -27,6 +27,14 @@ def exact_int(value, what: str) -> int:
     raise ValueError(f"{what} is not an integer: {value!r}")
 
 
+def exact_fraction(value, what: str) -> Fraction:
+    """value as a Fraction; ValueError naming `what` unless value is rational
+    (an int or a Fraction, not a float), so no binary approximation is stored."""
+    if isinstance(value, numbers.Rational):
+        return Fraction(value)
+    raise ValueError(f"{what} is not rational: {value!r}")
+
+
 def gcd_int_many(values: Iterable[int]) -> int:
     g = 0
     for v in values:
@@ -53,7 +61,8 @@ class UniPoly:
         if ring not in (RING_Z, RING_Q):
             raise ValueError(f"unknown coefficient ring {ring!r}")
         if ring == RING_Q:
-            cs = [Fraction(c) for c in coeffs]
+            cs = [c if type(c) is Fraction else Fraction(c) if type(c) is int
+                  else exact_fraction(c, f"coefficient {i}") for i, c in enumerate(coeffs)]
         else:
             cs = [c if type(c) is int else exact_int(c, f"coefficient {i}")
                   for i, c in enumerate(coeffs)]
@@ -311,8 +320,10 @@ class MultiPoly:
                 c = exact_int(c, f"coefficient of {exp!r}")
             if not c:
                 continue
-            if not all(type(e) is int for e in exp):
+            if not all(type(e) is int and e >= 0 for e in exp):
                 exp = tuple(exact_int(e, f"exponent {exp!r}") for e in exp)
+                if any(e < 0 for e in exp):
+                    raise ValueError(f"negative exponent {exp!r}")
             if len(exp) != arity:
                 raise ValueError("exponent arity mismatch")
             clean[exp] = c

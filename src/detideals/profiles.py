@@ -22,7 +22,7 @@ from .polyring import (
     rational_roots,
     squarefree_part,
 )
-from .smith import deltas_q, minor_tables
+from .smith import char_minors, deltas_q, minor_tables
 
 MULTIVARIATE_GUARD = 6
 
@@ -73,13 +73,6 @@ def minors_k(matrix: Sequence[Sequence], k: int) -> list:
     return list(minor_tables(matrix, k)[k].values())
 
 
-def _ideal_chain(matrix, ring: Ring) -> tuple[Ideal, ...]:
-    """Ideals of the k-minors for k = 1..n."""
-    n = len(matrix)
-    tables = minor_tables(matrix, n)
-    return tuple(Ideal(ring, tables[k].values()) for k in range(1, n + 1))
-
-
 # ---------------------------------------------------------------------------
 # profiles
 
@@ -92,8 +85,8 @@ def determinantal_ideals(g: graphs.Graph, kind: str, ring: str = "Zx") -> IdealP
         return IdealProfile(g6, kind, QX, ideals)
     if ring != "Zx":
         raise ValueError("characteristic ideals live in Zx or Qx")
-    matrix = graphs.char_matrix(g, kind)
-    return IdealProfile(g6, kind, ZX_UNI, _ideal_chain(matrix, ZX_UNI))
+    minors = char_minors(graphs.build_matrix(g, kind))
+    return IdealProfile(g6, kind, ZX_UNI, tuple(Ideal(ZX_UNI, ms) for ms in minors))
 
 
 def multivariate_ideals(g: graphs.Graph, kind: str, force: bool = False) -> IdealProfile:
@@ -107,7 +100,8 @@ def multivariate_ideals(g: graphs.Graph, kind: str, force: bool = False) -> Idea
             "pass force=True to override"
         )
     ring = zmulti(g.n)
-    return IdealProfile(graphs.write_graph6(g), kind, ring, _ideal_chain(matrix, ring))
+    ideals = tuple(Ideal(ring, minors.values()) for minors in minor_tables(matrix).values())
+    return IdealProfile(graphs.write_graph6(g), kind, ring, ideals)
 
 
 # ---------------------------------------------------------------------------

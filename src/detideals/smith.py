@@ -5,9 +5,12 @@ deltas_q takes a symmetric integer matrix M (every graph matrix here): such an
 M is diagonalisable, so the Delta_k of x*I - M over Q[x] follow from the
 characteristic polynomial alone, Delta_{k-1} being gcd(Delta_k, Delta_k').
 snf_poly_q turns them into the invariant factors of x*I - M.  delta_bruteforce
-recomputes every Delta_k as a gcd over all k-minors and is the independent
-oracle both are tested against.  snf_integer, char_poly, deltas_q and
-snf_poly_q raise ValueError for a non-integer entry instead of truncating it.
+recomputes every Delta_k as a gcd over all k-minors (the generic
+minor_tables) and is the independent oracle both are tested against.
+char_minors gives the distinct k-minors of x*I - M that generate the Z[x]
+determinantal ideals, from a Laplace expansion on plain integers.
+snf_integer, char_poly, deltas_q and snf_poly_q raise ValueError for a
+non-integer entry instead of truncating it.
 """
 
 from __future__ import annotations
@@ -216,7 +219,10 @@ def minor_tables(matrix: Sequence[Sequence], max_k: int | None = None) -> dict:
     """All k x k subdeterminants for k = 1..max_k, memoized Laplace expansion.
 
     Works for any entry type supporting +, -, * (int, Fraction, UniPoly,
-    MultiPoly).  Returns {k: {(rows, cols): det}}.
+    MultiPoly).  Returns {k: {(rows, cols): det}}.  The Z[x] profiles use
+    `char_minors` instead; this generic version is the engine of the
+    `delta_bruteforce` oracle (and the reference `char_minors` is tested
+    against), of `profiles.minors_k` and of the Z[X] profiles.
     """
     n = len(matrix)
     if max_k is None:
@@ -244,6 +250,81 @@ def minor_tables(matrix: Sequence[Sequence], max_k: int | None = None) -> dict:
                 level[(rows, cols)] = acc
         tables[k] = level
     return tables
+
+
+def char_minor_tables(matrix: Sequence[Sequence[int]]) -> tuple[int, dict]:
+    """Every k-minor of x*I - M for an integer matrix M, each packed in one int.
+
+    A minor f of x*I - M is stored as f(2^shift) (Kronecker substitution):
+    its coefficients are the base-2^shift digits, each in (-2^(shift-1),
+    2^(shift-1)) because none exceeds the product of the row sums
+    1 + sum_j |M_ij|.  Substituting is a ring homomorphism Z[x] -> Z, so the
+    memoized first-row Laplace expansion of `minor_tables` runs on plain ints:
+    an off-diagonal entry -M_ij scales the sub-minor, the diagonal entry
+    x - M_ii also adds the sub-minor shifted up one degree.  The packed value
+    is 0 iff the minor is 0, and its sign is that of the leading coefficient.
+
+    Returns (shift, {k: {(row mask, column mask): packed minor}}), bit i of a
+    mask standing for row or column i.
+    """
+    n = len(matrix)
+    m = _int_matrix(matrix)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix must be square")
+    bound = 1
+    for row in m:
+        bound *= 1 + sum(abs(v) for v in row)
+    shift = bound.bit_length() + 1
+    x = 1 << shift
+    entry = [[x - v if i == j else -v for j, v in enumerate(row)] for i, row in enumerate(m)]
+    subsets = {k: [(sum(1 << i for i in s), s) for s in combinations(range(n), k)]
+               for k in range(2, n + 1)}
+    level = {(1 << i, 1 << j): entry[i][j] for i in range(n) for j in range(n)}
+    tables = {1: level}
+    for k in range(2, n + 1):
+        prev, level = level, {}
+        for rmask, rows in subsets[k]:
+            r0 = rows[0]
+            rest = rmask ^ (1 << r0)
+            row = entry[r0]
+            for cmask, cols in subsets[k]:
+                acc = 0
+                odd = False
+                for c in cols:
+                    e = row[c]
+                    if e:
+                        term = e * prev[rest, cmask ^ (1 << c)]
+                        acc = acc - term if odd else acc + term
+                    odd = not odd
+                level[rmask, cmask] = acc
+        tables[k] = level
+    return shift, tables
+
+
+def unpack_minor(value: int, shift: int) -> UniPoly:
+    """The polynomial f over Z with f(2^shift) == value, every coefficient of
+    f lying in (-2^(shift-1), 2^(shift-1))."""
+    half, mask = 1 << (shift - 1), (1 << shift) - 1
+    coeffs = []
+    while value:
+        c = value & mask
+        if c >= half:
+            c -= 1 << shift
+        coeffs.append(c)
+        value = (value - c) >> shift
+    return UniPoly(coeffs, RING_Z)
+
+
+def char_minors(matrix: Sequence[Sequence[int]]) -> list[list[UniPoly]]:
+    """For k = 1..n, the distinct nonzero k-minors of x*I - M up to sign, each
+    with a positive leading coefficient: the generators of I_k over Z[x]."""
+    shift, tables = char_minor_tables(matrix)
+    out = []
+    for level in tables.values():
+        distinct = {abs(v) for v in level.values()}
+        distinct.discard(0)
+        out.append([unpack_minor(v, shift) for v in distinct])
+    return out
 
 
 def delta_bruteforce(matrix: Sequence[Sequence], k: int):

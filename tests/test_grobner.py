@@ -6,14 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from detideals import grobner
+from detideals.graphs import enumerate_connected
 from detideals.grobner import (
     QX,
     ZX_UNI,
     Ideal,
     RingMismatchError,
+    strong_groebner,
     zmulti,
 )
 from detideals.polyring import RING_Q, RING_Z, MultiPoly, UniPoly, gcd_poly_q
+from detideals.profiles import determinantal_ideals
+from detideals.survey import invariant_key
 
 X = UniPoly.variable(RING_Z)
 
@@ -276,3 +281,97 @@ def test_presentation_independence_multivariate(gens, i, j):
     replaced = list(gens)
     replaced[i] = replaced[i] + xy * replaced[j]
     assert Ideal(zmulti(2), replaced).canonical_basis() == ideal.canonical_basis()
+
+
+# ---------------------------------------------------------------------------
+# the Z-lattice path for Z[x] ideals with a monic generator
+
+KINDS = ("adjacency", "laplacian", "distance", "distlap")
+
+
+def _buchberger(ideal):
+    """The criterion-free StrongBasis canonical basis, the lattice path's oracle."""
+    raw = strong_groebner([grobner._terms(g) for g in ideal.gens], 1)
+    return tuple(MultiPoly(1, t).to_unipoly() for t in raw)
+
+
+def _assert_lattice_matches(ideals):
+    for ideal in ideals:
+        basis = grobner._lattice_basis(ideal.gens)
+        assert basis is not None
+        assert basis == _buchberger(ideal), ideal.gens
+
+
+def test_lattice_bases_equal_strong_basis_on_small_corpora():
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            for kind in KINDS:
+                _assert_lattice_matches(determinantal_ideals(g, kind, "Zx").ideals)
+
+
+def test_lattice_bases_equal_strong_basis_on_n7_codet_q_mates(corpus7):
+    classes: dict = {}
+    for g in corpus7:
+        classes.setdefault(invariant_key(g, "adjacency", "codet-Q"), []).append(g)
+    mates = [g for c in classes.values() if len(c) > 1 for g in c]
+    assert len(mates) == 63
+    for g in mates:
+        _assert_lattice_matches(determinantal_ideals(g, "adjacency", "Zx").ideals)
+
+
+@pytest.fixture
+def no_buchberger(monkeypatch):
+    def refuse(gens, arity):
+        raise AssertionError("Buchberger ran on a generator set with a monic element")
+
+    monkeypatch.setattr(grobner, "strong_groebner", refuse)
+
+
+@pytest.mark.parametrize("gens, want", [
+    ((zc(-1), X), ["1"]),
+    ((X + zc(3), zc(1)), ["1"]),
+    ((zc(2), X + zc(1)), ["2", "x + 1"]),
+    ((X**2, X**2 + X), ["x"]),
+    ((X**2 + zc(1), zc(3) * X**2 + zc(3)), ["x^2 + 1"]),
+    ((zc(2) * X, X**2 + zc(4)), ["8", "2*x", "x^2 + 4"]),
+    ((zc(6), X - zc(1)), ["6", "x + 5"]),
+    ((zc(2) * (X + zc(1)), (X + zc(1)) * (X**2 + zc(1))),
+     ["2*x + 2", "x^3 + x^2 + x + 1"]),
+    ((X**5 - zc(5) * X**3 - zc(2) * X**2 + zc(2) * X,),
+     ["x^5 - 5*x^3 - 2*x^2 + 2*x"]),
+    (((X - zc(3))**3 * (X + zc(9)), zc(3) * (X - zc(3))**3),
+     ["3*x^3 - 27*x^2 + 81*x - 81", "x^4 - 54*x^2 + 216*x - 243"]),
+])
+def test_lattice_path_hand_cases(gens, want, no_buchberger):
+    # the suites' worked examples, a unit minor, a monic remainder of lower
+    # degree than the shortest monic generator, a remainder of zero
+    ideal = zx(*gens)
+    assert ideal.basis_strings() == want
+    assert ideal.canonical_basis() == _buchberger(ideal)
+
+
+def test_no_monic_generator_runs_buchberger(monkeypatch):
+    calls = []
+
+    def counting(gens, arity):
+        calls.append(arity)
+        return strong_groebner(gens, arity)
+
+    monkeypatch.setattr(grobner, "strong_groebner", counting)
+    assert grobner._lattice_basis(zx(zc(2) * X, zc(4)).gens) is None
+    assert zx(zc(2) * X, zc(4)).basis_strings() == ["4", "2*x"]
+    assert zx(zc(3) * X**2 - zc(3), zc(2) * X + zc(2)).basis_strings() == ["2*x + 2", "x^2 - 1"]
+    assert calls == [1, 1]
+
+
+monic_zx_gens = st.tuples(
+    st.lists(st.integers(-6, 6), max_size=4).map(lambda cs: UniPoly(cs + [1], RING_Z)),
+    small_zx_gens,
+)
+
+
+@given(monic_zx_gens)
+@settings(deadline=None, max_examples=150)
+def test_lattice_path_equals_strong_basis(gens):
+    monic, rest = gens
+    _assert_lattice_matches([zx(*rest, monic), zx(monic, *rest)])

@@ -46,6 +46,24 @@ def test_unipoly_rejects_fractions_in_z():
         UniPoly((Fraction(1, 2),), RING_Z)
 
 
+def test_unipoly_q_rejects_floats():
+    # a float's binary value is not the rational it prints as
+    with pytest.raises(ValueError, match="coefficient 0 is not rational: 0.1"):
+        UniPoly([0.1], RING_Q)
+    with pytest.raises(ValueError, match="coefficient 1"):
+        UniPoly([1, 2.0], RING_Q)
+    assert UniPoly([1, Fraction(1, 2)], RING_Q).coeffs == (Fraction(1), Fraction(1, 2))
+
+
+def test_multipoly_rejects_negative_exponents():
+    # x^-1 is not a polynomial; it used to render as 1 and generate the unit ideal
+    with pytest.raises(ValueError, match="negative exponent"):
+        MultiPoly(1, {(-1,): 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        MultiPoly(2, {(1, Fraction(-2)): 3})
+    assert MultiPoly(2, {(0, Fraction(2)): 3}).terms == {(0, 2): 3}
+
+
 poly_z = st.builds(
     lambda cs: UniPoly(cs, RING_Z),
     st.lists(st.integers(-9, 9), min_size=0, max_size=6),

@@ -19,6 +19,8 @@ from detideals.graphs import (
 from detideals.polyring import RING_Q, RING_Z, MultiPoly, UniPoly
 from detideals.smith import (
     GroupDescription,
+    char_minor_tables,
+    char_minors,
     char_poly,
     cokernel,
     delta_bruteforce,
@@ -26,8 +28,10 @@ from detideals.smith import (
     minor_tables,
     snf_integer,
     snf_poly_q,
+    unpack_minor,
 )
 
+KINDS = ("adjacency", "laplacian", "distance", "distlap")
 XQ = UniPoly.variable(RING_Q)
 
 
@@ -287,3 +291,41 @@ def test_minor_tables_is_laplace_consistent():
     m = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
     tables = minor_tables(m)
     assert tables[3][((0, 1, 2), (0, 1, 2))] == _det_by_permutations(m)
+
+
+# ---------------------------------------------------------------------------
+# packed integer minors of x*I - M
+
+
+def _mask(indices) -> int:
+    return sum(1 << i for i in indices)
+
+
+def _assert_char_minors_match(m, cm):
+    shift, tables = char_minor_tables(m)
+    want = minor_tables(cm)
+    for k, level in want.items():
+        assert len(tables[k]) == len(level)
+        for (rows, cols), minor in level.items():
+            assert unpack_minor(tables[k][_mask(rows), _mask(cols)], shift) == minor
+        distinct = char_minors(m)[k - 1]
+        assert len(set(distinct)) == len(distinct)
+        assert set(distinct) == {-p if p.lc < 0 else p for p in level.values() if not p.is_zero()}
+
+
+def test_char_minors_equal_minor_tables_of_char_matrix():
+    # the packed integer expansion against the generic one over UniPoly
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            for kind in KINDS:
+                _assert_char_minors_match(build_matrix(g, kind), char_matrix(g, kind))
+
+
+def test_char_minors_of_large_and_negative_entries():
+    m = [[100, -7, 0], [-7, -50, 3], [0, 3, 9]]
+    cm = [[UniPoly((-m[i][j], 1) if i == j else (-m[i][j],)) for j in range(3)]
+          for i in range(3)]
+    _assert_char_minors_match(m, cm)
+    assert char_minors([[0]]) == [[UniPoly((0, 1))]]
+    with pytest.raises(ValueError, match="square"):
+        char_minor_tables([[0, 1]])

@@ -6,7 +6,8 @@ the outputs byte-identical.
 Run it on two checkouts and diff the two files.  It covers:
 
 * `survey --output json` reports and `--checkpoint` files for every matrix
-  kind and mode at n <= 6, plus codet-Q at n = 7;
+  kind and mode at n <= 6, plus codet-Q at n = 7 and codet-Z at n = 7 over
+  the members of each kind's codet-Q mate buckets;
 * `snf --ring Qx --output json` and `snf --ring Z --output json` over every
   connected graph with n <= 7;
 * `ideals --ring Zx` and `ideals --ring Qx`, JSON and text, over every
@@ -22,6 +23,7 @@ It uses the standard library and whatever `detideals` is on the import path.
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -59,6 +61,15 @@ def print_digests(tmp: str) -> None:
              "--output", "json", "--out", out, "--checkpoint", keys)
         print(f"survey n={n} {kind} {mode} report {_sha(_read(out))}")
         print(f"survey n={n} {kind} {mode} checkpoint {_sha(_read(keys))}", flush=True)
+        if n == 7:
+            mates = os.path.join(tmp, "mates.g6")
+            with open(out, encoding="utf-8") as fh, open(mates, "w", encoding="ascii") as g6:
+                g6.writelines(f"{m}\n" for b in json.load(fh)["buckets"] for m in b["graphs"])
+            _cli("survey", "--input", mates, "--matrix", kind, "--mode", "codet-Z",
+                 "--output", "json", "--out", out, "--checkpoint", keys)
+            print(f"survey n=7 {kind} codet-Z over codet-Q mates report {_sha(_read(out))}")
+            print(f"survey n=7 {kind} codet-Z over codet-Q mates checkpoint {_sha(_read(keys))}",
+                  flush=True)
 
     corpus = os.path.join(tmp, "corpus.g6")
     for n in range(1, 8):

@@ -1,7 +1,9 @@
 """Graphs, the graph6 codec, graph matrices, and small-n enumeration.
 
 Vertices are 0-based.  Adjacency is stored as one int bitmask per vertex,
-which keeps the canonical-form search and the enumeration fast.
+which keeps the canonical-form search and the enumeration fast.  The ideals
+are built from integer matrices; `char_matrix` (x*I - M) and
+`generalized_char_matrix` (diag(x0..x_{n-1}) - M) are oracle inputs only.
 """
 
 from __future__ import annotations
@@ -239,11 +241,20 @@ def char_matrix(g: Graph, kind: str) -> list[list[UniPoly]]:
     return out
 
 
-def generalized_char_matrix(g: Graph, kind: str) -> list[list[MultiPoly]]:
-    """diag(x0..x_{n-1}) - M over Z[x0..x_{n-1}] for the adjacency or distance matrix."""
+def multivariate_matrix(g: Graph, kind: str) -> list[list[int]]:
+    """The M of diag(x0..x_{n-1}) - M: the adjacency matrix (critical ideals)
+    or the distance matrix (distance ideals); ValueError for any other kind."""
     if kind not in ("adjacency", "distance"):
         raise ValueError("generalized characteristic matrices use the adjacency or distance matrix")
-    m = build_matrix(g, kind)
+    return build_matrix(g, kind)
+
+
+def generalized_char_matrix(g: Graph, kind: str) -> list[list[MultiPoly]]:
+    """diag(x0..x_{n-1}) - M over Z[x0..x_{n-1}], entry by entry as MultiPoly,
+    for the M of `multivariate_matrix`.  The Z[X] profiles build its minors
+    from M itself (`smith.char_minors`); this matrix is the input of the tests
+    of those minors."""
+    m = multivariate_matrix(g, kind)
     n = g.n
     out = []
     for i in range(n):

@@ -2,7 +2,9 @@
 
 A profile holds the ideals I_1 .. I_n of x*I - M over Z[x] or Q[x], or of
 diag(x_1..x_n) - M over Z[X] (critical / distance ideals), together with the
-algebraic co-rank, evaluation maps and variety machinery.
+algebraic co-rank, evaluation maps and variety machinery.  The Z[x] and Z[X]
+ideals are generated by the distinct minors of `smith.char_minors`, the Q[x]
+ones by the Delta_k of `smith.deltas_q`.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ def determinantal_ideals(g: graphs.Graph, kind: str, ring: str = "Zx") -> IdealP
         return IdealProfile(g6, kind, QX, ideals)
     if ring != "Zx":
         raise ValueError("characteristic ideals live in Zx or Qx")
-    minors = char_minors(graphs.build_matrix(g, kind))
+    minors = char_minors(graphs.build_matrix(g, kind), ZX_UNI)
     return IdealProfile(g6, kind, ZX_UNI, tuple(Ideal(ZX_UNI, ms) for ms in minors))
 
 
@@ -93,14 +95,14 @@ def multivariate_ideals(g: graphs.Graph, kind: str, force: bool = False) -> Idea
     """Critical ideals (kind "adjacency") or distance ideals (kind "distance")
     over Z[x0..x_{n-1}]; guarded to n <= 6 unless forced.  Any other kind is
     refused (ValueError) before the guard, since no size makes it valid."""
-    matrix = graphs.generalized_char_matrix(g, kind)
+    matrix = graphs.multivariate_matrix(g, kind)
     if g.n > MULTIVARIATE_GUARD and not force:
         raise SizeGuardError(
             f"multivariate ideals for n={g.n} exceed the guard (n <= {MULTIVARIATE_GUARD}); "
             "pass force=True to override"
         )
     ring = zmulti(g.n)
-    ideals = tuple(Ideal(ring, minors.values()) for minors in minor_tables(matrix).values())
+    ideals = tuple(Ideal(ring, minors) for minors in char_minors(matrix, ring))
     return IdealProfile(graphs.write_graph6(g), kind, ring, ideals)
 
 
@@ -120,18 +122,13 @@ def evaluate_profile(profile: IdealProfile, point) -> list[int]:
             if len(point) != 1:
                 raise ValueError("univariate profiles evaluate at a single integer")
             point = point[0]
-        evaluate = lambda p: p(point)
     elif ring.kind == "ZX":
         if not isinstance(point, (list, tuple)) or len(point) != ring.arity:
             raise ValueError("evaluation point arity mismatch")
         point = tuple(point)
-        evaluate = lambda p: p(point)
     else:
         raise ValueError("evaluation maps are defined for Z[x] and Z[X] profiles")
-    out = []
-    for ideal in profile.ideals:
-        out.append(gcd_int_many(evaluate(p) for p in ideal.canonical_basis()))
-    return out
+    return [gcd_int_many(p(point) for p in ideal.canonical_basis()) for ideal in profile.ideals]
 
 
 def invariant_factors_from_deltas(deltas: Sequence[int]) -> tuple[tuple[int, ...], int]:

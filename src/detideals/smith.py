@@ -5,10 +5,10 @@ deltas_q takes a symmetric integer matrix M (every graph matrix here): such an
 M is diagonalisable, so the Delta_k of x*I - M over Q[x] follow from the
 characteristic polynomial alone, Delta_{k-1} being gcd(Delta_k, Delta_k').
 snf_poly_q turns them into the invariant factors of x*I - M.  delta_bruteforce
-recomputes every Delta_k as a gcd over all k-minors (the generic
-minor_tables) and is the independent oracle both are tested against.
-char_minors gives the distinct k-minors of x*I - M that generate the Z[x]
-determinantal ideals, from a Laplace expansion on plain integers.
+recomputes every Delta_k as a gcd over all k-minors and is the independent
+oracle both are tested against.  minor_tables is the package's one Laplace
+expansion.  char_minors runs it on integers packing x*I - M (Z[x]) or
+diag(x_0..x_{n-1}) - M (Z[X]): the generators of the determinantal ideals.
 snf_integer, char_poly, deltas_q and snf_poly_q raise ValueError for a
 non-integer entry instead of truncating it.
 """
@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .grobner import QX, Ideal
-from .polyring import RING_Q, RING_Z, UniPoly, divmod_poly, exact_int, gcd_poly_q, poly_str
+from .grobner import QX, ZX_UNI, Ideal, Ring, zmulti
+from .polyring import (RING_Q, RING_Z, MultiPoly, UniPoly, divmod_poly, exact_int,
+                       gcd_int_many, gcd_poly_q, poly_str)
 
 
 @dataclass(frozen=True)
@@ -212,83 +213,37 @@ def snf_poly_q(matrix: Sequence[Sequence[int]]) -> SnfResult:
 
 
 # ---------------------------------------------------------------------------
-# brute-force Delta_k oracle and characteristic polynomials
+# minors, the brute-force Delta_k oracle and characteristic polynomials
 
 
 def minor_tables(matrix: Sequence[Sequence], max_k: int | None = None) -> dict:
     """All k x k subdeterminants for k = 1..max_k, memoized Laplace expansion.
 
     Works for any entry type supporting +, -, * (int, Fraction, UniPoly,
-    MultiPoly).  Returns {k: {(rows, cols): det}}.  The Z[x] profiles use
-    `char_minors` instead; this generic version is the engine of the
-    `delta_bruteforce` oracle (and the reference `char_minors` is tested
-    against), of `profiles.minors_k` and of the Z[X] profiles.
+    MultiPoly).  Each k-minor is expanded along its first row, over the
+    (k-1)-minors of the level below; a falsy (zero int or Fraction) entry is
+    skipped.  Returns {k: {(row mask, column mask): det}}, bit i of a mask
+    standing for row or column i.  This is the one expansion in the package:
+    `char_minors` runs it on packed integers, `delta_bruteforce` and
+    `profiles.minors_k` on the matrix they are given.
     """
     n = len(matrix)
     if max_k is None:
         max_k = n
     if not 1 <= max_k <= n:
         raise ValueError("k out of range")
-    tables: dict[int, dict] = {}
-    level = {((i,), (j,)): matrix[i][j] for i in range(n) for j in range(n)}
-    tables[1] = level
-    for k in range(2, max_k + 1):
-        prev = tables[k - 1]
-        level = {}
-        for rows in combinations(range(n), k):
-            r0 = rows[0]
-            rest = rows[1:]
-            for cols in combinations(range(n), k):
-                acc = None
-                for t, c in enumerate(cols):
-                    sub = prev[(rest, cols[:t] + cols[t + 1 :])]
-                    term = matrix[r0][c] * sub
-                    if t % 2:
-                        acc = -term if acc is None else acc - term
-                    else:
-                        acc = term if acc is None else acc + term
-                level[(rows, cols)] = acc
-        tables[k] = level
-    return tables
-
-
-def char_minor_tables(matrix: Sequence[Sequence[int]]) -> tuple[int, dict]:
-    """Every k-minor of x*I - M for an integer matrix M, each packed in one int.
-
-    A minor f of x*I - M is stored as f(2^shift) (Kronecker substitution):
-    its coefficients are the base-2^shift digits, each in (-2^(shift-1),
-    2^(shift-1)) because none exceeds the product of the row sums
-    1 + sum_j |M_ij|.  Substituting is a ring homomorphism Z[x] -> Z, so the
-    memoized first-row Laplace expansion of `minor_tables` runs on plain ints:
-    an off-diagonal entry -M_ij scales the sub-minor, the diagonal entry
-    x - M_ii also adds the sub-minor shifted up one degree.  The packed value
-    is 0 iff the minor is 0, and its sign is that of the leading coefficient.
-
-    Returns (shift, {k: {(row mask, column mask): packed minor}}), bit i of a
-    mask standing for row or column i.
-    """
-    n = len(matrix)
-    m = _int_matrix(matrix)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix must be square")
-    bound = 1
-    for row in m:
-        bound *= 1 + sum(abs(v) for v in row)
-    shift = bound.bit_length() + 1
-    x = 1 << shift
-    entry = [[x - v if i == j else -v for j, v in enumerate(row)] for i, row in enumerate(m)]
-    subsets = {k: [(sum(1 << i for i in s), s) for s in combinations(range(n), k)]
-               for k in range(2, n + 1)}
-    level = {(1 << i, 1 << j): entry[i][j] for i in range(n) for j in range(n)}
+    zero = matrix[0][0] - matrix[0][0]
+    level = {(1 << i, 1 << j): matrix[i][j] for i in range(n) for j in range(n)}
     tables = {1: level}
-    for k in range(2, n + 1):
+    for k in range(2, max_k + 1):
+        subsets = [(sum(1 << i for i in s), s) for s in combinations(range(n), k)]
         prev, level = level, {}
-        for rmask, rows in subsets[k]:
+        for rmask, rows in subsets:
             r0 = rows[0]
             rest = rmask ^ (1 << r0)
-            row = entry[r0]
-            for cmask, cols in subsets[k]:
-                acc = 0
+            row = matrix[r0]
+            for cmask, cols in subsets:
+                acc = zero
                 odd = False
                 for c in cols:
                     e = row[c]
@@ -298,12 +253,43 @@ def char_minor_tables(matrix: Sequence[Sequence[int]]) -> tuple[int, dict]:
                     odd = not odd
                 level[rmask, cmask] = acc
         tables[k] = level
-    return shift, tables
+    return tables
 
 
-def unpack_minor(value: int, shift: int) -> UniPoly:
-    """The polynomial f over Z with f(2^shift) == value, every coefficient of
-    f lying in (-2^(shift-1), 2^(shift-1))."""
+def char_minor_tables(matrix: Sequence[Sequence[int]], ring: Ring) -> tuple[int, dict]:
+    """Every k-minor of x*I - M (ring Z[x]) or of diag(x_0..x_{n-1}) - M (ring
+    Z[X]) for an integer matrix M, each packed in one int.
+
+    x_i is replaced by 2^(shift*w_i), w_i = 1 over Z[x] and 2^i over Z[X]
+    (Kronecker substitution), a ring homomorphism to Z, so `minor_tables` runs
+    on plain ints.  The base-2^shift digit d of a packed minor is its
+    coefficient of x^d over Z[x]; over Z[X] every minor is multilinear (x_i
+    lies in row i and column i only), so digit mask(S) is the coefficient of
+    x_S.  No coefficient exceeds the product of the row sums 1 + sum_j |M_ij|,
+    so every digit lies in (-2^(shift-1), 2^(shift-1)) and decodes uniquely
+    (`unpack_minor`).  A packed minor is 0 iff the minor is 0.
+
+    Returns (shift, {k: {(row mask, column mask): packed minor}}).
+    """
+    n = len(matrix)
+    m = _int_matrix(matrix)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix must be square")
+    if ring not in (ZX_UNI, zmulti(n)):
+        raise ValueError(f"no packed minors of {n} rows over {ring}")
+    bound = 1
+    for row in m:
+        bound *= 1 + sum(abs(v) for v in row)
+    shift = bound.bit_length() + 1
+    x = [1 << (shift << i if ring.kind == "ZX" else shift) for i in range(n)]
+    entry = [[x[i] - v if i == j else -v for j, v in enumerate(row)] for i, row in enumerate(m)]
+    return shift, minor_tables(entry)
+
+
+def unpack_minor(value: int, shift: int, ring: Ring) -> UniPoly | MultiPoly:
+    """The minor packed in value by `char_minor_tables`: its base-2^shift
+    digit i, taken in (-2^(shift-1), 2^(shift-1)), is the coefficient of x^i
+    over Z[x] and of x_S with mask(S) == i over Z[X]."""
     half, mask = 1 << (shift - 1), (1 << shift) - 1
     coeffs = []
     while value:
@@ -312,18 +298,24 @@ def unpack_minor(value: int, shift: int) -> UniPoly:
             c -= 1 << shift
         coeffs.append(c)
         value = (value - c) >> shift
-    return UniPoly(coeffs, RING_Z)
+    if ring.kind == "Zx":
+        return UniPoly(coeffs, RING_Z)
+    n = ring.arity
+    return MultiPoly(n, {tuple(i >> v & 1 for v in range(n)): c
+                         for i, c in enumerate(coeffs) if c})
 
 
-def char_minors(matrix: Sequence[Sequence[int]]) -> list[list[UniPoly]]:
-    """For k = 1..n, the distinct nonzero k-minors of x*I - M up to sign, each
-    with a positive leading coefficient: the generators of I_k over Z[x]."""
-    shift, tables = char_minor_tables(matrix)
+def char_minors(matrix: Sequence[Sequence[int]], ring: Ring) -> list[list]:
+    """For k = 1..n, the distinct nonzero k-minors up to sign of x*I - M
+    (ring Z[x]) or diag(x_0..x_{n-1}) - M (ring Z[X]): the generators of I_k.
+    Over Z[x] each has a positive leading coefficient; `Ideal` sets the sign
+    of the Z[X] ones."""
+    shift, tables = char_minor_tables(matrix, ring)
     out = []
     for level in tables.values():
         distinct = {abs(v) for v in level.values()}
         distinct.discard(0)
-        out.append([unpack_minor(v, shift) for v in distinct])
+        out.append([unpack_minor(v, shift, ring) for v in distinct])
     return out
 
 
@@ -340,12 +332,7 @@ def delta_bruteforce(matrix: Sequence[Sequence], k: int):
     if isinstance(minors[0], UniPoly):
         basis = Ideal(QX, minors).canonical_basis()
         return basis[0] if basis else UniPoly.zero(RING_Q)
-    g = 0
-    for m in minors:
-        g = math.gcd(g, m)
-        if g == 1:
-            break
-    return g
+    return gcd_int_many(minors)
 
 
 def char_poly(matrix: Sequence[Sequence[int]]) -> UniPoly:

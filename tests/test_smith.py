@@ -14,8 +14,10 @@ from detideals.graphs import (
     complete_graph,
     cycle_graph,
     enumerate_connected,
+    generalized_char_matrix,
     path_graph,
 )
+from detideals.grobner import QX, ZX_UNI, zmulti
 from detideals.polyring import RING_Q, RING_Z, MultiPoly, UniPoly
 from detideals.smith import (
     GroupDescription,
@@ -287,30 +289,54 @@ def test_char_poly_against_permutation_determinant(m):
         assert p(x) == _det_by_permutations(shifted)
 
 
-def test_minor_tables_is_laplace_consistent():
-    m = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
+def _bits(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _assert_minors_are_determinants(m):
+    n = len(m)
     tables = minor_tables(m)
-    assert tables[3][((0, 1, 2), (0, 1, 2))] == _det_by_permutations(m)
+    for k, level in tables.items():
+        assert len(level) == math.comb(n, k) ** 2
+        for (rmask, cmask), minor in level.items():
+            sub = [[m[i][j] for j in _bits(cmask)] for i in _bits(rmask)]
+            assert len(sub) == k and minor == _det_by_permutations(sub)
+
+
+def test_minor_tables_is_laplace_consistent():
+    # the one Laplace expansion against the permutation-sum determinant
+    m = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
+    assert minor_tables(m)[3][0b111, 0b111] == _det_by_permutations(m)
+    _assert_minors_are_determinants(m)
+    for n in range(1, 6):
+        for g in enumerate_connected(n):
+            for kind in KINDS:
+                _assert_minors_are_determinants(build_matrix(g, kind))
 
 
 # ---------------------------------------------------------------------------
-# packed integer minors of x*I - M
+# packed integer minors of x*I - M and diag(x_0..x_{n-1}) - M
 
 
-def _mask(indices) -> int:
-    return sum(1 << i for i in indices)
+def _positive(p):
+    """p or -p, whichever has a positive leading coefficient."""
+    lc = p.lc if isinstance(p, UniPoly) else p.leading_term()[1]
+    return -p if lc < 0 else p
 
 
-def _assert_char_minors_match(m, cm):
-    shift, tables = char_minor_tables(m)
+def _assert_char_minors_match(m, cm, ring):
+    # entry by entry, then the distinct minors up to sign, level by level
+    shift, tables = char_minor_tables(m, ring)
     want = minor_tables(cm)
+    distinct_minors = char_minors(m, ring)
     for k, level in want.items():
         assert len(tables[k]) == len(level)
-        for (rows, cols), minor in level.items():
-            assert unpack_minor(tables[k][_mask(rows), _mask(cols)], shift) == minor
-        distinct = char_minors(m)[k - 1]
-        assert len(set(distinct)) == len(distinct)
-        assert set(distinct) == {-p if p.lc < 0 else p for p in level.values() if not p.is_zero()}
+        for key, minor in level.items():
+            assert unpack_minor(tables[k][key], shift, ring) == minor
+        distinct = distinct_minors[k - 1]
+        assert len({_positive(p) for p in distinct}) == len(distinct)
+        assert ({_positive(p) for p in distinct}
+                == {_positive(p) for p in level.values() if not p.is_zero()})
 
 
 def test_char_minors_equal_minor_tables_of_char_matrix():
@@ -318,14 +344,35 @@ def test_char_minors_equal_minor_tables_of_char_matrix():
     for n in range(1, 7):
         for g in enumerate_connected(n):
             for kind in KINDS:
-                _assert_char_minors_match(build_matrix(g, kind), char_matrix(g, kind))
+                _assert_char_minors_match(build_matrix(g, kind), char_matrix(g, kind), ZX_UNI)
 
 
 def test_char_minors_of_large_and_negative_entries():
     m = [[100, -7, 0], [-7, -50, 3], [0, 3, 9]]
     cm = [[UniPoly((-m[i][j], 1) if i == j else (-m[i][j],)) for j in range(3)]
           for i in range(3)]
-    _assert_char_minors_match(m, cm)
-    assert char_minors([[0]]) == [[UniPoly((0, 1))]]
+    _assert_char_minors_match(m, cm, ZX_UNI)
+    assert char_minors([[0]], ZX_UNI) == [[UniPoly((0, 1))]]
     with pytest.raises(ValueError, match="square"):
-        char_minor_tables([[0, 1]])
+        char_minor_tables([[0, 1]], ZX_UNI)
+
+
+def test_zx_char_minors_equal_minor_tables_of_generalized_char_matrix():
+    # the packed Z[X] minors against the generic expansion over MultiPoly:
+    # critical ideals for n <= 6, distance ideals for n <= 5
+    for n in range(1, 7):
+        for kind in ("adjacency", "distance") if n <= 5 else ("adjacency",):
+            for g in enumerate_connected(n):
+                _assert_char_minors_match(build_matrix(g, kind),
+                                          generalized_char_matrix(g, kind), zmulti(n))
+
+
+def test_zx_char_minors_of_large_and_negative_entries():
+    m = [[100, -7, 0, 5], [-7, -50, 3, 0], [0, 3, 9, -11], [5, 0, -11, 0]]
+    cm = [[(MultiPoly.variable(i, 4) if i == j else MultiPoly.zero(4))
+           - MultiPoly.const(m[i][j], 4) for j in range(4)] for i in range(4)]
+    _assert_char_minors_match(m, cm, zmulti(4))
+    assert char_minors([[0]], zmulti(1)) == [[MultiPoly.variable(0, 1)]]
+    for ring in (zmulti(3), QX):
+        with pytest.raises(ValueError, match="no packed minors of"):
+            char_minor_tables(m, ring)

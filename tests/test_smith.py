@@ -325,7 +325,8 @@ def _positive(p):
 
 
 def _assert_char_minors_match(m, cm, ring):
-    # entry by entry, then the distinct minors up to sign, level by level
+    # entry by entry, then the distinct minors level by level: over Z[x] each
+    # with a positive leading coefficient, over Z[X] up to sign
     shift, tables = char_minor_tables(m, ring)
     want = minor_tables(cm)
     distinct_minors = char_minors(m, ring)
@@ -334,9 +335,9 @@ def _assert_char_minors_match(m, cm, ring):
         for key, minor in level.items():
             assert unpack_minor(tables[k][key], shift, ring) == minor
         distinct = distinct_minors[k - 1]
-        assert len({_positive(p) for p in distinct}) == len(distinct)
-        assert ({_positive(p) for p in distinct}
-                == {_positive(p) for p in level.values() if not p.is_zero()})
+        got = set(distinct) if ring == ZX_UNI else {_positive(p) for p in distinct}
+        assert len(got) == len(distinct)
+        assert got == {_positive(p) for p in level.values() if not p.is_zero()}
 
 
 def test_char_minors_equal_minor_tables_of_char_matrix():
@@ -359,9 +360,9 @@ def test_char_minors_of_large_and_negative_entries():
 
 def test_zx_char_minors_equal_minor_tables_of_generalized_char_matrix():
     # the packed Z[X] minors against the generic expansion over MultiPoly:
-    # critical ideals for n <= 6, distance ideals for n <= 5
+    # critical and distance ideals for n <= 6
     for n in range(1, 7):
-        for kind in ("adjacency", "distance") if n <= 5 else ("adjacency",):
+        for kind in ("adjacency", "distance"):
             for g in enumerate_connected(n):
                 _assert_char_minors_match(build_matrix(g, kind),
                                           generalized_char_matrix(g, kind), zmulti(n))

@@ -12,6 +12,16 @@ No pair-skipping criterion beyond the provably redundant G-pairs is applied:
 the product criterion familiar from field coefficients is unsound here
 (e.g. the G-polynomial of the pair 2x+1, 3y+1 is xy+x-y and is essential).
 
+The engine (`StrongBasis`, and `Ideal.member` over Z[x] and Z[X]) works on
+packed monomials (Monagan & Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007): a `Packing` codes
+each monomial as one int whose integer order is degrevlex, the package's one
+monomial order, whose sum with another code is the code of the product, and
+whose divisibility test is one subtraction and one guard-bit mask test.
+`_normal_form` keeps its work set in a heap of these ints.  Degrees grow only
+at a generator and at a pair's lcm, so the field width is checked there and
+widened before a monomial would reach a guard bit.
+
 A Z[x] ideal with a monic generator p of degree D, which every determinantal
 ideal I_k of x*I - M is (a principal k-minor is monic), takes no Buchberger
 run: I = (p) + L with L = {f in I : deg f < D}, and L is a Z-lattice in
@@ -26,8 +36,9 @@ lattice path is tested against.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 from .polyring import (
@@ -36,7 +47,6 @@ from .polyring import (
     UniPoly,
     divmod_poly,
     gcd_poly_q,
-    monomial_key,
     poly_str,
 )
 
@@ -68,19 +78,70 @@ class RingMismatchError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# strong Groebner engine on raw term dicts (exponent tuple -> int coefficient)
+# strong Groebner engine on packed term dicts (monomial int -> int coefficient)
 
 
-def _divides(a: tuple, b: tuple) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+class Packing:
+    """Monomials of Z[x0..x_{n-1}] of degree < `limit` as nonnegative ints.
+
+    The code of a monomial with exponents e and degree d = sum(e) is 2n
+    fields of `bits` bits each, most significant first:
+
+        d | d - e_{n-1} | ... | d - e_1 | e_0 | ... | e_{n-1}
+
+    Every field is a sum of exponents, so the code is additive: the code of
+    a product is the sum of the codes, and x^e is sum_i e_i * units[i].  The
+    top n fields fix the monomial and compare in degrevlex order (degree
+    first, then the smaller e_{n-1}, then the smaller e_{n-2}, ...), so
+    integer order is the monomial order.  No field exceeds d < 2^(bits-1), so
+    the top bit of each field, its guard bit, is 0, and a divides b iff no
+    field of b - a borrows: iff (b - a) & mask == 0.  The lowest field of b
+    that is smaller than a's borrows and leaves its guard bit set; b < a also
+    sets the top guard bit of the (negative) difference.
+    """
+
+    __slots__ = ("arity", "bits", "limit", "mask", "units", "_overflow")
+
+    def __init__(self, arity: int, degree: int):
+        """Fields wide enough for monomials of degree up to 2 * degree."""
+        bits = (2 * degree).bit_length() + 1
+        fields = 2 * arity
+        self.arity = arity
+        self.bits = bits
+        self.limit = 1 << (bits - 1)
+        self.mask = sum(self.limit << (f * bits) for f in range(fields))
+        self.units = tuple(
+            sum(1 << (f * bits) for f in range(arity, fields - 1) if f != arity + i - 1)
+            + (1 << ((fields - 1) * bits)) + (1 << ((arity - 1 - i) * bits))
+            for i in range(arity))
+        # the top field's guard bit; with no variables every code is 0
+        self._overflow = self.limit << ((fields - 1) * bits) if arity else 1
+
+    def pack(self, e: tuple) -> int:
+        """The code of x^e; OverflowError if its degree reaches `limit`.  The
+        degree is the top field and no field exceeds it, so that is exactly
+        when the sum reaches the top field's guard bit."""
+        m = sum(map(operator.mul, e, self.units))
+        if m >= self._overflow:
+            raise OverflowError(f"a monomial of degree {sum(e)} does not fit {self.bits}-bit fields")
+        return m
+
+    def unpack(self, m: int) -> tuple:
+        bits, low = self.bits, 2 * self.limit - 1
+        return tuple(m >> ((self.arity - 1 - i) * bits) & low for i in range(self.arity))
+
+    def pack_terms(self, terms: dict) -> dict:
+        """An exponent-tuple term dict with its monomials packed."""
+        pack = self.pack
+        return {pack(e): c for e, c in terms.items()}
 
 
-def _combine(t1: dict, c1: int, s1: tuple, t2: dict, c2: int, s2: tuple) -> dict:
-    """c1 * x^s1 * t1 + c2 * x^s2 * t2."""
+def _combine(t1: dict, c1: int, s1: int, t2: dict, c2: int, s2: int) -> dict:
+    """c1 * x^s1 * t1 + c2 * x^s2 * t2 on packed monomials."""
     out: dict = {}
     for terms, c, s in ((t1, c1, s1), (t2, c2, s2)):
         for m, a in terms.items():
-            e = tuple(x + y for x, y in zip(m, s))
+            e = m + s
             v = out.get(e, 0) + c * a
             if v:
                 out[e] = v
@@ -102,42 +163,50 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
     return old_s, old_t
 
 
-def _normal_form(terms: dict, elems: Sequence[tuple[dict, tuple, int]]) -> dict:
-    """Full reduction with positive remainders against (terms, lm, lc>0) records."""
+def _normal_form(terms: dict, elems: Sequence[tuple[dict, int, int]], mask: int) -> dict:
+    """Full reduction with positive remainders against (terms, lm, lc>0)
+    records, on monomials packed with guard bits `mask`.
+
+    The work set's monomials wait in a max-heap of negated ints.  A popped
+    monomial whose term has cancelled, or was taken before, finds no
+    coefficient and is skipped; a reduction step adds only terms below the
+    monomial it reduces, so no monomial comes back once taken."""
     work = dict(terms)
+    heap = [-m for m in work]
+    heapify(heap)
     out: dict = {}
-    while work:
-        X = max(work, key=monomial_key)
-        c = work.pop(X)
+    while heap:
+        X = -heappop(heap)
+        c = work.pop(X, 0)
         while c:
-            hit = None
             for gt, glm, glc in elems:
-                if _divides(glm, X):
+                if not (X - glm) & mask:
                     q = c // glc
                     if q:
-                        hit = (gt, glm, glc, q)
                         break
-            if hit is None:
+            else:
                 break
-            gt, glm, glc, q = hit
-            shift = tuple(x - g for g, x in zip(glm, X))
+            shift = X - glm
             c -= q * glc
             for m, a in gt.items():
                 if m == glm:
                     continue
-                e = tuple(x + y for x, y in zip(m, shift))
-                v = work.get(e, 0) - q * a
-                if v:
-                    work[e] = v
+                e = m + shift
+                v = work.get(e)
+                if v is None:
+                    work[e] = -q * a
+                    heappush(heap, -e)
+                elif v == q * a:
+                    del work[e]
                 else:
-                    work.pop(e, None)
+                    work[e] = v - q * a
         if c:
             out[X] = c
     return out
 
 
-def _record(terms: dict) -> tuple[dict, tuple, int]:
-    lm = max(terms, key=monomial_key)
+def _record(terms: dict) -> tuple[dict, int, int]:
+    lm = max(terms)
     lc = terms[lm]
     if lc < 0:
         terms = {e: -c for e, c in terms.items()}
@@ -145,32 +214,46 @@ def _record(terms: dict) -> tuple[dict, tuple, int]:
     return terms, lm, lc
 
 
-def _poly_key(terms: dict):
-    return tuple(sorted(((monomial_key(e), c) for e, c in terms.items()), reverse=True))
-
-
-def _record_key(rec: tuple[dict, tuple, int]):
+def _record_key(rec: tuple[dict, int, int]):
     """Order of basis records: leading monomial, leading coefficient, all terms."""
-    return monomial_key(rec[1]), rec[2], _poly_key(rec[0])
+    return rec[1], rec[2], tuple(sorted(rec[0].items(), reverse=True))
 
 
 class StrongBasis:
-    """Incremental strong Groebner basis over Z[x0..x_{arity-1}]."""
+    """Incremental strong Groebner basis over Z[x0..x_{arity-1}].
+
+    `add` takes and `canonical` returns term dicts keyed by exponent tuples;
+    in between every monomial is packed, and `_fit` widens the packing."""
 
     def __init__(self, arity: int):
         self.arity = arity
-        self.elems: list[tuple[dict, tuple, int]] = []
+        self.packing = Packing(arity, 0)
+        self.elems: list[tuple[dict, int, int]] = []
         self._pairs: list = []
         self._unit = False
 
-    def reduce(self, terms: dict) -> dict:
-        return _normal_form(terms, self.elems)
+    def _fit(self, degree: int):
+        """Recode every record and pair in wider fields if a monomial of
+        `degree` would not fit the packing."""
+        old = self.packing
+        if degree < old.limit:
+            return
+        new = self.packing = Packing(self.arity, degree)
+
+        def recode(m: int) -> int:
+            return new.pack(old.unpack(m))
+
+        self.elems = [({recode(m): c for m, c in t.items()}, recode(lm), lc)
+                      for t, lm, lc in self.elems]
+        self._pairs = [(recode(lcm), i, j) for lcm, i, j in self._pairs]
+        heapify(self._pairs)
 
     def add(self, terms: dict) -> bool:
         """Feed one generator; returns True if it enlarged the basis."""
         if self._unit:
             return False
-        r = self.reduce(terms)
+        self._fit(max((sum(e) for e in terms), default=0))
+        r = _normal_form(self.packing.pack_terms(terms), self.elems, self.packing.mask)
         if not r:
             return False
         self._append(r)
@@ -179,37 +262,43 @@ class StrongBasis:
 
     def _append(self, terms: dict):
         rec = _record(terms)
-        if not any(rec[1]) and rec[2] == 1:
+        if not rec[1] and rec[2] == 1:
             self._unit = True
         j = len(self.elems)
         self.elems.append(rec)
-        _, lmj, _ = rec
-        for i in range(j):
-            lmi = self.elems[i][1]
-            lcm = tuple(max(a, b) for a, b in zip(lmi, lmj))
-            heappush(self._pairs, (monomial_key(lcm), i, j))
+        unpack = self.packing.unpack
+        lmj = unpack(rec[1])
+        lcms = [tuple(map(max, unpack(lm), lmj)) for _, lm, _ in self.elems[:j]]
+        self._fit(max(map(sum, lcms), default=0))
+        pack = self.packing.pack
+        for i, lcm in enumerate(lcms):
+            heappush(self._pairs, (pack(lcm), i, j))
 
     def _complete(self):
         while self._pairs:
             if self._unit:
                 self._pairs.clear()
                 return
-            _, i, j = heappop(self._pairs)
-            ti, lmi, lci = self.elems[i]
-            tj, lmj, lcj = self.elems[j]
-            lcm = tuple(max(a, b) for a, b in zip(lmi, lmj))
-            si = tuple(l - a for l, a in zip(lcm, lmi))
-            sj = tuple(l - b for l, b in zip(lcm, lmj))
-            g = math.gcd(lci, lcj)
-            l = lci // g * lcj
-            r = self.reduce(_combine(ti, l // lci, si, tj, -(l // lcj), sj))
-            if r:
-                self._append(r)
+            lcm, i, j = heappop(self._pairs)
+            lci, lcj = self.elems[i][2], self.elems[j][2]
+            l = lci // math.gcd(lci, lcj) * lcj
+            packing = self.packing
+            self._reduce_pair(lcm, i, j, l // lci, -(l // lcj))
             if lci % lcj and lcj % lci:
-                u, v = _bezout(lci, lcj)
-                r = self.reduce(_combine(ti, u, si, tj, v, sj))
-                if r:
-                    self._append(r)
+                if self.packing is not packing:  # the S-polynomial widened it
+                    lcm = self.packing.pack(packing.unpack(lcm))
+                self._reduce_pair(lcm, i, j, *_bezout(lci, lcj))
+
+    def _reduce_pair(self, lcm: int, i: int, j: int, ci: int, cj: int):
+        """Append the nonzero normal form of ci*(lcm/lm_i)*g_i + cj*(lcm/lm_j)*g_j:
+        the S-polynomial of the pair (ci*lc_i = -cj*lc_j = lcm of the leading
+        coefficients) or its G-polynomial (ci*lc_i + cj*lc_j = their gcd)."""
+        ti, lmi, _ = self.elems[i]
+        tj, lmj, _ = self.elems[j]
+        r = _normal_form(_combine(ti, ci, lcm - lmi, tj, cj, lcm - lmj), self.elems,
+                         self.packing.mask)
+        if r:
+            self._append(r)
 
     def canonical(self) -> list[dict]:
         """Minimal reduced basis, signs positive, sorted ascending."""
@@ -222,25 +311,28 @@ class StrongBasis:
             if not changed:
                 break
         elems.sort(key=_record_key)
-        return [dict(t) for t, _, _ in elems]
+        unpack = self.packing.unpack
+        return [{unpack(m): c for m, c in t.items()} for t, _, _ in elems]
 
     def _minimalize(self, elems):
         elems = sorted(elems, key=_record_key)
-        keep: list[tuple[dict, tuple, int]] = []
+        mask = self.packing.mask
+        keep: list[tuple[dict, int, int]] = []
         for t, lm, lc in elems:
-            if any(_divides(klm, lm) and lc % klc == 0 for _, klm, klc in keep):
+            if any(not (lm - klm) & mask and lc % klc == 0 for _, klm, klc in keep):
                 continue
             keep.append((t, lm, lc))
         return keep
 
     def _interreduce(self, elems):
+        mask = self.packing.mask
         changed = False
         while True:
             dirty = False
             for idx in range(len(elems)):
                 t = elems[idx][0]
                 others = elems[:idx] + elems[idx + 1 :]
-                r = _normal_form(t, others)
+                r = _normal_form(t, others, mask)
                 if r != t:
                     dirty = changed = True
                     if r:
@@ -375,28 +467,33 @@ def _lives_in(ring: Ring, p) -> bool:
 
 def _normalize(gens: tuple) -> tuple:
     """Nonzero generators with positive leading coefficient, deduplicated and
-    in ascending `_poly_key` order: the Groebner feed order, small ones first."""
-    signed = set()
-    for g in set(gens):
-        if not g.is_zero():
-            lc = g.lc if isinstance(g, UniPoly) else g.leading_term()[1]
-            signed.add(-g if lc < 0 else g)
-    return tuple(sorted(signed, key=_feed_key))
+    in ascending order of their (monomial, coefficient) lists from the top:
+    the Groebner feed order, small ones first.  Monomials compare packed."""
+    gens = [g for g in set(gens) if not g.is_zero()]
+    if gens and isinstance(gens[0], MultiPoly):
+        packing = Packing(gens[0].arity, max(sum(e) for g in gens for e in g.terms))
 
+        def top_down(g):
+            return sorted(packing.pack_terms(g.terms).items(), reverse=True)
+    else:
 
-def _feed_key(g) -> tuple:
-    """A key in `_poly_key` order; for a UniPoly the (degree, coefficient)
-    pairs from the top, which compare as its monomial keys do."""
-    if isinstance(g, UniPoly):
-        return tuple((e, c) for e, c in reversed(tuple(enumerate(g.coeffs))) if c)
-    return _poly_key(_terms(g))
+        def top_down(g):
+            return [(e, c) for e, c in reversed(tuple(enumerate(g.coeffs))) if c]
+
+    keys = {}
+    for g in gens:
+        terms = top_down(g)
+        if terms[0][1] < 0:
+            g, terms = -g, [(m, -c) for m, c in terms]
+        keys[g] = tuple(terms)
+    return tuple(sorted(keys, key=keys.__getitem__))
 
 
 class Ideal:
     """An ideal with a ring tag and a canonical basis for exact comparison.
 
     `gens` holds the generators as given, minus zeros and duplicates, each
-    with a positive leading coefficient, in ascending `_poly_key` order.
+    with a positive leading coefficient, in the ascending order of `_normalize`.
     """
 
     __slots__ = ("ring", "gens", "_basis")
@@ -434,10 +531,10 @@ class Ideal:
             basis = _lattice_basis(self.gens)
             if basis is None:
                 raw = strong_groebner([_terms(g) for g in self.gens], 1)
-                basis = tuple(MultiPoly(1, t).to_unipoly() for t in raw)
+                basis = tuple(MultiPoly._trusted(1, t).to_unipoly() for t in raw)
         else:
             raw = strong_groebner([_terms(g) for g in self.gens], ring.arity)
-            basis = tuple(MultiPoly(ring.arity, t) for t in raw)
+            basis = tuple(MultiPoly._trusted(ring.arity, t) for t in raw)
         object.__setattr__(self, "_basis", basis)
         return basis
 
@@ -465,8 +562,10 @@ class Ideal:
                 return False
             _, r = divmod_poly(p, basis[0])
             return r.is_zero()
-        elems = [_record(_terms(g)) for g in self.canonical_basis()]
-        return not _normal_form(_terms(p), elems)
+        polys = [_terms(g) for g in (p, *self.canonical_basis())]
+        packing = Packing(ring.arity, max((sum(e) for t in polys for e in t), default=0))
+        target, *basis = map(packing.pack_terms, polys)
+        return not _normal_form(target, [_record(t) for t in basis], packing.mask)
 
     def equal(self, other: "Ideal") -> bool:
         if not isinstance(other, Ideal):

@@ -330,6 +330,16 @@ class MultiPoly:
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _trusted(cls, arity: int, terms: dict) -> "MultiPoly":
+        """A MultiPoly of terms the package built itself, without the checks
+        of the constructor: every key a tuple of `arity` nonnegative ints,
+        every coefficient a nonzero int.  `terms` is kept, not copied."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "arity", arity)
+        object.__setattr__(p, "terms", terms)
+        return p
+
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("MultiPoly is immutable")
 

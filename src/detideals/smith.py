@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Sequence
 
 from .grobner import QX, ZX_UNI, Ideal, Ring, zmulti
@@ -267,7 +267,7 @@ def char_minor_tables(matrix: Sequence[Sequence[int]], ring: Ring) -> tuple[int,
     lies in row i and column i only), so digit mask(S) is the coefficient of
     x_S.  No coefficient exceeds the product of the row sums 1 + sum_j |M_ij|,
     so every digit lies in (-2^(shift-1), 2^(shift-1)) and decodes uniquely
-    (`unpack_minor`).  A packed minor is 0 iff the minor is 0.
+    (`unpack_minors`).  A packed minor is 0 iff the minor is 0.
 
     Returns (shift, {k: {(row mask, column mask): packed minor}}).
     """
@@ -286,23 +286,29 @@ def char_minor_tables(matrix: Sequence[Sequence[int]], ring: Ring) -> tuple[int,
     return shift, minor_tables(entry)
 
 
-def unpack_minor(value: int, shift: int, ring: Ring) -> UniPoly | MultiPoly:
-    """The minor packed in value by `char_minor_tables`: its base-2^shift
-    digit i, taken in (-2^(shift-1), 2^(shift-1)), is the coefficient of x^i
-    over Z[x] and of x_S with mask(S) == i over Z[X]."""
+def unpack_minors(values, shift: int, ring: Ring) -> list:
+    """The minors packed in `values` by `char_minor_tables`: base-2^shift
+    digit i of a value, taken in (-2^(shift-1), 2^(shift-1)), is the
+    coefficient of x^i over Z[x] and of x_S with mask(S) == i over Z[X].
+    The Z[X] minors share one exponent tuple per monomial."""
     half, mask = 1 << (shift - 1), (1 << shift) - 1
-    coeffs = []
-    while value:
-        c = value & mask
-        if c >= half:
-            c -= 1 << shift
-        coeffs.append(c)
-        value = (value - c) >> shift
-    if ring.kind == "Zx":
-        return UniPoly(coeffs, RING_Z)
     n = ring.arity
-    return MultiPoly(n, {tuple(i >> v & 1 for v in range(n)): c
-                         for i, c in enumerate(coeffs) if c})
+    if ring.kind == "ZX":
+        monomials = [e[::-1] for e in product((0, 1), repeat=n)]
+    out = []
+    for value in values:
+        coeffs = []
+        while value:
+            c = value & mask
+            if c >= half:
+                c -= 1 << shift
+            coeffs.append(c)
+            value = (value - c) >> shift
+        if ring.kind == "Zx":
+            out.append(UniPoly(coeffs, RING_Z))
+        else:
+            out.append(MultiPoly._trusted(n, {monomials[i]: c for i, c in enumerate(coeffs) if c}))
+    return out
 
 
 def char_minors(matrix: Sequence[Sequence[int]], ring: Ring) -> list[list]:
@@ -315,7 +321,7 @@ def char_minors(matrix: Sequence[Sequence[int]], ring: Ring) -> list[list]:
     for level in tables.values():
         distinct = {abs(v) for v in level.values()}
         distinct.discard(0)
-        out.append([unpack_minor(v, shift, ring) for v in distinct])
+        out.append(unpack_minors(distinct, shift, ring))
     return out
 
 

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -12,11 +13,13 @@ from detideals.grobner import (
     QX,
     ZX_UNI,
     Ideal,
+    Packing,
     RingMismatchError,
+    StrongBasis,
     strong_groebner,
     zmulti,
 )
-from detideals.polyring import RING_Q, RING_Z, MultiPoly, UniPoly, gcd_poly_q
+from detideals.polyring import RING_Q, RING_Z, MultiPoly, UniPoly, gcd_poly_q, monomial_key
 from detideals.profiles import determinantal_ideals
 from detideals.survey import invariant_key
 
@@ -375,3 +378,122 @@ monic_zx_gens = st.tuples(
 def test_lattice_path_equals_strong_basis(gens):
     monic, rest = gens
     _assert_lattice_matches([zx(*rest, monic), zx(monic, *rest)])
+
+
+# ---------------------------------------------------------------------------
+# packed monomials
+
+# b is often a permutation of a: equal degrees, where the order is decided by
+# the reverse-lexicographic fields
+exponents = st.integers(0, 3) | st.integers(0, 40)
+exponent_pairs = st.integers(1, 6).flatmap(lambda n: st.tuples(*[exponents] * n)).flatmap(
+    lambda a: st.tuples(st.just(a), st.permutations(a).map(tuple) | st.tuples(*[exponents] * len(a))))
+
+
+def _pack_or_none(packing, e):
+    try:
+        return packing.pack(e)
+    except OverflowError:
+        return None
+
+
+@given(exponent_pairs, st.integers(0, 130))
+@settings(deadline=None, max_examples=300)
+def test_packing_is_degrevlex_additive_and_tests_divisibility(pair, degree):
+    a, b = pair
+    n = len(a)
+    ab = tuple(x + y for x, y in zip(a, b))
+    packing = Packing(n, degree)
+    pa, pb, pab = (_pack_or_none(packing, e) for e in (a, b, ab))
+    # a monomial fits iff its degree is below the limit; one that does not
+    # is refused rather than packed into a wrong code
+    for e, code in ((a, pa), (b, pb), (ab, pab)):
+        assert (code is None) == (sum(e) >= packing.limit)
+    if pa is None or pb is None:
+        return
+    assert packing.unpack(pa) == a and packing.unpack(pb) == b
+    assert (pa < pb) == (monomial_key(a) < monomial_key(b))
+    assert (pa == pb) == (a == b)
+    assert (not (pb - pa) & packing.mask) == all(x <= y for x, y in zip(a, b))
+    assert (not (pa - pb) & packing.mask) == all(y <= x for x, y in zip(a, b))
+    if pab is not None:
+        assert pab == pa + pb
+        assert not (pab - pa) & packing.mask and not (pab - pb) & packing.mask
+
+
+def test_packing_orders_all_small_monomials_as_monomial_key():
+    for n in range(1, 5):
+        monomials = list(itertools.product(range(3), repeat=n))
+        packing = Packing(n, 2 * n)
+        assert sorted(monomials, key=packing.pack) == sorted(monomials, key=monomial_key)
+
+
+def test_packing_hand_cases():
+    p = Packing(3, 3)
+    assert p.bits == 4 and p.limit == 8
+    x0, x1, x2 = (p.pack(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert x0 > x1 > x2 > p.pack((0, 0, 0)) == 0
+    # degrevlex, not deglex: x1^2 > x0*x2 since x2 is the last variable
+    assert p.pack((0, 2, 0)) > p.pack((1, 0, 1))
+    assert p.pack((2, 0, 0)) > p.pack((1, 1, 0)) > p.pack((0, 2, 0))
+    # x0 divides neither x1*x2 nor x1^2; for x1*x2 every order field is at
+    # least x0's, so only the exponent fields show it
+    assert (p.pack((0, 1, 1)) - x0) & p.mask
+    assert (p.pack((0, 2, 0)) - x0) & p.mask
+    assert not (p.pack((1, 1, 1)) - x0) & p.mask
+    # a smaller-degree b: the difference is negative, its top guard bit set
+    assert (x0 - p.pack((1, 1, 0))) < 0 and (x0 - p.pack((1, 1, 0))) & p.mask
+    assert p.unpack(p.pack((7, 0, 0))) == (7, 0, 0)
+    with pytest.raises(OverflowError):
+        p.pack((8, 0, 0))
+    with pytest.raises(OverflowError):
+        p.pack((3, 3, 2))
+    assert Packing(1, 0).limit == 1 and Packing(1, 0).pack((0,)) == 0
+    # no variables: Z itself
+    assert Packing(0, 0).pack(()) == 0 and Packing(0, 0).unpack(0) == ()
+    z = Ideal(zmulti(0), [MultiPoly(0, {(): 4}), MultiPoly(0, {(): -6})])
+    assert z.basis_strings() == ["2"] and z.member(MultiPoly(0, {(): 10}))
+    assert not z.member(MultiPoly(0, {(): 3}))
+
+
+def _preset(arity, gens, degree):
+    """The canonical basis from a StrongBasis whose fields are wide from the start."""
+    basis = StrongBasis(arity)
+    basis.packing = Packing(arity, degree)
+    for g in gens:
+        basis.add(g)
+    return basis.canonical()
+
+
+@pytest.mark.parametrize("gens", [
+    # each set outgrows the fields of its first generator, at a pair's lcm
+    # (x0^7 * x1^9) or at a later generator
+    [{(7, 0): 1, (0, 1): 1}, {(0, 9): 2, (1, 0): 1}],
+    [{(2, 1): 3, (0, 0): 1}, {(0, 5): 1, (3, 0): -1}, {(40, 0): 2, (0, 1): 1}],
+    [{(2, 1): 3, (0, 0): 1}, {(0, 40): 1, (3, 0): -1}],
+    [{(5,): 2}, {(200,): 1, (0,): 1}],
+])
+def test_strong_basis_widens_its_fields(gens):
+    arity = len(next(iter(gens[0])))
+    basis = StrongBasis(arity)
+    widths = []
+    for g in gens:
+        basis.add(g)
+        widths.append(basis.packing.bits)
+    assert widths[-1] > widths[0]
+    got = basis.canonical()
+    assert got == _preset(arity, gens, 1000) == strong_groebner(gens, arity)
+    ring = zmulti(arity)
+    ideal = Ideal(ring, [MultiPoly(arity, g) for g in gens])
+    assert all(ideal.member(MultiPoly(arity, g)) for g in gens)
+    assert [dict(p.terms) for p in ideal.canonical_basis()] == got
+
+
+def test_strong_basis_widens_at_a_pair_lcm():
+    basis = StrongBasis(2)
+    basis.add({(7, 0): 1, (0, 1): 1})
+    assert basis.packing.limit == 16
+    # the second generator fits, the lcm x0^7 * x1^9 of the leading monomials not
+    basis.add({(0, 9): 2, (1, 0): 1})
+    assert basis.packing.limit > 16
+    assert basis.canonical() == _preset(2, [{(7, 0): 1, (0, 1): 1}, {(0, 9): 2, (1, 0): 1}], 16)

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -183,6 +184,26 @@ def test_multivariate_evaluation_consistency():
             adj = snf_integer(build_matrix(g, "adjacency"))
             assert evaluate_profile(profile, degs) == list(lap.delta_sequence())
             assert evaluate_profile(profile, (0,) * n) == list(adj.delta_sequence())
+
+
+def test_multivariate_profiles_evaluate_to_integer_deltas_and_contain_their_generators():
+    # every critical and distance ideal with n <= 5: at two seeded integer
+    # points the canonical bases give the Delta_k of diag(point) - M, and
+    # every generator (a distinct minor) is a member of the canonical basis
+    rng = random.Random(20191)
+    for n in range(1, 6):
+        for g in enumerate_connected(n):
+            for kind in ("adjacency", "distance"):
+                profile = multivariate_ideals(g, kind)
+                m = build_matrix(g, kind)
+                for _ in range(2):
+                    point = [rng.randint(-4, 4) for _ in range(n)]
+                    shifted = [[point[i] * (i == j) - m[i][j] for j in range(n)]
+                               for i in range(n)]
+                    assert evaluate_profile(profile, point) == list(
+                        snf_integer(shifted).delta_sequence()), (kind, point, g)
+                for ideal in profile.ideals:
+                    assert all(ideal.member(p) for p in ideal.gens), (kind, g)
 
 
 def test_invariant_factors_from_deltas():

@@ -30,7 +30,7 @@ from detideals.smith import (
     minor_tables,
     snf_integer,
     snf_poly_q,
-    unpack_minor,
+    unpack_minors,
 )
 
 KINDS = ("adjacency", "laplacian", "distance", "distlap")
@@ -332,8 +332,7 @@ def _assert_char_minors_match(m, cm, ring):
     distinct_minors = char_minors(m, ring)
     for k, level in want.items():
         assert len(tables[k]) == len(level)
-        for key, minor in level.items():
-            assert unpack_minor(tables[k][key], shift, ring) == minor
+        assert unpack_minors([tables[k][key] for key in level], shift, ring) == list(level.values())
         distinct = distinct_minors[k - 1]
         got = set(distinct) if ring == ZX_UNI else {_positive(p) for p in distinct}
         assert len(got) == len(distinct)

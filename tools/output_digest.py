@@ -12,8 +12,8 @@ Run it on two checkouts and diff the two files.  It covers:
   connected graph with n <= 7;
 * `ideals --ring Zx` and `ideals --ring Qx`, JSON and text, over every
   connected graph with n <= 6 and every kind;
-* `ideals --ring ZX`, JSON and text, over every connected graph with n <= 5
-  (critical and distance ideals) and n = 6 (critical ideals);
+* `ideals --ring ZX`, JSON and text, over every connected graph with n <= 6
+  (critical and distance ideals);
 * the `cross_check` reports for n = 2..6 and every kind;
 * `verify --max-n 6` of every suite except `tables`.
 
@@ -88,7 +88,7 @@ def print_digests(tmp: str) -> None:
                     doc = _cli("ideals", "--input", corpus, "--matrix", kind,
                                "--ring", ring, "--output", output)
                     print(f"ideals-{ring} n={n} {kind} {output} {_sha(doc)}", flush=True)
-        for kind in ("adjacency", "distance") if n <= 5 else ("adjacency",):
+        for kind in ("adjacency", "distance"):
             for output in ("json", "text"):
                 doc = _cli("ideals", "--input", corpus, "--matrix", kind, "--ring", "ZX",
                            "--output", output)

@@ -19,6 +19,7 @@ from .polyring import (
     RING_Q,
     UniPoly,
     divmod_poly,
+    exact_int,
     gcd_int_many,
     poly_str,
     rational_roots,
@@ -114,7 +115,8 @@ def evaluate_profile(profile: IdealProfile, point) -> list[int]:
     """Evaluate each I_k at an integer point; returns the Delta_k sequence.
 
     For Z[x] profiles the point is one integer c and the result is
-    Delta_k(c*I - M); for Z[X] profiles it is a length-n vector.
+    Delta_k(c*I - M); for Z[X] profiles it is a length-n vector.  ValueError
+    names a coordinate that is not an integer.
     """
     ring = profile.ring
     if ring.kind == "Zx":
@@ -122,10 +124,11 @@ def evaluate_profile(profile: IdealProfile, point) -> list[int]:
             if len(point) != 1:
                 raise ValueError("univariate profiles evaluate at a single integer")
             point = point[0]
+        point = exact_int(point, "evaluation point")
     elif ring.kind == "ZX":
         if not isinstance(point, (list, tuple)) or len(point) != ring.arity:
             raise ValueError("evaluation point arity mismatch")
-        point = tuple(point)
+        point = tuple(exact_int(c, f"coordinate {i}") for i, c in enumerate(point))
     else:
         raise ValueError("evaluation maps are defined for Z[x] and Z[X] profiles")
     return [gcd_int_many(p(point) for p in ideal.canonical_basis()) for ideal in profile.ideals]

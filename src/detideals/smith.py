@@ -7,10 +7,10 @@ characteristic polynomial alone, Delta_{k-1} being gcd(Delta_k, Delta_k').
 snf_poly_q turns them into the invariant factors of x*I - M.  delta_bruteforce
 recomputes every Delta_k as a gcd over all k-minors and is the independent
 oracle both are tested against.  minor_tables is the package's one Laplace
-expansion.  char_minors runs it on integers packing x*I - M (Z[x]) or
-diag(x_0..x_{n-1}) - M (Z[X]): the generators of the determinantal ideals.
-snf_integer, char_poly, deltas_q and snf_poly_q raise ValueError for a
-non-integer entry instead of truncating it.
+expansion.  packed_char_matrix packs x*I - M (Z[x]) or diag(x_0..x_{n-1}) - M
+(Z[X]) into ints; char_minors expands it (the ideals' generators) and
+char_poly eliminates it by Bareiss, both decoding with unpack_minors.
+_int_matrix is the one square-and-integer check (ValueError, no truncation).
 """
 
 from __future__ import annotations
@@ -116,17 +116,19 @@ def _divisibility_fix_int(diag: list[int]) -> list[int]:
 
 
 def _int_matrix(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
-    """A copy of an integer matrix; ValueError naming the first non-integer entry."""
+    """A copy of a square integer matrix; ValueError if it is not square, or
+    naming the first non-integer entry."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix must be square")
     return [[x if type(x) is int else exact_int(x, f"entry ({i},{j})")
              for j, x in enumerate(row)] for i, row in enumerate(matrix)]
 
 
 def snf_integer(matrix: Sequence[Sequence[int]]) -> SnfResult:
     """Invariant factors of a square integer matrix by elementary operations."""
-    n = len(matrix)
     a = _int_matrix(matrix)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
+    n = len(a)
     diag: list[int] = []
     for t in range(n):
         # pivot: smallest nonzero absolute value in the remaining submatrix
@@ -190,12 +192,11 @@ def deltas_q(matrix: Sequence[Sequence[int]]) -> tuple[UniPoly, ...]:
     Delta_k'), each step down in k lowering every multiplicity by one.
     ValueError unless M is square and symmetric.
     """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix must be square")
-    if any(matrix[i][j] != matrix[j][i] for i in range(n) for j in range(i)):
+    m = _int_matrix(matrix)
+    n = len(m)
+    if any(m[i][j] != m[j][i] for i in range(n) for j in range(i)):
         raise ValueError("M is not symmetric")
-    delta = char_poly(matrix).to_q()
+    delta = char_poly(m).to_q()
     deltas = []
     for _ in range(n):
         deltas.append(delta)
@@ -256,25 +257,25 @@ def minor_tables(matrix: Sequence[Sequence], max_k: int | None = None) -> dict:
     return tables
 
 
-def char_minor_tables(matrix: Sequence[Sequence[int]], ring: Ring) -> tuple[int, dict]:
-    """Every k-minor of x*I - M (ring Z[x]) or of diag(x_0..x_{n-1}) - M (ring
-    Z[X]) for an integer matrix M, each packed in one int.
+def packed_char_matrix(matrix: Sequence[Sequence[int]], ring: Ring) -> tuple[int, list[list[int]]]:
+    """x*I - M (ring Z[x]) or diag(x_0..x_{n-1}) - M (ring Z[X]) for a square
+    integer matrix M, each entry packed in one int.
 
     x_i is replaced by 2^(shift*w_i), w_i = 1 over Z[x] and 2^i over Z[X]
-    (Kronecker substitution), a ring homomorphism to Z, so `minor_tables` runs
-    on plain ints.  The base-2^shift digit d of a packed minor is its
-    coefficient of x^d over Z[x]; over Z[X] every minor is multilinear (x_i
-    lies in row i and column i only), so digit mask(S) is the coefficient of
-    x_S.  No coefficient exceeds the product of the row sums 1 + sum_j |M_ij|,
-    so every digit lies in (-2^(shift-1), 2^(shift-1)) and decodes uniquely
-    (`unpack_minors`).  A packed minor is 0 iff the minor is 0.
+    (Kronecker substitution), a ring homomorphism to Z, so a minor of the
+    packed matrix is the packed minor.  The base-2^shift digit d of a packed
+    minor is its coefficient of x^d over Z[x]; over Z[X] every minor is
+    multilinear (x_i lies in row i and column i only), so digit mask(S) is the
+    coefficient of x_S.  No coefficient exceeds the product of the row sums
+    1 + sum_j |M_ij|, so every digit lies in (-2^(shift-1), 2^(shift-1)) and
+    decodes uniquely (`unpack_minors`).  A packed minor is 0 iff the minor is
+    0.  Every leading principal minor of 2^shift*I - M is p_k(2^shift) for a
+    monic p_k, so it is positive.
 
-    Returns (shift, {k: {(row mask, column mask): packed minor}}).
+    Returns (shift, packed rows).
     """
-    n = len(matrix)
     m = _int_matrix(matrix)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix must be square")
+    n = len(m)
     if ring not in (ZX_UNI, zmulti(n)):
         raise ValueError(f"no packed minors of {n} rows over {ring}")
     bound = 1
@@ -282,12 +283,12 @@ def char_minor_tables(matrix: Sequence[Sequence[int]], ring: Ring) -> tuple[int,
         bound *= 1 + sum(abs(v) for v in row)
     shift = bound.bit_length() + 1
     x = [1 << (shift << i if ring.kind == "ZX" else shift) for i in range(n)]
-    entry = [[x[i] - v if i == j else -v for j, v in enumerate(row)] for i, row in enumerate(m)]
-    return shift, minor_tables(entry)
+    return shift, [[x[i] - v if i == j else -v for j, v in enumerate(row)]
+                   for i, row in enumerate(m)]
 
 
 def unpack_minors(values, shift: int, ring: Ring) -> list:
-    """The minors packed in `values` by `char_minor_tables`: base-2^shift
+    """The minors packed in `values` (see `packed_char_matrix`): base-2^shift
     digit i of a value, taken in (-2^(shift-1), 2^(shift-1)), is the
     coefficient of x^i over Z[x] and of x_S with mask(S) == i over Z[X].
     The Z[X] minors share one exponent tuple per monomial."""
@@ -316,9 +317,9 @@ def char_minors(matrix: Sequence[Sequence[int]], ring: Ring) -> list[list]:
     (ring Z[x]) or diag(x_0..x_{n-1}) - M (ring Z[X]): the generators of I_k.
     Over Z[x] each has a positive leading coefficient; `Ideal` sets the sign
     of the Z[X] ones."""
-    shift, tables = char_minor_tables(matrix, ring)
+    shift, rows = packed_char_matrix(matrix, ring)
     out = []
-    for level in tables.values():
+    for level in minor_tables(rows).values():
         distinct = {abs(v) for v in level.values()}
         distinct.discard(0)
         out.append(unpack_minors(distinct, shift, ring))
@@ -342,21 +343,16 @@ def delta_bruteforce(matrix: Sequence[Sequence], k: int):
 
 
 def char_poly(matrix: Sequence[Sequence[int]]) -> UniPoly:
-    """det(x*I - M) for an integer matrix, by the Faddeev-LeVerrier recurrence."""
-    n = len(matrix)
-    m = _int_matrix(matrix)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    cur = [row[:] for row in m]
-    for k in range(1, n + 1):
-        c = -sum(cur[i][i] for i in range(n)) // k
-        coeffs[n - k] = c
-        if k == n:
-            break
-        for i in range(n):
-            cur[i][i] += c
-        cur = [
-            [sum(m[i][t] * cur[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-    return UniPoly(coeffs, RING_Z)
+    """det(x*I - M) for a square integer matrix, by fraction-free (Bareiss)
+    elimination on the packed x*I - M of `packed_char_matrix`.  Sylvester's
+    identity makes every division exact, and pivot k is the positive leading
+    principal minor of size k + 1, so the last one is the determinant."""
+    shift, a = packed_char_matrix(matrix, ZX_UNI)
+    n, prev = len(a), 1
+    for k in range(n):
+        pivot_row, p = a[k], a[k][k]
+        for i in range(k + 1, n):
+            c = a[i][k]
+            a[i] = [(v * p - c * w) // prev for v, w in zip(a[i], pivot_row)]
+        prev = p
+    return unpack_minors([prev], shift, ZX_UNI)[0]

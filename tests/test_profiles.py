@@ -175,6 +175,30 @@ def test_evaluate_profile_c4_critical():
         evaluate_profile(profile, (1, 2))
 
 
+@pytest.mark.parametrize("ring, point, name", [
+    ("ZX", (0.5, 1, 1, 1), "coordinate 0"),
+    ("ZX", (2, 2, Fraction(1, 2), 2), "coordinate 2"),
+    ("Zx", Fraction(1, 2), "evaluation point"),
+    ("Zx", 1.5, "evaluation point"),
+    ("Zx", (1.5,), "evaluation point"),
+])
+def test_evaluate_profile_rejects_non_integer_points(ring, point, name):
+    # a non-integer coordinate is an error, never truncated
+    g = cycle_graph(4)
+    profile = (multivariate_ideals(g, "adjacency") if ring == "ZX"
+               else determinantal_ideals(g, "adjacency", "Zx"))
+    with pytest.raises(ValueError, match=f"{name} is not an integer"):
+        evaluate_profile(profile, point)
+
+
+def test_evaluate_profile_accepts_integral_fractions():
+    g = cycle_graph(4)
+    assert evaluate_profile(multivariate_ideals(g, "adjacency"),
+                            (Fraction(2), 2, 2, 2)) == [1, 1, 4, 0]
+    zx = determinantal_ideals(g, "adjacency", "Zx")
+    assert evaluate_profile(zx, Fraction(2)) == evaluate_profile(zx, 2)
+
+
 def test_multivariate_evaluation_consistency():
     for n in range(2, 5):
         for g in enumerate_connected(n):

@@ -21,13 +21,13 @@ from detideals.grobner import QX, ZX_UNI, zmulti
 from detideals.polyring import RING_Q, RING_Z, MultiPoly, UniPoly
 from detideals.smith import (
     GroupDescription,
-    char_minor_tables,
     char_minors,
     char_poly,
     cokernel,
     delta_bruteforce,
     deltas_q,
     minor_tables,
+    packed_char_matrix,
     snf_integer,
     snf_poly_q,
     unpack_minors,
@@ -209,6 +209,17 @@ def test_deltas_q_rejects_non_square_and_non_symmetric(m, reason):
         deltas_q(m)
 
 
+@pytest.mark.parametrize("call, m", [
+    (char_poly, [[1, 2, 3], [4, 5, 6]]),
+    (char_poly, [[1], [2]]),
+    (snf_integer, [[1, 2, 3], [4, 5, 6]]),
+], ids=["char_poly-wide", "char_poly-tall", "snf_integer"])
+def test_non_square_input_is_rejected(call, m):
+    # one square check: a missing or extra column is an error, never ignored
+    with pytest.raises(ValueError, match="matrix must be square"):
+        call(m)
+
+
 # ---------------------------------------------------------------------------
 # cokernels
 
@@ -278,15 +289,52 @@ def _det_by_permutations(m):
     return total
 
 
-@given(matrices)
-@settings(deadline=None, max_examples=50)
-def test_char_poly_against_permutation_determinant(m):
-    p = char_poly(m)
-    assert p.lc == 1 and p.degree == 4
+def _assert_char_poly_is_determinant(m):
     # det(xI - M) evaluated at a few points equals the permutation-sum determinant
+    n = len(m)
+    p = char_poly(m)
+    assert p.lc == 1 and p.degree == n
     for x in (-2, 0, 1, 3):
-        shifted = [[(x if i == j else 0) - m[i][j] for j in range(4)] for i in range(4)]
+        shifted = [[(x if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]
         assert p(x) == _det_by_permutations(shifted)
+
+
+square_matrices = st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-40, 40), min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@given(square_matrices)
+@settings(deadline=None, max_examples=60)
+def test_char_poly_against_permutation_determinant(m):
+    # any square integer matrix, not only symmetric ones
+    _assert_char_poly_is_determinant(m)
+
+
+def test_char_poly_is_the_top_char_minor():
+    # elimination on the packed x*I - M against its Laplace expansion
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            for kind in KINDS:
+                m = build_matrix(g, kind)
+                assert char_minors(m, ZX_UNI)[-1] == [char_poly(m)]
+
+
+def test_char_poly_at_the_digit_bound():
+    # c*J has the eigenvalue c*n once and 0 n - 1 times, for c of either sign
+    x = UniPoly.variable(RING_Z)
+    for n in range(1, 7):
+        for c in (1, 7, 10**6):
+            for sign in (1, -1):
+                m = [[sign * c] * n for _ in range(n)]
+                assert char_poly(m) == x ** (n - 1) * UniPoly([-sign * c * n, 1])
+                _assert_char_poly_is_determinant(m)
+    # (x + c)^n: the coefficients sum to the bound (1 + c)^n exactly
+    c = 10**6 - 1
+    assert char_poly([[-c * (i == j) for j in range(5)] for i in range(5)]) == UniPoly([c, 1]) ** 5
+    near = [[10**6, -(10**6 - 1), 10**6 - 3, -10**6],
+            [1, 0, -2, 3], [0, 5, -1, 0], [-4, 0, 2, 1]]
+    _assert_char_poly_is_determinant(near)
+    assert char_poly([]) == UniPoly([1])
 
 
 def _bits(mask: int) -> list[int]:
@@ -327,7 +375,8 @@ def _positive(p):
 def _assert_char_minors_match(m, cm, ring):
     # entry by entry, then the distinct minors level by level: over Z[x] each
     # with a positive leading coefficient, over Z[X] up to sign
-    shift, tables = char_minor_tables(m, ring)
+    shift, rows = packed_char_matrix(m, ring)
+    tables = minor_tables(rows)
     want = minor_tables(cm)
     distinct_minors = char_minors(m, ring)
     for k, level in want.items():
@@ -354,7 +403,7 @@ def test_char_minors_of_large_and_negative_entries():
     _assert_char_minors_match(m, cm, ZX_UNI)
     assert char_minors([[0]], ZX_UNI) == [[UniPoly((0, 1))]]
     with pytest.raises(ValueError, match="square"):
-        char_minor_tables([[0, 1]], ZX_UNI)
+        packed_char_matrix([[0, 1]], ZX_UNI)
 
 
 def test_zx_char_minors_equal_minor_tables_of_generalized_char_matrix():
@@ -375,4 +424,4 @@ def test_zx_char_minors_of_large_and_negative_entries():
     assert char_minors([[0]], zmulti(1)) == [[MultiPoly.variable(0, 1)]]
     for ring in (zmulti(3), QX):
         with pytest.raises(ValueError, match="no packed minors of"):
-            char_minor_tables(m, ring)
+            packed_char_matrix(m, ring)

@@ -91,12 +91,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def _read_graphs(args) -> list[graphs.Graph]:
     if getattr(args, "graph6", None):
         return [graphs.parse_graph6(args.graph6)]
-    if getattr(args, "input", None):
-        if args.input == "-":
-            return list(graphs.read_graph6_lines(sys.stdin))
+    if not getattr(args, "input", None):
+        raise graphs.Graph6Error("no graph input given (inline graph6 or --input)")
+    if args.input == "-":
+        corpus = list(graphs.read_graph6_lines(sys.stdin))
+    else:
         with open(args.input, "r", encoding="ascii") as fh:
-            return list(graphs.read_graph6_lines(fh))
-    raise graphs.Graph6Error("no graph input given (inline graph6 or --input)")
+            corpus = list(graphs.read_graph6_lines(fh))
+    if not corpus:
+        raise graphs.Graph6Error(f"no graph in input {args.input}")
+    return corpus
 
 
 def _cmd_gen(args) -> int:

@@ -8,7 +8,6 @@ are built from integer matrices; `char_matrix` (x*I - M) and
 
 from __future__ import annotations
 
-from collections import deque
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -72,9 +71,6 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.n) for j in range(i + 1, self.n) if self.has_edge(i, j)]
-
-    def neighbors(self, v: int) -> list[int]:
-        return [u for u in range(self.n) if (self.rows[v] >> u) & 1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -169,19 +165,23 @@ def read_graph6_lines(lines: Iterable[str]) -> Iterator[Graph]:
 # matrices
 
 
-def is_connected(g: Graph) -> bool:
-    seen = 1
-    frontier = 1
+def _layers(g: Graph, s: int) -> Iterator[int]:
+    """Breadth-first search from s: the bitmask of the vertices at distance
+    0, 1, 2, ... from s, up to the last nonempty layer."""
+    seen = frontier = 1 << s
     while frontier:
+        yield frontier
         nxt = 0
-        v = frontier
-        while v:
-            low = (v & -v).bit_length() - 1
-            v ^= 1 << low
-            nxt |= g.rows[low]
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            nxt |= g.rows[low.bit_length() - 1]
         frontier = nxt & ~seen
         seen |= nxt
-    return seen == (1 << g.n) - 1
+
+
+def is_connected(g: Graph) -> bool:
+    return sum(_layers(g, 0)) == (1 << g.n) - 1
 
 
 def distance_matrix(g: Graph) -> list[list[int]]:
@@ -190,15 +190,12 @@ def distance_matrix(g: Graph) -> list[list[int]]:
     dist = []
     for s in range(n):
         row = [-1] * n
-        row[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for v in g.neighbors(u):
-                if row[v] < 0:
-                    row[v] = row[u] + 1
-                    q.append(v)
-        if any(d < 0 for d in row):
+        for d, layer in enumerate(_layers(g, s)):
+            while layer:
+                low = layer & -layer
+                layer ^= low
+                row[low.bit_length() - 1] = d
+        if -1 in row:
             raise DisconnectedGraphError("distance matrix of a disconnected graph")
         dist.append(row)
     return dist

@@ -20,7 +20,8 @@ monomial order, whose sum with another code is the code of the product, and
 whose divisibility test is one subtraction and one guard-bit mask test.
 `_normal_form` keeps its work set in a heap of these ints.  Degrees grow only
 at a generator and at a pair's lcm, so the field width is checked there and
-widened before a monomial would reach a guard bit.
+widened before a monomial would reach a guard bit.  `strong_groebner` alone
+sets the generators' signs and feed order; `Ideal` keeps them as given.
 
 A Z[x] ideal with a monic generator p of degree D, which every determinantal
 ideal I_k of x*I - M is (a principal k-minor is monic), takes no Buchberger
@@ -345,9 +346,20 @@ class StrongBasis:
 
 
 def strong_groebner(gens: Iterable[dict], arity: int) -> list[dict]:
-    basis = StrongBasis(arity)
+    """Canonical basis of the ideal of `gens`, exponent-tuple term dicts.  The
+    engine sets its own feed: nonzero generators with positive leading
+    coefficients, repeats up to sign dropped, in ascending `_record_key`."""
+    gens = [g for g in gens if g]
+    packing = Packing(arity, max((sum(e) for g in gens for e in g), default=0))
+    feed: dict = {}
     for g in gens:
-        basis.add(g)
+        packed = packing.pack_terms(g)
+        if packed[max(packed)] < 0:
+            g = {e: -c for e, c in g.items()}
+        feed.setdefault(_record_key(_record(packed)), g)
+    basis = StrongBasis(arity)
+    for key in sorted(feed):
+        basis.add(feed[key])
     return basis.canonical()
 
 
@@ -386,12 +398,12 @@ def _lattice_add(rows: dict, v: list) -> bool:
 
 
 def _lattice_basis(gens: Sequence[UniPoly]) -> tuple[UniPoly, ...] | None:
-    """Canonical basis of the Z[x] ideal of `gens` if one of them is monic,
-    else None.
+    """Canonical basis of the Z[x] ideal of `gens` if one of them is monic
+    up to sign, else None.
 
-    With p the shortest monic generator, of degree D, the ideal is (p) + L,
-    L the Z-lattice of its elements of degree < D: the span of the
-    generators' remainders mod p, closed under multiplication by x mod p.
+    With p the shortest such generator made monic, of degree D, the ideal
+    is (p) + L, L the Z-lattice of its elements of degree < D: the span of
+    the generators' remainders mod p, closed under multiplication by x mod p.
     The pivot of L's echelon row in degree e generates the leading
     coefficients of the ideal's elements of degree e; it divides the pivot
     one degree below, and is 1 from degree D on (p).  The basis keeps the
@@ -400,10 +412,11 @@ def _lattice_basis(gens: Sequence[UniPoly]) -> tuple[UniPoly, ...] | None:
     the leading coefficient of the last kept element of degree <= e: the
     minimal reduced strong basis of `StrongBasis.canonical`, in its order.
     """
-    monic = [g for g in gens if g.lc == 1]
+    monic = [g for g in gens if abs(g.lc) == 1]
     if not monic:
         return None
-    p = min(monic, key=lambda g: g.degree).coeffs
+    q = min(monic, key=lambda g: g.degree)
+    p = [c * q.lc for c in q.coeffs]
     d = len(p) - 1
     if not d:
         return (UniPoly.const(1, RING_Z),)
@@ -465,35 +478,12 @@ def _lives_in(ring: Ring, p) -> bool:
     return isinstance(p, UniPoly)
 
 
-def _normalize(gens: tuple) -> tuple:
-    """Nonzero generators with positive leading coefficient, deduplicated and
-    in ascending order of their (monomial, coefficient) lists from the top:
-    the Groebner feed order, small ones first.  Monomials compare packed."""
-    gens = [g for g in set(gens) if not g.is_zero()]
-    if gens and isinstance(gens[0], MultiPoly):
-        packing = Packing(gens[0].arity, max(sum(e) for g in gens for e in g.terms))
-
-        def top_down(g):
-            return sorted(packing.pack_terms(g.terms).items(), reverse=True)
-    else:
-
-        def top_down(g):
-            return [(e, c) for e, c in reversed(tuple(enumerate(g.coeffs))) if c]
-
-    keys = {}
-    for g in gens:
-        terms = top_down(g)
-        if terms[0][1] < 0:
-            g, terms = -g, [(m, -c) for m, c in terms]
-        keys[g] = tuple(terms)
-    return tuple(sorted(keys, key=keys.__getitem__))
-
-
 class Ideal:
     """An ideal with a ring tag and a canonical basis for exact comparison.
 
-    `gens` holds the generators as given, minus zeros and duplicates, each
-    with a positive leading coefficient, in the ascending order of `_normalize`.
+    `gens` holds the generators as given (over Q[x] with Q coefficients),
+    minus zeros and exact repeats, in the order given; their signs and feed
+    order are the engine's business (`strong_groebner`, `_lattice_basis`).
     """
 
     __slots__ = ("ring", "gens", "_basis")
@@ -505,7 +495,7 @@ class Ideal:
         if ring.kind == "Qx":
             gens = tuple(g.to_q() for g in gens)
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "gens", _normalize(gens))
+        object.__setattr__(self, "gens", tuple(dict.fromkeys(g for g in gens if not g.is_zero())))
         object.__setattr__(self, "_basis", None)
 
     def __setattr__(self, name, value):  # pragma: no cover

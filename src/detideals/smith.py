@@ -10,7 +10,7 @@ oracle both are tested against.  minor_tables is the package's one Laplace
 expansion.  packed_char_matrix packs x*I - M (Z[x]) or diag(x_0..x_{n-1}) - M
 (Z[X]) into ints; char_minors expands it (the ideals' generators) and
 char_poly eliminates it by Bareiss, both decoding with unpack_minors.
-_int_matrix is the one square-and-integer check (ValueError, no truncation).
+_square and _int_matrix are the one square and integer checks (ValueError).
 """
 
 from __future__ import annotations
@@ -115,12 +115,18 @@ def _divisibility_fix_int(diag: list[int]) -> list[int]:
     return d
 
 
-def _int_matrix(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
-    """A copy of a square integer matrix; ValueError if it is not square, or
-    naming the first non-integer entry."""
+def _square(matrix: Sequence[Sequence]) -> int:
+    """The size n of an n x n matrix; ValueError if it is not square."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
+    return n
+
+
+def _int_matrix(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
+    """A copy of a square integer matrix; ValueError if it is not square, or
+    naming the first non-integer entry."""
+    _square(matrix)
     return [[x if type(x) is int else exact_int(x, f"entry ({i},{j})")
              for j, x in enumerate(row)] for i, row in enumerate(matrix)]
 
@@ -226,9 +232,9 @@ def minor_tables(matrix: Sequence[Sequence], max_k: int | None = None) -> dict:
     skipped.  Returns {k: {(row mask, column mask): det}}, bit i of a mask
     standing for row or column i.  This is the one expansion in the package:
     `char_minors` runs it on packed integers, `delta_bruteforce` and
-    `profiles.minors_k` on the matrix they are given.
+    `profiles.minors_k` on the matrix they are given, which must be square.
     """
-    n = len(matrix)
+    n = _square(matrix)
     if max_k is None:
         max_k = n
     if not 1 <= max_k <= n:
@@ -315,8 +321,8 @@ def unpack_minors(values, shift: int, ring: Ring) -> list:
 def char_minors(matrix: Sequence[Sequence[int]], ring: Ring) -> list[list]:
     """For k = 1..n, the distinct nonzero k-minors up to sign of x*I - M
     (ring Z[x]) or diag(x_0..x_{n-1}) - M (ring Z[X]): the generators of I_k.
-    Over Z[x] each has a positive leading coefficient; `Ideal` sets the sign
-    of the Z[X] ones."""
+    Over Z[x] each has a positive leading coefficient; the Groebner engine
+    (`grobner.strong_groebner`) sets the sign and order of the Z[X] ones."""
     shift, rows = packed_char_matrix(matrix, ring)
     out = []
     for level in minor_tables(rows).values():

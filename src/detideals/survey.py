@@ -76,9 +76,8 @@ def invariant_key(g: graphs.Graph, kind: str, mode: str) -> str:
     raise ValueError(f"unknown survey mode {mode!r}")
 
 
-def _worker(args: tuple[str, str, str]) -> str:
-    g6, kind, mode = args
-    return invariant_key(graphs.parse_graph6(g6), kind, mode)
+def _worker(args: tuple[graphs.Graph, str, str]) -> str:
+    return invariant_key(*args)
 
 
 def default_workers() -> int:
@@ -86,16 +85,17 @@ def default_workers() -> int:
 
 
 def _compute_keys(
-    g6s: Sequence[str],
+    corpus: Sequence[graphs.Graph],
     kind: str,
     mode: str,
     workers: int,
     checkpoint_path: str | None = None,
+    g6s: Sequence[str] = (),
     checkpoint_every: int = 1000,
 ) -> list[str]:
-    """Keys for every graph, in input order; optionally streamed to a JSONL
-    checkpoint file as they are computed."""
-    tasks = [(g6, kind, mode) for g6 in g6s]
+    """Keys for every graph (workers receive the `Graph`), in input order;
+    optionally streamed to a JSONL checkpoint naming each graph by `g6s`."""
+    tasks = [(g, kind, mode) for g in corpus]
     if workers <= 1 or len(tasks) < 4:
         stream = map(_worker, tasks)
         pool = None
@@ -106,7 +106,7 @@ def _compute_keys(
     try:
         if checkpoint_path:
             with open(checkpoint_path, "w", encoding="utf-8") as fh:
-                for g6, key in zip(g6s, stream):
+                for g6, key in zip(g6s, stream, strict=True):
                     keys.append(key)
                     fh.write(json.dumps({"graph": g6, "key_digest_input": key}) + "\n")
                     if len(keys) % checkpoint_every == 0:
@@ -165,8 +165,8 @@ def run_survey(
     if workers is None:
         workers = default_workers()
     g6s = [graphs.write_graph6(g) for g in corpus]
-    keys = _compute_keys(g6s, kind, mode, workers,
-                         checkpoint_path=checkpoint_path,
+    keys = _compute_keys(corpus, kind, mode, workers,
+                         checkpoint_path=checkpoint_path, g6s=g6s,
                          checkpoint_every=checkpoint_every)
 
     buckets = tuple(sorted(
@@ -183,7 +183,7 @@ def verify_determined_by(
     corpus = list(corpus)
     _validate_corpus(corpus)
     key = invariant_key(target, kind, mode)
-    keys = _compute_keys([graphs.write_graph6(g) for g in corpus], kind, mode,
+    keys = _compute_keys(corpus, kind, mode,
                          workers if workers is not None else default_workers())
     matches = keys.count(key)
     if matches == 0:

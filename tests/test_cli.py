@@ -175,6 +175,18 @@ def test_survey_rejects_repeated_graph(capsys, tmp_path):
     assert code == 2 and "repeated graph in corpus: C~" in err and out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("snf",),
+    ("ideals", "--output", "json"),
+    ("survey", "--matrix", "adjacency", "--mode", "cospectral"),
+], ids=["snf", "ideals", "survey"])
+def test_empty_input_is_input_error(capsys, tmp_path, argv):
+    empty = tmp_path / "empty.g6"
+    empty.write_text(">>graph6<<\n\n")  # a header and a blank line, no graph
+    code, out, err = run_cli(capsys, *argv, "--input", str(empty))
+    assert code == 2 and "no graph in input" in err and out == ""
+
+
 def test_survey_needs_input(capsys):
     code, _, err = run_cli(capsys, "survey", "--matrix", "adjacency",
                            "--mode", "cospectral")

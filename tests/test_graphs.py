@@ -127,6 +127,18 @@ def test_distance_triangle_inequality_and_adjacency(corpus5):
                     assert d[i][j] <= d[i][k] + d[k][j]
 
 
+def test_distance_matrix_equals_floyd_warshall(corpus7):
+    for g in [g for n in range(1, 7) for g in enumerate_connected(n)] + list(corpus7):
+        n = g.n
+        d = [[0 if i == j else 1 if g.has_edge(i, j) else n for j in range(n)]
+             for i in range(n)]
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+        assert distance_matrix(g) == d, write_graph6(g)
+
+
 def test_graph6_roundtrip_on_corpus(corpus6):
     for g in corpus6:
         assert parse_graph6(write_graph6(g)) == g

@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -225,6 +226,40 @@ def test_qx_canonical_basis_is_monic_gcd(gens):
     assert basis == (g.monic(),)
 
 
+def test_ideal_keeps_its_generators_as_given():
+    # zeros and exact repeats go; order and signs are left to the engine
+    gens = (X + zc(1), zc(0), zc(-2), -X - zc(1), zc(-2), X + zc(1))
+    assert zx(*gens).gens == (X + zc(1), zc(-2), -X - zc(1))
+    assert Ideal(NM, [M, MultiPoly.zero(2), -N, M]).gens == (M, -N)
+    assert zx(zc(0)).gens == ()
+
+
+def _feed(gens):
+    """The generators Ideal(NM, gens) passes to StrongBasis.add, as sorted
+    term lists, and its canonical basis."""
+    fed = []
+    add = StrongBasis.add
+
+    def recording(basis, terms):
+        fed.append(sorted(terms.items()))
+        return add(basis, terms)
+
+    with mock.patch.object(StrongBasis, "add", recording):
+        return fed, Ideal(NM, gens).canonical_basis()
+
+
+@given(small_multi_gens.flatmap(lambda gens: st.tuples(
+    st.just(gens), st.permutations(gens),
+    st.lists(st.booleans(), min_size=len(gens), max_size=len(gens)))))
+@settings(deadline=None, max_examples=60)
+def test_engine_feed_ignores_generator_order_and_sign(case):
+    # the engine sets sign and order itself, so the same feed reaches
+    # StrongBasis; a repeat up to sign is dropped
+    gens, shuffled, negate = case
+    moved = [-g if flip else g for g, flip in zip(shuffled, negate)]
+    assert _feed(moved + [-moved[0]]) == _feed(gens)
+
+
 def test_non_equal_ideals():
     assert not zx(X + zc(1)).equal(zx(zc(2), X + zc(1)))
 
@@ -344,10 +379,12 @@ def no_buchberger(monkeypatch):
      ["x^5 - 5*x^3 - 2*x^2 + 2*x"]),
     (((X - zc(3))**3 * (X + zc(9)), zc(3) * (X - zc(3))**3),
      ["3*x^3 - 27*x^2 + 81*x - 81", "x^4 - 54*x^2 + 216*x - 243"]),
+    ((-X - zc(3), zc(2) * X), ["6", "x + 3"]),
 ])
 def test_lattice_path_hand_cases(gens, want, no_buchberger):
     # the suites' worked examples, a unit minor, a monic remainder of lower
-    # degree than the shortest monic generator, a remainder of zero
+    # degree than the shortest monic generator, a remainder of zero, a
+    # generator that is monic only up to sign
     ideal = zx(*gens)
     assert ideal.basis_strings() == want
     assert ideal.canonical_basis() == _buchberger(ideal)

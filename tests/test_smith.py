@@ -19,6 +19,7 @@ from detideals.graphs import (
 )
 from detideals.grobner import QX, ZX_UNI, zmulti
 from detideals.polyring import RING_Q, RING_Z, MultiPoly, UniPoly
+from detideals.profiles import minors_k
 from detideals.smith import (
     GroupDescription,
     char_minors,
@@ -209,13 +210,22 @@ def test_deltas_q_rejects_non_square_and_non_symmetric(m, reason):
         deltas_q(m)
 
 
+WIDE, TALL = [[2, 0, 1], [0, 2, 0]], [[2, 0], [0, 2], [1, 0]]
+
+
 @pytest.mark.parametrize("call, m", [
     (char_poly, [[1, 2, 3], [4, 5, 6]]),
     (char_poly, [[1], [2]]),
     (snf_integer, [[1, 2, 3], [4, 5, 6]]),
-], ids=["char_poly-wide", "char_poly-tall", "snf_integer"])
+    *((call, m) for call in (minor_tables, lambda m: delta_bruteforce(m, 2),
+                             lambda m: minors_k(m, 2)) for m in (WIDE, TALL)),
+], ids=["char_poly-wide", "char_poly-tall", "snf_integer",
+        *(f"{name}-{shape}" for name in ("minor_tables", "delta_bruteforce", "minors_k")
+          for shape in ("wide", "tall"))])
 def test_non_square_input_is_rejected(call, m):
-    # one square check: a missing or extra column is an error, never ignored
+    # one square check: a missing or extra column is an error, never ignored;
+    # the 2-minors of WIDE are 4, 0 and -2, so reading its first two columns
+    # only would give Delta_2 = 4 instead of 2
     with pytest.raises(ValueError, match="matrix must be square"):
         call(m)
 

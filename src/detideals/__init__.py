@@ -20,6 +20,7 @@ from .graphs import (
     DisconnectedGraphError,
     Graph,
     Graph6Error,
+    InputError,
     build_matrix,
     char_matrix,
     complete_bipartite_graph,

@@ -1,6 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 guard refusal.
+Exit 2 covers `graphs.InputError` (bad graph6, corpus, kind or size) and
+unreadable or unwritable files; any other exception is a fault and surfaces.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ import json
 import sys
 
 from . import graphs
-from .grobner import RingMismatchError
 from .polyring import poly_str
 from .profiles import (
     SizeGuardError,
@@ -92,12 +93,15 @@ def _read_graphs(args) -> list[graphs.Graph]:
     if getattr(args, "graph6", None):
         return [graphs.parse_graph6(args.graph6)]
     if not getattr(args, "input", None):
-        raise graphs.Graph6Error("no graph input given (inline graph6 or --input)")
-    if args.input == "-":
-        corpus = list(graphs.read_graph6_lines(sys.stdin))
-    else:
-        with open(args.input, "r", encoding="ascii") as fh:
-            corpus = list(graphs.read_graph6_lines(fh))
+        raise graphs.InputError("no graph input given (inline graph6 or --input)")
+    try:
+        if args.input == "-":
+            corpus = list(graphs.read_graph6_lines(sys.stdin))
+        else:
+            with open(args.input, "r", encoding="ascii") as fh:
+                corpus = list(graphs.read_graph6_lines(fh))
+    except UnicodeDecodeError as exc:
+        raise graphs.Graph6Error(f"graph6 input {args.input} is not ASCII") from exc
     if not corpus:
         raise graphs.Graph6Error(f"no graph in input {args.input}")
     return corpus
@@ -160,7 +164,7 @@ def _cmd_survey(args) -> int:
     elif args.input:
         corpus = _read_graphs(args)
     else:
-        raise graphs.Graph6Error("survey needs --n or --input")
+        raise graphs.InputError("survey needs --n or --input")
     if len(corpus) >= LARGE_CORPUS_THRESHOLD and not args.allow_large:
         raise SizeGuardError(
             f"corpus of {len(corpus)} graphs requires --allow-large")
@@ -225,8 +229,7 @@ def main(argv=None) -> int:
     except SizeGuardError as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (graphs.Graph6Error, graphs.DisconnectedGraphError, RingMismatchError,
-            ValueError, OSError) as exc:
+    except (graphs.InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

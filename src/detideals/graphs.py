@@ -16,11 +16,17 @@ from .polyring import RING_Z, MultiPoly, UniPoly
 MATRIX_KINDS = ("adjacency", "laplacian", "distance", "distlap")
 
 
-class Graph6Error(ValueError):
+class InputError(ValueError):
+    """Bad input: a malformed graph or graph6 string, an invalid corpus, an
+    unknown matrix kind, ring or mode, or a size outside a supported range.
+    The command line exits 2 on it; any other exception is a fault and surfaces."""
+
+
+class Graph6Error(InputError):
     pass
 
 
-class DisconnectedGraphError(ValueError):
+class DisconnectedGraphError(InputError):
     pass
 
 
@@ -31,19 +37,19 @@ class Graph:
 
     def __init__(self, n: int, rows: Sequence[int]):
         if not 1 <= n <= 62:
-            raise ValueError("vertex count must be between 1 and 62")
+            raise InputError("vertex count must be between 1 and 62")
         rows = tuple(int(r) for r in rows)
         if len(rows) != n:
-            raise ValueError("adjacency row count does not match n")
+            raise InputError("adjacency row count does not match n")
         for i, r in enumerate(rows):
             if r >> n:
-                raise ValueError("adjacency bit outside the vertex range")
+                raise InputError("adjacency bit outside the vertex range")
             if (r >> i) & 1:
-                raise ValueError("loops are not allowed")
+                raise InputError("loops are not allowed")
         for i in range(n):
             for j in range(i + 1, n):
                 if ((rows[i] >> j) & 1) != ((rows[j] >> i) & 1):
-                    raise ValueError("adjacency must be symmetric")
+                    raise InputError("adjacency must be symmetric")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
 
@@ -58,7 +64,7 @@ class Graph:
         rows = [0] * n
         for u, v in edges:
             if u == v:
-                raise ValueError("loops are not allowed")
+                raise InputError("loops are not allowed")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return cls(n, rows)
@@ -217,7 +223,7 @@ def build_matrix(g: Graph, kind: str) -> list[list[int]]:
         d = distance_matrix(g)
         t = [sum(row) for row in d]
         return [[t[i] if i == j else -d[i][j] for j in range(n)] for i in range(n)]
-    raise ValueError(f"unknown matrix kind {kind!r}")
+    raise InputError(f"unknown matrix kind {kind!r}")
 
 
 def char_matrix(g: Graph, kind: str) -> list[list[UniPoly]]:
@@ -240,9 +246,9 @@ def char_matrix(g: Graph, kind: str) -> list[list[UniPoly]]:
 
 def multivariate_matrix(g: Graph, kind: str) -> list[list[int]]:
     """The M of diag(x0..x_{n-1}) - M: the adjacency matrix (critical ideals)
-    or the distance matrix (distance ideals); ValueError for any other kind."""
+    or the distance matrix (distance ideals); InputError for any other kind."""
     if kind not in ("adjacency", "distance"):
-        raise ValueError("generalized characteristic matrices use the adjacency or distance matrix")
+        raise InputError("generalized characteristic matrices use the adjacency or distance matrix")
     return build_matrix(g, kind)
 
 
@@ -281,7 +287,7 @@ def star_graph(n: int) -> Graph:
 
 def complete_bipartite_graph(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
-        raise ValueError("part sizes must be positive")
+        raise InputError("part sizes must be positive")
     return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
@@ -409,5 +415,5 @@ def enumerate_connected(n: int) -> tuple[Graph, ...]:
     isomorphism class, in a deterministic order (built-in generator, n <= 8).
     """
     if not 1 <= n <= MAX_GENERATED_N:
-        raise ValueError(f"built-in generation supports 1 <= n <= {MAX_GENERATED_N}")
+        raise InputError(f"built-in generation supports 1 <= n <= {MAX_GENERATED_N}")
     return _connected_cache(n)

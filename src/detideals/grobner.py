@@ -348,8 +348,12 @@ class StrongBasis:
 def strong_groebner(gens: Iterable[dict], arity: int) -> list[dict]:
     """Canonical basis of the ideal of `gens`, exponent-tuple term dicts.  The
     engine sets its own feed: nonzero generators with positive leading
-    coefficients, repeats up to sign dropped, in ascending `_record_key`."""
+    coefficients, repeats up to sign dropped, in ascending `_record_key`.
+    A generator +-1 gives the unit basis at once, before any packing."""
     gens = [g for g in gens if g]
+    one = (0,) * arity
+    if any(g == {one: 1} or g == {one: -1} for g in gens):
+        return [{one: 1}]
     packing = Packing(arity, max((sum(e) for g in gens for e in g), default=0))
     feed: dict = {}
     for g in gens:

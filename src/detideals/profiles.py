@@ -87,7 +87,7 @@ def determinantal_ideals(g: graphs.Graph, kind: str, ring: str = "Zx") -> IdealP
         ideals = tuple(Ideal(QX, [d]) for d in deltas_q(graphs.build_matrix(g, kind)))
         return IdealProfile(g6, kind, QX, ideals)
     if ring != "Zx":
-        raise ValueError("characteristic ideals live in Zx or Qx")
+        raise graphs.InputError("characteristic ideals live in Zx or Qx")
     minors = char_minors(graphs.build_matrix(g, kind), ZX_UNI)
     return IdealProfile(g6, kind, ZX_UNI, tuple(Ideal(ZX_UNI, ms) for ms in minors))
 
@@ -95,7 +95,7 @@ def determinantal_ideals(g: graphs.Graph, kind: str, ring: str = "Zx") -> IdealP
 def multivariate_ideals(g: graphs.Graph, kind: str, force: bool = False) -> IdealProfile:
     """Critical ideals (kind "adjacency") or distance ideals (kind "distance")
     over Z[x0..x_{n-1}]; guarded to n <= 6 unless forced.  Any other kind is
-    refused (ValueError) before the guard, since no size makes it valid."""
+    refused (InputError) before the guard, since no size makes it valid."""
     matrix = graphs.multivariate_matrix(g, kind)
     if g.n > MULTIVARIATE_GUARD and not force:
         raise SizeGuardError(

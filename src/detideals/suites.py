@@ -419,6 +419,8 @@ TABLE1 = {  # n -> kind -> (codet-Q count, codet-Z count)
     5: {"adjacency": (0, 0), "laplacian": (0, 0), "distance": (0, 0), "distlap": (0, 0)},
     6: {"adjacency": (2, 0), "laplacian": (4, 2), "distance": (0, 0), "distlap": (0, 0)},
     7: {"adjacency": (63, 6), "laplacian": (115, 14), "distance": (22, 0), "distlap": (43, 8)},
+    8: {"adjacency": (1353, 464), "laplacian": (1611, 280), "distance": (658, 186),
+        "distlap": (745, 130)},
 }
 
 TABLE2 = {  # n -> cospectral counts for (adjacency, laplacian, distance, distlap)

@@ -3,15 +3,37 @@
 Keys are canonical text renderings (never hashes), bucketing is exact key
 equality, and the worker-pool map keeps input order so reports are
 byte-identical regardless of worker count.
+
+The codet modes key in two stages.  Stage 1 gives every graph a cheap
+`prefilter_key`; stage 2 computes the real key only for the graphs whose
+prefilter class has two or more members.  Equal real keys imply equal
+prefilter keys, so a graph alone in its prefilter class has no codet mate,
+and the buckets, `with_mate` and `total` are those of the real keys:
+
+* codet-Q: the prefilter key is the characteristic polynomial.  The codet-Q
+  key holds Delta_n of x*I - M, which is det(x*I - M).
+* codet-Z: the characteristic polynomial again (I_n is generated by it), and
+  SNF(c*I - M) for c in `PREFILTER_SHIFTS`.  Evaluation at x = c is a ring
+  map that sends I_k onto (Delta_k(c*I - M)), so equal Z[x] ideals give
+  equal integer SNFs at every c.
+
+Both stages share one pool, closed and reaped before `run_survey` returns.
+A checkpoint has one line per graph in input order: the real key of a graph
+that got one, the prefilter key (behind `PREFILTER_PREFIX`, which no real key
+has) of a pruned graph.  Each pruned line is written as soon as the survivor
+before it is done, so the file streams during stage 2.  `invariant_key`,
+`verify_determined_by` and `cross_check` compute the real key of every
+graph; they are the oracle of the two stages.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import graphs
 from .grobner import QX, Ideal
@@ -22,6 +44,9 @@ from .smith import char_poly, snf_integer
 MODES = ("cospectral", "coinvariant", "codet-Q", "codet-Z")
 
 LARGE_CORPUS_THRESHOLD = 20000  # anything n >= 9 sized needs the explicit flag
+
+PREFILTER_PREFIX = "prefilter:"
+PREFILTER_SHIFTS = (0, 1, -1)  # the c of SNF(c*I - M) in a codet-Z prefilter key
 
 
 @dataclass(frozen=True)
@@ -61,79 +86,116 @@ def _profile_text(profile: IdealProfile) -> str:
     )
 
 
+def _charpoly_text(m: list[list[int]]) -> str:
+    return "charpoly:" + ",".join(str(c) for c in char_poly(m).coeffs)
+
+
+def _snf_text(m: list[list[int]]) -> str:
+    return ",".join(str(f) for f in snf_integer(m).diagonal())
+
+
 def invariant_key(g: graphs.Graph, kind: str, mode: str) -> str:
     """The canonical key text of one graph matrix in one survey mode."""
     if mode == "cospectral":
-        p = char_poly(graphs.build_matrix(g, kind))
-        return "charpoly:" + ",".join(str(c) for c in p.coeffs)
+        return _charpoly_text(graphs.build_matrix(g, kind))
     if mode == "coinvariant":
-        snf = snf_integer(graphs.build_matrix(g, kind))
-        return "snf:" + ",".join(str(f) for f in snf.diagonal())
+        return "snf:" + _snf_text(graphs.build_matrix(g, kind))
     if mode == "codet-Q":
         return _profile_text(determinantal_ideals(g, kind, "Qx"))
     if mode == "codet-Z":
         return _profile_text(determinantal_ideals(g, kind, "Zx"))
-    raise ValueError(f"unknown survey mode {mode!r}")
+    raise graphs.InputError(f"unknown survey mode {mode!r}")
 
 
-def _worker(args: tuple[graphs.Graph, str, str]) -> str:
-    return invariant_key(*args)
+def prefilter_key(g: graphs.Graph, kind: str, mode: str) -> str:
+    """The stage-1 key of a codet survey: the characteristic polynomial, and
+    in codet-Z mode also SNF(c*I - M) for each c in `PREFILTER_SHIFTS`."""
+    m = graphs.build_matrix(g, kind)
+    key = PREFILTER_PREFIX + _charpoly_text(m)
+    if mode == "codet-Z":
+        for c in PREFILTER_SHIFTS:
+            shifted = [[(c if i == j else 0) - v for j, v in enumerate(row)]
+                       for i, row in enumerate(m)]
+            key += f";snf@{c}:" + _snf_text(shifted)
+    return key
+
+
+KeyFn = Callable[[graphs.Graph, str, str], str]
+KeyMap = Callable[[KeyFn, Sequence[graphs.Graph]], Iterator[str]]
+
+
+def _worker(task: tuple[KeyFn, graphs.Graph, str, str]) -> str:
+    fn, *args = task
+    return fn(*args)
 
 
 def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _compute_keys(
-    corpus: Sequence[graphs.Graph],
-    kind: str,
-    mode: str,
-    workers: int,
-    checkpoint_path: str | None = None,
-    g6s: Sequence[str] = (),
-    checkpoint_every: int = 1000,
-) -> list[str]:
-    """Keys for every graph (workers receive the `Graph`), in input order;
-    optionally streamed to a JSONL checkpoint naming each graph by `g6s`."""
-    tasks = [(g, kind, mode) for g in corpus]
-    if workers <= 1 or len(tasks) < 4:
-        stream = map(_worker, tasks)
-        pool = None
-    else:
-        pool = multiprocessing.Pool(workers)
-        stream = pool.imap(_worker, tasks, chunksize=max(1, len(tasks) // (workers * 8)))
-    keys: list[str] = []
+@contextlib.contextmanager
+def _key_map(kind: str, mode: str, workers: int, count: int):
+    """Yield keys(fn, graphs), an iterator over fn(g, kind, mode) in input
+    order.  With two or more workers and a corpus of `count` >= 4 graphs,
+    every call runs on one pool (workers receive the `Graph`), closed and
+    reaped when the context exits."""
+    if workers <= 1 or count < 4:
+        yield lambda fn, corpus: (fn(g, kind, mode) for g in corpus)
+        return
+    pool = multiprocessing.Pool(workers)
+
+    def keys(fn: KeyFn, corpus: Sequence[graphs.Graph]) -> Iterator[str]:
+        tasks = [(fn, g, kind, mode) for g in corpus]
+        return pool.imap(_worker, tasks, chunksize=max(1, len(tasks) // (workers * 8)))
+
     try:
-        if checkpoint_path:
-            with open(checkpoint_path, "w", encoding="utf-8") as fh:
-                for g6, key in zip(g6s, stream, strict=True):
-                    keys.append(key)
-                    fh.write(json.dumps({"graph": g6, "key_digest_input": key}) + "\n")
-                    if len(keys) % checkpoint_every == 0:
-                        fh.flush()
-        else:
-            keys.extend(stream)
+        yield keys
     finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+        pool.close()
+        pool.join()
+
+
+def _prefiltered_keys(corpus: Sequence[graphs.Graph], keys: KeyMap) -> Iterator[str]:
+    """In input order, the real key of every graph whose prefilter class has
+    two or more members, and the prefilter key of every other graph; each
+    prefilter key is yielded as soon as the real key before it."""
+    pre = list(keys(prefilter_key, corpus))
+    survivors = {i for ids in _classes(pre).values() if len(ids) >= 2 for i in ids}
+    real = keys(invariant_key, [g for i, g in enumerate(corpus) if i in survivors])
+    for i, key in enumerate(pre):
+        yield next(real) if i in survivors else key
+
+
+def _collect(stream: Iterable[str], g6s: Sequence[str], checkpoint_path: str | None,
+             checkpoint_every: int) -> list[str]:
+    """The keys of `stream`; optionally streamed to a JSONL checkpoint naming
+    each graph by `g6s`, flushed every `checkpoint_every` lines."""
+    if not checkpoint_path:
+        return list(stream)
+    keys: list[str] = []
+    with open(checkpoint_path, "w", encoding="utf-8") as fh:
+        for g6, key in zip(g6s, stream, strict=True):
+            keys.append(key)
+            fh.write(json.dumps({"graph": g6, "key_digest_input": key}) + "\n")
+            if len(keys) % checkpoint_every == 0:
+                fh.flush()
     return keys
 
 
 def _validate_corpus(corpus: Sequence[graphs.Graph]) -> int:
     if not corpus:
-        raise ValueError("empty corpus")
+        raise graphs.InputError("empty corpus")
     n = corpus[0].n
     seen: set[graphs.Graph] = set()
     for g in corpus:
         if g.n != n:
-            raise ValueError("corpus mixes vertex counts")
+            raise graphs.InputError("corpus mixes vertex counts")
         if not graphs.is_connected(g):
             raise graphs.DisconnectedGraphError(
                 f"disconnected graph in corpus: {graphs.write_graph6(g)}"
             )
         if g in seen:
-            raise ValueError(f"repeated graph in corpus: {graphs.write_graph6(g)}")
+            raise graphs.InputError(f"repeated graph in corpus: {graphs.write_graph6(g)}")
         seen.add(g)
     return n
 
@@ -159,20 +221,27 @@ def run_survey(
     checkpoint_every: int = 1000,
 ) -> SurveyReport:
     if checkpoint_every < 1:
-        raise ValueError("checkpoint_every must be a positive integer")
+        raise graphs.InputError("checkpoint_every must be a positive integer")
     corpus = list(corpus)
     n = _validate_corpus(corpus)
     if workers is None:
         workers = default_workers()
     g6s = [graphs.write_graph6(g) for g in corpus]
-    keys = _compute_keys(corpus, kind, mode, workers,
-                         checkpoint_path=checkpoint_path, g6s=g6s,
-                         checkpoint_every=checkpoint_every)
+    with _key_map(kind, mode, workers, len(corpus)) as keys:
+        if mode in ("codet-Q", "codet-Z"):
+            stream = _prefiltered_keys(corpus, keys)
+        else:
+            stream = keys(invariant_key, corpus)
+        # a pruned graph's prefilter key is alone in its class, so it joins no bucket
+        found = _collect(stream, g6s, checkpoint_path, checkpoint_every)
+    return _report(n, kind, mode, g6s, found)
 
+
+def _report(n: int, kind: str, mode: str, g6s: Sequence[str], keys: Sequence[str]) -> SurveyReport:
     buckets = tuple(sorted(
         (key, tuple(g6s[i] for i in ids)) for key, ids in _classes(keys).items() if len(ids) >= 2
     ))
-    return SurveyReport(n, kind, mode, len(corpus), _with_mate(keys), buckets)
+    return SurveyReport(n, kind, mode, len(keys), _with_mate(keys), buckets)
 
 
 def verify_determined_by(
@@ -183,11 +252,12 @@ def verify_determined_by(
     corpus = list(corpus)
     _validate_corpus(corpus)
     key = invariant_key(target, kind, mode)
-    keys = _compute_keys(corpus, kind, mode,
-                         workers if workers is not None else default_workers())
-    matches = keys.count(key)
+    if workers is None:
+        workers = default_workers()
+    with _key_map(kind, mode, workers, len(corpus)) as keys:
+        matches = list(keys(invariant_key, corpus)).count(key)
     if matches == 0:
-        raise ValueError("target graph is not in the corpus class")
+        raise graphs.InputError("target graph is not in the corpus class")
     return matches == 1
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from detideals import cli
 from detideals.cli import main
 
 
@@ -185,6 +186,23 @@ def test_empty_input_is_input_error(capsys, tmp_path, argv):
     empty.write_text(">>graph6<<\n\n")  # a header and a blank line, no graph
     code, out, err = run_cli(capsys, *argv, "--input", str(empty))
     assert code == 2 and "no graph in input" in err and out == ""
+
+
+def test_non_ascii_input_is_input_error(capsys, tmp_path):
+    corpus = tmp_path / "bad.g6"
+    corpus.write_bytes(b"C~\n\xff\xfe\n")
+    code, out, err = run_cli(capsys, "snf", "--input", str(corpus))
+    assert code == 2 and "not ASCII" in err and out == ""
+
+
+def test_library_value_error_is_not_an_input_error(monkeypatch):
+    # exit 2 means bad input; a ValueError from inside the library is a fault
+    def broken(matrix):
+        raise ValueError("a fault inside the library")
+
+    monkeypatch.setattr(cli, "snf_integer", broken)
+    with pytest.raises(ValueError, match="a fault inside the library"):
+        main(["snf", "C~"])
 
 
 def test_survey_needs_input(capsys):

@@ -534,3 +534,22 @@ def test_strong_basis_widens_at_a_pair_lcm():
     basis.add({(0, 9): 2, (1, 0): 1})
     assert basis.packing.limit > 16
     assert basis.canonical() == _preset(2, [{(7, 0): 1, (0, 1): 1}, {(0, 9): 2, (1, 0): 1}], 16)
+
+
+@pytest.mark.parametrize("arity, gens", [
+    (1, [{(2,): 3, (0,): 1}, {(0,): -1}]),
+    (2, [{(1, 1): 2, (0, 1): -1}, {(0, 0): 1}, {(40, 0): 7}]),
+    (3, [{(0, 0, 0): -1}]),
+])
+def test_unit_generator_gives_the_unit_basis_before_packing(monkeypatch, arity, gens):
+    oracle = StrongBasis(arity)
+    for g in gens:
+        oracle.add(g)
+    want = oracle.canonical()
+    assert want == [{(0,) * arity: 1}]
+
+    def refuse(*args):
+        raise AssertionError("a unit generator must not be packed")
+
+    monkeypatch.setattr(grobner, "Packing", refuse)
+    assert strong_groebner(gens, arity) == want

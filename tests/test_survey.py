@@ -2,22 +2,28 @@ import json
 
 import pytest
 
+from detideals import survey
 from detideals.graphs import (
     DisconnectedGraphError,
     Graph,
     canonical_graph,
     complete_graph,
     cycle_graph,
+    enumerate_connected,
+    parse_graph6,
     star_graph,
     write_graph6,
 )
-from detideals.suites import fig2_graphs
+from detideals.suites import TABLE1, fig2_graphs
 from detideals.survey import (
     CSV_HEADER,
+    PREFILTER_PREFIX,
     _profile_text,
     _qx_profile_of,
+    _report,
     cross_check,
     invariant_key,
+    prefilter_key,
     run_survey,
     verify_determined_by,
 )
@@ -162,6 +168,137 @@ def test_survey_checkpoint(tmp_path, corpus5):
     with pytest.raises(ValueError):
         run_survey(corpus5, "adjacency", "coinvariant", workers=1,
                    checkpoint_path=str(path), checkpoint_every=0)
+
+
+# ---------------------------------------------------------------------------
+# the codet prefilter
+
+
+CODET = ("codet-Q", "codet-Z")
+
+
+def _real_report(corpus, kind, mode):
+    """The report of the real key of every graph, without the prefilter."""
+    g6s = [write_graph6(g) for g in corpus]
+    return _report(corpus[0].n, kind, mode, g6s, [invariant_key(g, kind, mode) for g in corpus])
+
+
+def _survivors(corpus, kind, mode):
+    """The graphs whose prefilter class has two or more members."""
+    keys = [prefilter_key(g, kind, mode) for g in corpus]
+    return {g for g, key in zip(corpus, keys) if keys.count(key) >= 2}
+
+
+@pytest.fixture(scope="module")
+def mates7(corpus7):
+    """Per kind, the n = 7 graphs with a cospectral (so codet-Q) mate."""
+    return {kind: [parse_graph6(g6) for _, b in run_survey(corpus7, kind, "cospectral",
+                                                           workers=1).buckets for g6 in b]
+            for kind in KINDS}
+
+
+def test_prefilter_key_text():
+    g1, _ = fig2_graphs()
+    charpoly = invariant_key(g1, "adjacency", "cospectral")
+    assert prefilter_key(g1, "adjacency", "codet-Q") == PREFILTER_PREFIX + charpoly
+    z = prefilter_key(g1, "adjacency", "codet-Z")
+    snf0 = invariant_key(g1, "adjacency", "coinvariant").removeprefix("snf:")
+    assert z.startswith(f"{PREFILTER_PREFIX}{charpoly};snf@0:{snf0};snf@1:")
+    assert ";snf@-1:" in z
+    assert not any(invariant_key(g1, "adjacency", mode).startswith(PREFILTER_PREFIX)
+                   for mode in ("cospectral", "coinvariant", *CODET))
+
+
+def test_prefiltered_reports_equal_real_key_reports(mates7):
+    for n in range(1, 7):
+        corpus = enumerate_connected(n)
+        for kind in KINDS:
+            for mode in CODET:
+                assert run_survey(corpus, kind, mode, workers=1) == _real_report(
+                    corpus, kind, mode), (n, kind, mode)
+    for kind in KINDS:
+        got = run_survey(mates7[kind], kind, "codet-Z", workers=1)
+        assert got == _real_report(mates7[kind], kind, "codet-Z"), kind
+        assert got.with_mate == TABLE1[7][kind][1]
+
+
+def _checkpoint_records(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("mode", CODET)
+def test_checkpoint_holds_real_keys_and_prefixed_prefilter_keys(tmp_path, corpus6, mates7, mode):
+    path = tmp_path / "keys.jsonl"
+    corpora = [(corpus6, kind) for kind in KINDS]
+    if mode == "codet-Z":  # every codet-Q mate survives the codet-Q prefilter
+        corpora.append((mates7["laplacian"], "laplacian"))
+    forms = set()  # whether a line holds a real key
+    for corpus, kind in corpora:
+        run_survey(corpus, kind, mode, workers=1, checkpoint_path=str(path))
+        records = _checkpoint_records(path)
+        assert [r["graph"] for r in records] == [write_graph6(g) for g in corpus]
+        survivors = _survivors(corpus, kind, mode)
+        for g, r in zip(corpus, records):
+            key = r["key_digest_input"]
+            forms.add(g in survivors)
+            if g in survivors:
+                assert key == invariant_key(g, kind, mode)
+            else:
+                assert key == prefilter_key(g, kind, mode)
+                assert key.startswith(PREFILTER_PREFIX)
+    assert forms == {True, False}
+
+
+@pytest.mark.parametrize("kind, mode", [("laplacian", "codet-Q"), ("laplacian", "codet-Z"),
+                                        ("distlap", "codet-Z")])
+def test_prefiltered_survey_serial_and_pooled_same_bytes(tmp_path, corpus6, kind, mode):
+    out = {}
+    for workers in (1, 2):
+        path = tmp_path / f"keys{workers}.jsonl"
+        report = run_survey(corpus6, kind, mode, workers=workers, checkpoint_path=str(path),
+                            checkpoint_every=7)
+        out[workers] = json.dumps(report.to_json()), path.read_bytes()
+    assert out[1] == out[2]
+
+
+@pytest.mark.parametrize("mode", CODET)
+def test_pruned_graphs_get_no_real_key(monkeypatch, corpus6, mates7, mode):
+    real = survey.determinantal_ideals
+    keyed = []
+
+    def counting(g, kind, ring):
+        keyed.append(g)
+        return real(g, kind, ring)
+
+    monkeypatch.setattr(survey, "determinantal_ideals", counting)
+    corpora = [(corpus6, "laplacian")]
+    if mode == "codet-Z":
+        corpora.append((mates7["distlap"], "distlap"))
+    for corpus, kind in corpora:
+        keyed.clear()
+        run_survey(corpus, kind, mode, workers=1)
+        survivors = _survivors(corpus, kind, mode)
+        assert len(keyed) == len(survivors) and set(keyed) == survivors
+        assert len(survivors) < len(corpus)
+
+
+def test_pruned_lines_stream_before_the_next_real_key(monkeypatch, tmp_path, mates7):
+    # each real key starts only once every line before its graph is written
+    corpus, kind = mates7["laplacian"], "laplacian"
+    path = tmp_path / "keys.jsonl"
+    g6s = [write_graph6(g) for g in corpus]
+    real = survey.invariant_key
+    seen = []
+
+    def spying(g, kind, mode):
+        seen.append([r["graph"] for r in _checkpoint_records(path)] == g6s[:g6s.index(
+            write_graph6(g))])
+        return real(g, kind, mode)
+
+    monkeypatch.setattr(survey, "invariant_key", spying)
+    run_survey(corpus, kind, "codet-Z", workers=1, checkpoint_path=str(path),
+               checkpoint_every=1)
+    assert seen and all(seen)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ the outputs byte-identical.
 Run it on two checkouts and diff the two files.  It covers:
 
 * `survey --output json` reports and `--checkpoint` files for every matrix
-  kind and mode at n <= 6, plus cospectral, coinvariant and codet-Q at n = 7
-  (a cospectral checkpoint holds each graph's `char_poly` coefficients) and
-  codet-Z at n = 7 over the members of each kind's codet-Q mate buckets;
+  kind and mode at n <= 7 (a cospectral checkpoint holds each graph's
+  `char_poly` coefficients; a codet checkpoint holds the prefixed prefilter
+  key of each pruned graph), plus codet-Z at n = 7 over the members of each
+  kind's codet-Q mate buckets;
 * `snf --ring Qx --output json` and `snf --ring Z --output json` over every
   connected graph with n <= 7;
 * `ideals --ring Zx` and `ideals --ring Qx`, JSON and text, over every
@@ -56,8 +57,7 @@ def _read(path: str) -> bytes:
 def print_digests(tmp: str) -> None:
     out, keys = os.path.join(tmp, "report.json"), os.path.join(tmp, "keys.jsonl")
     runs = [(n, kind, mode) for n in range(1, 7) for kind in MATRIX_KINDS for mode in MODES]
-    runs += [(7, kind, mode) for kind in MATRIX_KINDS
-             for mode in ("cospectral", "coinvariant", "codet-Q")]
+    runs += [(7, kind, mode) for kind in MATRIX_KINDS for mode in MODES]
     for n, kind, mode in runs:
         _cli("survey", "--n", str(n), "--matrix", kind, "--mode", mode,
              "--output", "json", "--out", out, "--checkpoint", keys)

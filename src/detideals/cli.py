@@ -69,8 +69,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", choices=("text", "json"), default="text")
 
     p = sub.add_parser("survey", help="classify a corpus by an invariant key")
-    p.add_argument("--n", type=int, help="use the built-in connected-graph corpus")
-    p.add_argument("--input", help="graph6 corpus file, or - for stdin")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--n", type=int, help="use the built-in connected-graph corpus")
+    source.add_argument("--input", help="graph6 corpus file, or - for stdin")
     p.add_argument("--matrix", choices=graphs.MATRIX_KINDS, required=True)
     p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--output", choices=("csv", "json", "text"), default="csv")

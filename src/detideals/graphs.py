@@ -4,6 +4,13 @@ Vertices are 0-based.  Adjacency is stored as one int bitmask per vertex,
 which keeps the canonical-form search and the enumeration fast.  The ideals
 are built from integer matrices; `char_matrix` (x*I - M) and
 `generalized_char_matrix` (diag(x0..x_{n-1}) - M) are oracle inputs only.
+
+Enumeration deduplicates the one-vertex extensions of each connected graph by
+`_certificate`, an individualisation-refinement certificate, and runs the
+lex-min search `canonical_columns` once per isomorphism class.
+`canonical_columns` stays: it defines each class's representative and the
+order of the output (and of `canonical_graph`), and it is the test oracle of
+the certificate.
 """
 
 from __future__ import annotations
@@ -379,6 +386,88 @@ def canonical_columns(g: Graph) -> tuple[int, ...]:
     return tuple(best)
 
 
+def _refine(rows: Sequence[int], cells: list[int]) -> list[int]:
+    """Split the ordered cells (vertex bitmasks) until the partition is
+    equitable.  A vertex's signature is its neighbour count in each cell, in
+    cell order; each cell splits into its signature classes in sorted order."""
+    while True:
+        out = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                out.append(cell)
+                continue
+            parts: dict[tuple[int, ...], int] = {}
+            rest = cell
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                r = rows[low.bit_length() - 1]
+                sig = tuple([(r & c).bit_count() for c in cells])
+                parts[sig] = parts.get(sig, 0) | low
+            out.extend(parts[sig] for sig in sorted(parts))
+        if len(out) == len(cells):
+            return out
+        cells = out
+
+
+def _certificate(n: int, rows: Sequence[int]) -> tuple[int, ...]:
+    """A complete isomorphism invariant of the graph with adjacency `rows`:
+    the least leaf code of an individualisation-refinement search (McKay &
+    Piperno, "Practical graph isomorphism II", J. Symbolic Comput. 2014).
+
+    The search starts from the degree cells, refined until equitable; a node
+    whose cells are not all singletons takes its first smallest non-singleton
+    cell and, for one vertex per `_twin_classes` class in it, individualises
+    that vertex (puts it in a cell of its own just before the rest of the
+    cell) and refines again.  At a leaf the cells order the vertices, and the
+    code is the tuple of rows relabelled into that order.
+
+    Proof that it is complete.  Refinement and the choice of cell use only
+    adjacency and the order of the cells, so relabelling the graph by phi
+    maps the search tree onto the tree of the relabelled graph, node for
+    node, with equal leaf codes; the full tree's set of leaf codes is thus an
+    invariant.  Twin pruning keeps that set: two unindividualised vertices u,
+    v of one twin class lie in the same cell (twins have equal signatures, so
+    refinement never splits them), and swapping them is an automorphism that
+    fixes every individualised vertex, so it maps the subtree that
+    individualises u onto the one that individualises v with equal leaf
+    codes.  So isomorphic graphs get equal certificates.
+    Conversely, a leaf code is the graph itself under a relabelling, so equal
+    certificates mean isomorphic graphs.
+    """
+    twin = _twin_classes(n, rows)
+
+    def search(cells: list[int]) -> tuple[int, ...]:
+        cells = _refine(rows, cells)
+        if len(cells) == n:
+            pos = [0] * n
+            for p, cell in enumerate(cells):
+                pos[cell.bit_length() - 1] = p
+            code = []
+            for cell in cells:
+                r, row = rows[cell.bit_length() - 1], 0
+                while r:
+                    low = r & -r
+                    r ^= low
+                    row |= 1 << pos[low.bit_length() - 1]
+                code.append(row)
+            return tuple(code)
+        i = min((c.bit_count(), i) for i, c in enumerate(cells) if c & (c - 1))[1]
+        cell = rest = cells[i]
+        reps: dict[int, int] = {}
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            reps.setdefault(twin[low.bit_length() - 1], low)
+        return min(search(cells[:i] + [v, cell ^ v] + cells[i + 1 :]) for v in reps.values())
+
+    degrees: dict[int, int] = {}
+    for v in range(n):
+        d = rows[v].bit_count()
+        degrees[d] = degrees.get(d, 0) | (1 << v)
+    return search([degrees[d] for d in sorted(degrees)])
+
+
 def _graph_from_columns(n: int, cols: Sequence[int]) -> Graph:
     rows = [0] * n
     for j in range(1, n):
@@ -398,21 +487,27 @@ def canonical_graph(g: Graph) -> Graph:
 def _connected_cache(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph(1, (0,)),)
-    seen: dict[tuple[int, ...], None] = {}
+    classes: dict[tuple[int, ...], tuple[int, ...]] = {}
     for parent in _connected_cache(n - 1):
         prows = parent.rows
         for mask in range(1, 1 << (n - 1)):
             rows = [prows[i] | (((mask >> i) & 1) << (n - 1)) for i in range(n - 1)]
             rows.append(mask)
-            cols = canonical_columns(Graph(n, rows))
-            if cols not in seen:
-                seen[cols] = None
-    return tuple(_graph_from_columns(n, cols) for cols in sorted(seen))
+            cert = _certificate(n, rows)
+            if cert not in classes:
+                classes[cert] = canonical_columns(Graph(n, rows))
+    return tuple(_graph_from_columns(n, cols) for cols in sorted(classes.values()))
 
 
 def enumerate_connected(n: int) -> tuple[Graph, ...]:
     """All connected graphs on n vertices, one canonical representative per
     isomorphism class, in a deterministic order (built-in generator, n <= 8).
+
+    Every class is reached by joining a new vertex to a connected graph on
+    n - 1 vertices.  The extensions are grouped by `_certificate`, a complete
+    invariant; the first extension of each new class is put into the form of
+    `canonical_columns`, once per class, and the representatives are sorted
+    by those columns.
     """
     if not 1 <= n <= MAX_GENERATED_N:
         raise InputError(f"built-in generation supports 1 <= n <= {MAX_GENERATED_N}")

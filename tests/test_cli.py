@@ -211,6 +211,15 @@ def test_survey_needs_input(capsys):
     assert code == 2
 
 
+def test_survey_refuses_both_n_and_input(capsys, tmp_path):
+    corpus = tmp_path / "k4.g6"
+    corpus.write_text("C~\n")
+    code, out, err = run_cli(capsys, "survey", "--n", "4", "--input", str(corpus),
+                             "--matrix", "adjacency", "--mode", "cospectral",
+                             "--workers", "1")
+    assert code == 2 and "not allowed with argument" in err and out == ""
+
+
 # ---------------------------------------------------------------------------
 # verify
 

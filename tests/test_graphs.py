@@ -1,9 +1,13 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detideals.graphs import (
     DisconnectedGraphError,
+    _certificate,
     Graph,
     Graph6Error,
     build_matrix,
@@ -209,20 +213,114 @@ def test_named_family_constructors():
 # canonical forms and enumeration
 
 
-@given(graphs_strategy(max_n=7), st.randoms())
-@settings(deadline=None, max_examples=60)
-def test_canonical_form_is_isomorphism_invariant(g, rnd):
+def relabel(g, rnd):
     perm = list(range(g.n))
     rnd.shuffle(perm)
     rows = [0] * g.n
     for i, j in g.edges():
         rows[perm[i]] |= 1 << perm[j]
         rows[perm[j]] |= 1 << perm[i]
-    assert canonical_columns(Graph(g.n, rows)) == canonical_columns(g)
+    return Graph(g.n, rows)
+
+
+@given(graphs_strategy(max_n=7), st.randoms())
+@settings(deadline=None, max_examples=60)
+def test_canonical_form_is_isomorphism_invariant(g, rnd):
+    assert canonical_columns(relabel(g, rnd)) == canonical_columns(g)
+
+
+@given(graphs_strategy(max_n=9), st.randoms())
+@settings(deadline=None, max_examples=200)
+def test_certificate_is_isomorphism_invariant(g, rnd):
+    assert _certificate(g.n, relabel(g, rnd).rows) == _certificate(g.n, g.rows)
+
+
+def one_vertex_extensions(n):
+    """Every graph made by joining a new vertex n-1 to a nonempty set of
+    vertices of a connected graph on n-1 vertices, as adjacency rows."""
+    for parent in enumerate_connected(n - 1):
+        prows = parent.rows
+        for mask in range(1, 1 << (n - 1)):
+            yield [prows[i] | (((mask >> i) & 1) << (n - 1)) for i in range(n - 1)] + [mask]
+
+
+def test_certificate_classes_equal_canonical_form_classes():
+    # the certificate separates exactly the children that canonical_columns
+    # separates, on every child the generator sees up to n = 7
+    for n in range(2, 8):
+        by_cert, by_cols = {}, {}
+        for rows in one_vertex_extensions(n):
+            cert = _certificate(n, rows)
+            cols = canonical_columns(Graph(n, rows))
+            assert by_cert.setdefault(cert, cols) == cols
+            assert by_cols.setdefault(cols, cert) == cert
+        assert len(by_cert) == len(enumerate_connected(n))
+
+
+def petersen_graph():
+    return Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                            + [(i, i + 5) for i in range(5)])
+
+
+def prism_graph(k):
+    """C_k x K_2: two k-cycles joined by a perfect matching (cubic)."""
+    return Graph.from_edges(2 * k, [(i, (i + 1) % k) for i in range(k)]
+                            + [(k + i, k + (i + 1) % k) for i in range(k)]
+                            + [(i, k + i) for i in range(k)])
+
+
+def symmetric_graphs():
+    yield from (complete_graph(n) for n in range(1, 10))
+    yield from (star_graph(n) for n in range(2, 10))
+    yield from (complete_bipartite_graph(a, b) for a in range(1, 5) for b in range(a, 6))
+    yield from (cycle_graph(n) for n in range(3, 10))
+    yield petersen_graph()
+    yield from (prism_graph(k) for k in (3, 5))
+    yield Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])  # 2 K_3
+
+
+def test_certificate_on_symmetric_graphs():
+    rnd = random.Random(7)
+    certs = {}
+    for g in symmetric_graphs():
+        cert = _certificate(g.n, g.rows)
+        # a leaf code is the graph under a relabelling ...
+        assert canonical_columns(Graph(g.n, cert)) == canonical_columns(g)
+        # ... and the least one does not depend on the labelling
+        assert all(_certificate(g.n, relabel(g, rnd).rows) == cert for _ in range(5))
+        assert certs.setdefault(canonical_columns(g), cert) == cert
+    # equitable from the start, yet separated: C_6 / 2 K_3, K_{3,3} / prism,
+    # Petersen / pentagonal prism
+    assert len(set(certs.values())) == len(certs)
+
+
+# SHA-256 of the newline-joined graph6 strings of enumerate_connected(n)
+ENUMERATION_SHA256 = {
+    1: "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
+    2: "ada8d598e51a0bf0d4bb5976d5dc6cb088a0603072947b002d4d665c54cadb1f",
+    3: "2c1256ffd0617e16898c604363be63a1bf9bd24d83d6227d4b2adb3360248bd3",
+    4: "bf158ea8c37a3ec7a9b1386892d1a29fd3bf86878fb29262e467775aba813399",
+    5: "71015208c0ed13ccfc64303f02627b677e19ddff0703c9c91117070b34be3031",
+    6: "ff0c9e8927a4d58e52160988a461ebda7071d5b4b5d71d262a35ce5fa6034056",
+    7: "b8b85762ca13a0273d6c1392cc500221f97df2c933be4f76664547c41f0d3f6e",
+    8: "28b9222da489bdd97eff49da6a8d2aed76ac19453b4b69ece911cb3dd855c398",
+}
+
+
+def enumeration_sha256(corpus):
+    return hashlib.sha256("\n".join(write_graph6(g) for g in corpus).encode()).hexdigest()
 
 
 def test_enumerate_connected_counts():
     assert [len(enumerate_connected(n)) for n in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
+    for n in range(1, 8):
+        assert enumeration_sha256(enumerate_connected(n)) == ENUMERATION_SHA256[n], n
+
+
+def test_enumerate_connected_n8(corpus8):
+    assert len(corpus8) == 11117
+    assert enumeration_sha256(corpus8) == ENUMERATION_SHA256[8]
 
 
 def test_enumerate_connected_properties(corpus6):

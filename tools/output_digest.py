@@ -17,7 +17,8 @@ Run it on two checkouts and diff the two files.  It covers:
 * `ideals --ring ZX`, JSON and text, over every connected graph with n <= 6
   (critical and distance ideals);
 * the `cross_check` reports for n = 2..6 and every kind;
-* `verify --max-n 6` of every suite except `tables`.
+* `verify --max-n 6` of every suite except `tables`;
+* `gen --n N` for N = 1..8 (the built-in connected-graph corpora).
 
 It uses the standard library and whatever `detideals` is on the import path.
 """
@@ -105,6 +106,9 @@ def print_digests(tmp: str) -> None:
     for suite in sorted(set(SUITES) - {"tables"}):
         doc = _cli("verify", "--suite", suite, "--max-n", "6", "--workers", "1")
         print(f"verify {suite} {_sha(doc)}", flush=True)
+
+    for n in range(1, 9):
+        print(f"gen n={n} {_sha(_cli('gen', '--n', str(n)))}", flush=True)
 
 
 if __name__ == "__main__":

@@ -8,9 +8,18 @@ uses division with positive remainder.  The result is the minimal reduced
 strong Groebner basis with positive leading coefficients, which is unique
 for an ideal, so ideal equality is list equality.
 
-No pair-skipping criterion beyond the provably redundant G-pairs is applied:
-the product criterion familiar from field coefficients is unsound here
-(e.g. the G-polynomial of the pair 2x+1, 3y+1 is xy+x-y and is essential).
+Completion skips the S-polynomial of a pair by Buchberger's chain criterion,
+which carries over to strong bases over Z with one more condition on leading
+coefficients (Moeller, "On the construction of Groebner bases using
+syzygies", J. Symbolic Comput. 1988; Lichtblau, "Effective computation of
+strong Groebner bases over Euclidean domains", Illinois J. Math. 2012): the
+pair (i, j) is redundant if some other element k has lm_k | lcm(lm_i, lm_j),
+lc_k | lcm(lc_i, lc_j), and neither (i, k) nor (j, k) is still pending
+(proof at `StrongBasis._complete`).  G-polynomials are always formed, and the
+product criterion familiar from field coefficients stays out: it is unsound
+here (e.g. the G-polynomial of the pair 2x+1, 3y+1 is xy+x-y and is
+essential).  The tests keep a criterion-free subclass of `StrongBasis` as the
+oracle of the criterion.
 
 The engine (`StrongBasis`, and `Ideal.member` over Z[x] and Z[X]) works on
 packed monomials (Monagan & Pearce, "Polynomial division using dynamic
@@ -18,10 +27,12 @@ arrays, heaps, and packed exponent vectors", CASC 2007): a `Packing` codes
 each monomial as one int whose integer order is degrevlex, the package's one
 monomial order, whose sum with another code is the code of the product, and
 whose divisibility test is one subtraction and one guard-bit mask test.
-`_normal_form` keeps its work set in a heap of these ints.  Degrees grow only
-at a generator and at a pair's lcm, so the field width is checked there and
-widened before a monomial would reach a guard bit.  `strong_groebner` alone
-sets the generators' signs and feed order; `Ideal` keeps them as given.
+`_normal_form` keeps its work set in a heap of these ints.  `strong_groebner`
+packs each generator once, in a packing sized to the largest generator
+degree, and builds `StrongBasis` on it; from then on degrees grow only at a
+pair's lcm, so the field width is checked there and widened before a
+monomial would reach a guard bit.  `strong_groebner` alone sets the
+generators' signs and feed order; `Ideal` keeps them as given.
 
 A Z[x] ideal with a monic generator p of degree D, which every determinantal
 ideal I_k of x*I - M is (a principal k-minor is monic), takes no Buchberger
@@ -221,16 +232,20 @@ def _record_key(rec: tuple[dict, int, int]):
 
 
 class StrongBasis:
-    """Incremental strong Groebner basis over Z[x0..x_{arity-1}].
+    """Incremental strong Groebner basis over Z[x0..x_{arity-1}], built on
+    the `Packing` its generators are packed in.
 
-    `add` takes and `canonical` returns term dicts keyed by exponent tuples;
-    in between every monomial is packed, and `_fit` widens the packing."""
+    `add` takes `_record`s packed in that packing, `feed_packing`, and
+    `canonical` returns term dicts keyed by exponent tuples.  Only a pair's
+    lcm can outgrow the fields; `_fit` then widens `packing`, and `add`
+    recodes the records fed after that."""
 
-    def __init__(self, arity: int):
-        self.arity = arity
-        self.packing = Packing(arity, 0)
+    def __init__(self, packing: Packing):
+        self.packing = self.feed_packing = packing
         self.elems: list[tuple[dict, int, int]] = []
+        self._lms: list[tuple] = []  # the unpacked leading monomial of each element
         self._pairs: list = []
+        self._pending: set = set()  # (i, j), i < j, of every pair in _pairs
         self._unit = False
 
     def _fit(self, degree: int):
@@ -239,7 +254,7 @@ class StrongBasis:
         old = self.packing
         if degree < old.limit:
             return
-        new = self.packing = Packing(self.arity, degree)
+        new = self.packing = Packing(old.arity, degree)
 
         def recode(m: int) -> int:
             return new.pack(old.unpack(m))
@@ -249,12 +264,16 @@ class StrongBasis:
         self._pairs = [(recode(lcm), i, j) for lcm, i, j in self._pairs]
         heapify(self._pairs)
 
-    def add(self, terms: dict) -> bool:
-        """Feed one generator; returns True if it enlarged the basis."""
+    def add(self, rec: tuple[dict, int, int]) -> bool:
+        """Feed one generator, a `_record` packed in `feed_packing`; returns
+        True if it enlarged the basis."""
         if self._unit:
             return False
-        self._fit(max((sum(e) for e in terms), default=0))
-        r = _normal_form(self.packing.pack_terms(terms), self.elems, self.packing.mask)
+        terms = rec[0]
+        if self.packing is not self.feed_packing:
+            fed, pack = self.feed_packing, self.packing.pack
+            terms = {pack(fed.unpack(m)): c for m, c in terms.items()}
+        r = _normal_form(terms, self.elems, self.packing.mask)
         if not r:
             return False
         self._append(r)
@@ -266,29 +285,65 @@ class StrongBasis:
         if not rec[1] and rec[2] == 1:
             self._unit = True
         j = len(self.elems)
+        lmj = self.packing.unpack(rec[1])
+        lcms = [tuple(map(max, lm, lmj)) for lm in self._lms]
         self.elems.append(rec)
-        unpack = self.packing.unpack
-        lmj = unpack(rec[1])
-        lcms = [tuple(map(max, unpack(lm), lmj)) for _, lm, _ in self.elems[:j]]
+        self._lms.append(lmj)
         self._fit(max(map(sum, lcms), default=0))
         pack = self.packing.pack
         for i, lcm in enumerate(lcms):
             heappush(self._pairs, (pack(lcm), i, j))
+            self._pending.add((i, j))
 
     def _complete(self):
+        """Treat the pending pairs, smallest lcm of leading monomials first.
+
+        The S-polynomial of (i, j) is skipped if `_chained`: some other
+        element k has lm_k | L and lc_k | c, L and c the lcms of the leading
+        monomials and coefficients of g_i, g_j, and neither (i, k) nor (j, k)
+        is pending.  With L_ik, c_ik those of (i, k),
+
+            S_ij = (c/lc_i)(L/lm_i) g_i - (c/lc_j)(L/lm_j) g_j
+                 = (c/c_ik)(L/L_ik) S_ik - (c/c_jk)(L/L_jk) S_jk,
+
+        since L_ik | L, c_ik | c and both sides are A_i - A_k - (A_j - A_k)
+        with A_t = (c/lc_t)(L/lm_t) g_t.  So S_ij is a combination of S_ik and
+        S_jk with integer-times-monomial coefficients, each term below L.  A
+        pair that is no longer pending was reduced to zero over the basis, or
+        its remainder joined it, or it was skipped the same way; so S_ik and
+        S_jk have standard representations below L_ik and L_jk, S_ij has one
+        below L, and the syzygies of the leading terms stay generated by the
+        pairs treated (Moeller 1988).  A pair leans only on pairs that left the
+        queue before it, so no two skips lean on each other.  The G-polynomial
+        is formed whenever neither leading coefficient divides the other."""
         while self._pairs:
             if self._unit:
                 self._pairs.clear()
+                self._pending.clear()
                 return
             lcm, i, j = heappop(self._pairs)
+            self._pending.remove((i, j))
             lci, lcj = self.elems[i][2], self.elems[j][2]
             l = lci // math.gcd(lci, lcj) * lcj
             packing = self.packing
-            self._reduce_pair(lcm, i, j, l // lci, -(l // lcj))
+            if not self._chained(lcm, l, i, j):
+                self._reduce_pair(lcm, i, j, l // lci, -(l // lcj))
             if lci % lcj and lcj % lci:
                 if self.packing is not packing:  # the S-polynomial widened it
                     lcm = self.packing.pack(packing.unpack(lcm))
                 self._reduce_pair(lcm, i, j, *_bezout(lci, lcj))
+
+    def _chained(self, lcm: int, l: int, i: int, j: int) -> bool:
+        """True iff some element k other than i, j has a leading monomial
+        dividing `lcm` and a leading coefficient dividing `l`, and neither
+        (i, k) nor (j, k) is pending."""
+        mask, pending = self.packing.mask, self._pending
+        for k, (_, lmk, lck) in enumerate(self.elems):
+            if (not (lcm - lmk) & mask and not l % lck and k != i and k != j
+                    and (min(i, k), max(i, k)) not in pending
+                    and (min(j, k), max(j, k)) not in pending):
+                return True
+        return False
 
     def _reduce_pair(self, lcm: int, i: int, j: int, ci: int, cj: int):
         """Append the nonzero normal form of ci*(lcm/lm_i)*g_i + cj*(lcm/lm_j)*g_j:
@@ -304,7 +359,7 @@ class StrongBasis:
     def canonical(self) -> list[dict]:
         """Minimal reduced basis, signs positive, sorted ascending."""
         if self._unit:
-            return [{(0,) * self.arity: 1}]
+            return [{(0,) * self.packing.arity: 1}]
         elems = list(self.elems)
         while True:
             elems = self._minimalize(elems)
@@ -357,11 +412,9 @@ def strong_groebner(gens: Iterable[dict], arity: int) -> list[dict]:
     packing = Packing(arity, max((sum(e) for g in gens for e in g), default=0))
     feed: dict = {}
     for g in gens:
-        packed = packing.pack_terms(g)
-        if packed[max(packed)] < 0:
-            g = {e: -c for e, c in g.items()}
-        feed.setdefault(_record_key(_record(packed)), g)
-    basis = StrongBasis(arity)
+        rec = _record(packing.pack_terms(g))
+        feed.setdefault(_record_key(rec), rec)
+    basis = StrongBasis(packing)
     for key in sorted(feed):
         basis.add(feed[key])
     return basis.canonical()

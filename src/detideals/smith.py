@@ -7,10 +7,14 @@ characteristic polynomial alone, Delta_{k-1} being gcd(Delta_k, Delta_k').
 snf_poly_q turns them into the invariant factors of x*I - M.  delta_bruteforce
 recomputes every Delta_k as a gcd over all k-minors and is the independent
 oracle both are tested against.  minor_tables is the package's one Laplace
-expansion.  packed_char_matrix packs x*I - M (Z[x]) or diag(x_0..x_{n-1}) - M
-(Z[X]) into ints; char_minors expands it (the ideals' generators) and
-char_poly eliminates it by Bareiss, both decoding with unpack_minors.
-_square and _int_matrix are the one square and integer checks (ValueError).
+expansion; on a symmetric matrix it expands each pair of row and column sets
+once.  packed_char_matrix packs x*I - M (Z[x]) or diag(x_0..x_{n-1}) - M
+(Z[X]) into ints; char_minors expands it, symmetrically for a symmetric M
+(every graph matrix), into the ideals' generators, leaving a level with a
++-1 minor undecoded as just 1, and char_poly eliminates it by Bareiss, both
+decoding with unpack_minors.
+_square, _int_matrix and _symmetric are the one square, integer and symmetry
+checks.
 """
 
 from __future__ import annotations
@@ -123,6 +127,11 @@ def _square(matrix: Sequence[Sequence]) -> int:
     return n
 
 
+def _symmetric(matrix: Sequence[Sequence]) -> bool:
+    """True iff the square matrix equals its transpose."""
+    return all(matrix[i][j] == matrix[j][i] for i in range(len(matrix)) for j in range(i))
+
+
 def _int_matrix(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
     """A copy of a square integer matrix; ValueError if it is not square, or
     naming the first non-integer entry."""
@@ -200,7 +209,7 @@ def deltas_q(matrix: Sequence[Sequence[int]]) -> tuple[UniPoly, ...]:
     """
     m = _int_matrix(matrix)
     n = len(m)
-    if any(m[i][j] != m[j][i] for i in range(n) for j in range(i)):
+    if not _symmetric(m):
         raise ValueError("M is not symmetric")
     delta = char_poly(m).to_q()
     deltas = []
@@ -223,7 +232,8 @@ def snf_poly_q(matrix: Sequence[Sequence[int]]) -> SnfResult:
 # minors, the brute-force Delta_k oracle and characteristic polynomials
 
 
-def minor_tables(matrix: Sequence[Sequence], max_k: int | None = None) -> dict:
+def minor_tables(matrix: Sequence[Sequence], max_k: int | None = None, *,
+                 symmetric: bool = False) -> dict:
     """All k x k subdeterminants for k = 1..max_k, memoized Laplace expansion.
 
     Works for any entry type supporting +, -, * (int, Fraction, UniPoly,
@@ -233,29 +243,39 @@ def minor_tables(matrix: Sequence[Sequence], max_k: int | None = None) -> dict:
     standing for row or column i.  This is the one expansion in the package:
     `char_minors` runs it on packed integers, `delta_bruteforce` and
     `profiles.minors_k` on the matrix they are given, which must be square.
+
+    `symmetric=True` (ValueError unless M == M^T) expands only the pairs
+    with R before C in the order of the subsets: the minor on (C, R) is that
+    of the transposed submatrix, so it equals the minor on (R, C) and is
+    copied, which keeps the keys in the order of the general path.
     """
     n = _square(matrix)
     if max_k is None:
         max_k = n
     if not 1 <= max_k <= n:
         raise ValueError("k out of range")
+    if symmetric and not _symmetric(matrix):
+        raise ValueError("symmetric=True needs a symmetric matrix")
     zero = matrix[0][0] - matrix[0][0]
     level = {(1 << i, 1 << j): matrix[i][j] for i in range(n) for j in range(n)}
     tables = {1: level}
     for k in range(2, max_k + 1):
         subsets = [(sum(1 << i for i in s), s) for s in combinations(range(n), k)]
         prev, level = level, {}
-        for rmask, rows in subsets:
+        for r, (rmask, rows) in enumerate(subsets):
             r0 = rows[0]
             rest = rmask ^ (1 << r0)
             row = matrix[r0]
-            for cmask, cols in subsets:
+            for c, (cmask, cols) in enumerate(subsets):
+                if symmetric and c < r:
+                    level[rmask, cmask] = level[cmask, rmask]
+                    continue
                 acc = zero
                 odd = False
-                for c in cols:
-                    e = row[c]
+                for col in cols:
+                    e = row[col]
                     if e:
-                        term = e * prev[rest, cmask ^ (1 << c)]
+                        term = e * prev[rest, cmask ^ (1 << col)]
                         acc = acc - term if odd else acc + term
                     odd = not odd
                 level[rmask, cmask] = acc
@@ -319,16 +339,20 @@ def unpack_minors(values, shift: int, ring: Ring) -> list:
 
 
 def char_minors(matrix: Sequence[Sequence[int]], ring: Ring) -> list[list]:
-    """For k = 1..n, the distinct nonzero k-minors up to sign of x*I - M
-    (ring Z[x]) or diag(x_0..x_{n-1}) - M (ring Z[X]): the generators of I_k.
-    Over Z[x] each has a positive leading coefficient; the Groebner engine
+    """For k = 1..n, generators of I_k of x*I - M (ring Z[x]) or
+    diag(x_0..x_{n-1}) - M (ring Z[X]): the distinct nonzero k-minors up to
+    sign, or just [1] if one of them is +-1.  The packing is injective and
+    packs 1 to 1, so a unit level is seen among the packed values and nothing
+    of it is decoded.  A symmetric M gives a symmetric packed matrix, which
+    `minor_tables` expands symmetrically.  Over Z[x] each minor has a
+    positive leading coefficient; the Groebner engine
     (`grobner.strong_groebner`) sets the sign and order of the Z[X] ones."""
     shift, rows = packed_char_matrix(matrix, ring)
     out = []
-    for level in minor_tables(rows).values():
+    for level in minor_tables(rows, symmetric=_symmetric(rows)).values():
         distinct = {abs(v) for v in level.values()}
         distinct.discard(0)
-        out.append(unpack_minors(distinct, shift, ring))
+        out.append(unpack_minors([1] if 1 in distinct else distinct, shift, ring))
     return out
 
 

@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 from unittest import mock
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detideals import grobner
-from detideals.graphs import enumerate_connected
+from detideals.graphs import Graph, complete_bipartite_graph, enumerate_connected
 from detideals.grobner import (
     QX,
     ZX_UNI,
@@ -21,7 +22,7 @@ from detideals.grobner import (
     zmulti,
 )
 from detideals.polyring import RING_Q, RING_Z, MultiPoly, UniPoly, gcd_poly_q, monomial_key
-from detideals.profiles import determinantal_ideals
+from detideals.profiles import determinantal_ideals, multivariate_ideals
 from detideals.survey import invariant_key
 
 X = UniPoly.variable(RING_Z)
@@ -159,6 +160,83 @@ def test_spoly_of_coprime_monomial_pair_not_reducible():
 
 
 # ---------------------------------------------------------------------------
+# the chain criterion
+
+
+class CriterionFree(StrongBasis):
+    """StrongBasis that forms every S-polynomial: the oracle of the chain
+    criterion and of the lattice path."""
+
+    def _chained(self, lcm, l, i, j):
+        return False
+
+
+def _criterion_free(gens, arity):
+    """`strong_groebner` on the criterion-free StrongBasis: the same feed, no
+    chain criterion."""
+    with mock.patch.object(grobner, "StrongBasis", CriterionFree):
+        return strong_groebner(gens, arity)
+
+
+@pytest.mark.parametrize("gens, want", [
+    # 4x, 6x^2, 4x^2 + 4, 6x - 1 generate (1): 3 * 4x - 2 * (6x - 1) = 2,
+    # then 3x * 2 - (6x - 1) = 1.  Skipping pairs on lm_k | L alone, without
+    # lc_k | lcm(lc_i, lc_j), ends at (2, x).
+    ([{(1,): -4}, {(2,): -6}, {(2,): 4, (0,): 4}, {(1,): -6, (0,): 1}], [{(0,): 1}]),
+    # skipping pairs whose (i, k) or (j, k) is still pending lets two skips
+    # lean on each other, and ends at (14, 2x + 6)
+    ([{(3,): -2, (1,): -3}, {(3,): -2, (1,): -7, (0,): 2}], [{(0,): 14}, {(1,): 1, (0,): 10}]),
+])
+def test_chain_criterion_hand_cases(gens, want):
+    assert strong_groebner(gens, 1) == want == _criterion_free(gens, 1)
+
+
+def _reduce_pair_calls(engine, gens, arity):
+    calls = []
+    reduce_pair = StrongBasis._reduce_pair
+
+    def counting(basis, *args):
+        calls.append(args)
+        return reduce_pair(basis, *args)
+
+    with mock.patch.object(StrongBasis, "_reduce_pair", counting):
+        basis = engine(gens, arity)
+    return len(calls), basis
+
+
+def test_chain_criterion_skips_pairs_of_a_critical_ideal():
+    # I_5 of the critical ideals of K_{3,3}
+    ideal = multivariate_ideals(complete_bipartite_graph(3, 3), "adjacency").ideals[4]
+    gens = [grobner._terms(g) for g in ideal.gens]
+    chained, basis = _reduce_pair_calls(strong_groebner, gens, 6)
+    free, oracle = _reduce_pair_calls(_criterion_free, gens, 6)
+    assert 0 < chained < free
+    assert basis == oracle == [dict(p.terms) for p in ideal.canonical_basis()]
+
+
+def _relabel(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    rows = [0] * g.n
+    for i, j in g.edges():
+        rows[perm[i]] |= 1 << perm[j]
+        rows[perm[j]] |= 1 << perm[i]
+    return Graph(g.n, rows)
+
+
+def test_chain_criterion_equals_criterion_free_basis_on_small_corpora():
+    # critical ideals for n <= 6 and distance ideals for n <= 5, relabelled
+    # at random since the cost and the pairs depend on the variable order
+    rng = random.Random(20191)
+    for n in range(1, 7):
+        for kind in ("adjacency", "distance") if n <= 5 else ("adjacency",):
+            for g in enumerate_connected(n):
+                for ideal in multivariate_ideals(_relabel(g, rng), kind).ideals:
+                    gens = [grobner._terms(p) for p in ideal.gens]
+                    assert strong_groebner(gens, n) == _criterion_free(gens, n), (kind, g)
+
+
+# ---------------------------------------------------------------------------
 # properties
 
 
@@ -235,14 +313,14 @@ def test_ideal_keeps_its_generators_as_given():
 
 
 def _feed(gens):
-    """The generators Ideal(NM, gens) passes to StrongBasis.add, as sorted
-    term lists, and its canonical basis."""
+    """The generators Ideal(NM, gens) passes to StrongBasis.add, unpacked
+    into sorted term lists, and its canonical basis."""
     fed = []
     add = StrongBasis.add
 
-    def recording(basis, terms):
-        fed.append(sorted(terms.items()))
-        return add(basis, terms)
+    def recording(basis, rec):
+        fed.append(sorted((basis.feed_packing.unpack(m), c) for m, c in rec[0].items()))
+        return add(basis, rec)
 
     with mock.patch.object(StrongBasis, "add", recording):
         return fed, Ideal(NM, gens).canonical_basis()
@@ -329,7 +407,7 @@ KINDS = ("adjacency", "laplacian", "distance", "distlap")
 
 def _buchberger(ideal):
     """The criterion-free StrongBasis canonical basis, the lattice path's oracle."""
-    raw = strong_groebner([grobner._terms(g) for g in ideal.gens], 1)
+    raw = _criterion_free([grobner._terms(g) for g in ideal.gens], 1)
     return tuple(MultiPoly(1, t).to_unipoly() for t in raw)
 
 
@@ -493,30 +571,36 @@ def test_packing_hand_cases():
     assert not z.member(MultiPoly(0, {(): 3}))
 
 
-def _preset(arity, gens, degree):
-    """The canonical basis from a StrongBasis whose fields are wide from the start."""
-    basis = StrongBasis(arity)
-    basis.packing = Packing(arity, degree)
+def _basis(cls, arity, gens, degree):
+    """A `cls` basis fed `gens` in order, packed with fields for `degree`, and
+    the field width after each add."""
+    packing = Packing(arity, degree)
+    basis = cls(packing)
+    widths = []
     for g in gens:
-        basis.add(g)
-    return basis.canonical()
+        basis.add(grobner._record(packing.pack_terms(g)))
+        widths.append(basis.packing.bits)
+    return basis, widths
+
+
+def _preset(arity, gens, degree):
+    """The criterion-free canonical basis with fields wide from the start."""
+    return _basis(CriterionFree, arity, gens, degree)[0].canonical()
 
 
 @pytest.mark.parametrize("gens", [
-    # each set outgrows the fields of its first generator, at a pair's lcm
-    # (x0^7 * x1^9) or at a later generator
-    [{(7, 0): 1, (0, 1): 1}, {(0, 9): 2, (1, 0): 1}],
-    [{(2, 1): 3, (0, 0): 1}, {(0, 5): 1, (3, 0): -1}, {(40, 0): 2, (0, 1): 1}],
+    # each set fits fields for half its largest degree, and outgrows them at
+    # a pair's lcm; a generator fed after that is recoded from the narrow
+    # packing it was packed in
+    [{(7, 0): 1, (0, 1): 1}, {(0, 9): 2, (1, 0): 1}, {(3, 3): 1, (0, 0): 1}],
+    [{(0, 8): 1, (1, 0): 1}, {(8, 0): 3, (0, 1): 1}],
+    [{(5, 0, 0): 1, (0, 0, 1): 1}, {(0, 5, 0): 1, (1, 0, 0): 1}, {(0, 0, 6): 2, (0, 1, 0): 1}],
     [{(2, 1): 3, (0, 0): 1}, {(0, 40): 1, (3, 0): -1}],
-    [{(5,): 2}, {(200,): 1, (0,): 1}],
 ])
 def test_strong_basis_widens_its_fields(gens):
     arity = len(next(iter(gens[0])))
-    basis = StrongBasis(arity)
-    widths = []
-    for g in gens:
-        basis.add(g)
-        widths.append(basis.packing.bits)
+    degree = max(sum(e) for g in gens for e in g)
+    basis, widths = _basis(StrongBasis, arity, gens, (degree + 1) // 2)
     assert widths[-1] > widths[0]
     got = basis.canonical()
     assert got == _preset(arity, gens, 1000) == strong_groebner(gens, arity)
@@ -527,13 +611,30 @@ def test_strong_basis_widens_its_fields(gens):
 
 
 def test_strong_basis_widens_at_a_pair_lcm():
-    basis = StrongBasis(2)
-    basis.add({(7, 0): 1, (0, 1): 1})
-    assert basis.packing.limit == 16
-    # the second generator fits, the lcm x0^7 * x1^9 of the leading monomials not
-    basis.add({(0, 9): 2, (1, 0): 1})
-    assert basis.packing.limit > 16
-    assert basis.canonical() == _preset(2, [{(7, 0): 1, (0, 1): 1}, {(0, 9): 2, (1, 0): 1}], 16)
+    gens = [{(7, 0): 1, (0, 1): 1}, {(0, 9): 2, (1, 0): 1}]
+    basis, widths = _basis(StrongBasis, 2, gens, 7)
+    # both generators fit 5-bit fields, the lcm x0^7 * x1^9 of their leading
+    # monomials (degree 16) does not
+    assert widths[0] == 5 < widths[1]
+    assert basis.canonical() == _preset(2, gens, 16)
+
+
+def test_strong_groebner_packs_each_generator_once():
+    # the feed's records go to StrongBasis.add as packed; only the widening
+    # at a pair lcm repacks, and it recodes monomials rather than term dicts
+    gens = [{(7, 0): 1, (0, 1): 1}, {(0, 9): -2, (1, 0): 1}, {(3, 3): 1, (0, 0): 1},
+            {(0, 9): 2, (1, 0): -1}, {(2, 2): 6}, {(1, 1): 4}]
+    packed = []
+    pack_terms = Packing.pack_terms
+
+    def counting(packing, terms):
+        packed.append(terms)
+        return pack_terms(packing, terms)
+
+    with mock.patch.object(Packing, "pack_terms", counting):
+        got = strong_groebner(gens, 2)
+    assert packed == gens
+    assert got == _preset(2, gens, 1000)
 
 
 @pytest.mark.parametrize("arity, gens", [
@@ -542,10 +643,7 @@ def test_strong_basis_widens_at_a_pair_lcm():
     (3, [{(0, 0, 0): -1}]),
 ])
 def test_unit_generator_gives_the_unit_basis_before_packing(monkeypatch, arity, gens):
-    oracle = StrongBasis(arity)
-    for g in gens:
-        oracle.add(g)
-    want = oracle.canonical()
+    want = _preset(arity, gens, 40)
     assert want == [{(0,) * arity: 1}]
 
     def refuse(*args):

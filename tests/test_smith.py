@@ -17,6 +17,7 @@ from detideals.graphs import (
     generalized_char_matrix,
     path_graph,
 )
+from detideals import smith
 from detideals.grobner import QX, ZX_UNI, zmulti
 from detideals.polyring import RING_Q, RING_Z, MultiPoly, UniPoly
 from detideals.profiles import minors_k
@@ -382,9 +383,15 @@ def _positive(p):
     return -p if lc < 0 else p
 
 
+def _is_one(p):
+    return p.is_constant() and p.constant_value() == 1
+
+
 def _assert_char_minors_match(m, cm, ring):
-    # entry by entry, then the distinct minors level by level: over Z[x] each
-    # with a positive leading coefficient, over Z[X] up to sign
+    # entry by entry (the decoding oracle), then the generators level by
+    # level: exactly [1] for a level with a +-1 minor, else the distinct
+    # minors, over Z[x] each with a positive leading coefficient, over Z[X]
+    # up to sign
     shift, rows = packed_char_matrix(m, ring)
     tables = minor_tables(rows)
     want = minor_tables(cm)
@@ -393,9 +400,13 @@ def _assert_char_minors_match(m, cm, ring):
         assert len(tables[k]) == len(level)
         assert unpack_minors([tables[k][key] for key in level], shift, ring) == list(level.values())
         distinct = distinct_minors[k - 1]
+        minors = {_positive(p) for p in level.values() if not p.is_zero()}
+        if any(map(_is_one, minors)):
+            assert len(distinct) == 1 and _is_one(distinct[0])
+            continue
         got = set(distinct) if ring == ZX_UNI else {_positive(p) for p in distinct}
         assert len(got) == len(distinct)
-        assert got == {_positive(p) for p in level.values() if not p.is_zero()}
+        assert got == minors
 
 
 def test_char_minors_equal_minor_tables_of_char_matrix():
@@ -435,3 +446,59 @@ def test_zx_char_minors_of_large_and_negative_entries():
     for ring in (zmulti(3), QX):
         with pytest.raises(ValueError, match="no packed minors of"):
             packed_char_matrix(m, ring)
+
+
+def test_symmetric_minor_tables_equal_the_general_expansion():
+    # every packed x*I - M and diag(x_i) - M of every kind for n <= 6: the
+    # same minors under the same keys, in the same order
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            for kind in KINDS:
+                for ring in (ZX_UNI, zmulti(n)):
+                    rows = packed_char_matrix(build_matrix(g, kind), ring)[1]
+                    general = minor_tables(rows)
+                    symmetric = minor_tables(rows, symmetric=True)
+                    assert [list(level.items()) for level in symmetric.values()] == \
+                        [list(level.items()) for level in general.values()]
+
+
+def test_symmetric_minor_tables_refuse_a_non_symmetric_matrix():
+    m = [[1, 2, 0], [2, 0, 1], [0, 3, 1]]
+    with pytest.raises(ValueError, match="symmetric"):
+        minor_tables(m, symmetric=True)
+    assert minor_tables(m, symmetric=False) == minor_tables(m)
+    # char_minors expands a non-symmetric M by the general path
+    cm = [[UniPoly((-m[i][j], 1) if i == j else (-m[i][j],)) for j in range(3)]
+          for i in range(3)]
+    _assert_char_minors_match(m, cm, ZX_UNI)
+
+
+@pytest.mark.parametrize("ring", [ZX_UNI, zmulti(3)])
+def test_char_minors_unit_level_is_one_without_decoding(monkeypatch, ring):
+    # the 1- and 2-minors of P_3 hold -1: those levels are exactly [1], and
+    # only the value 1 of them reaches the decoder; the top level, and every
+    # level of 2 * P_3 (no unit minor), keep all of their distinct minors
+    decoded = []
+    unpack = smith.unpack_minors
+
+    def recording(values, shift, ring):
+        decoded.append(sorted(values))
+        return unpack(values, shift, ring)
+
+    def distinct_packed(m):
+        rows = packed_char_matrix(m, ring)[1]
+        return [sorted({abs(v) for v in level.values()} - {0})
+                for level in minor_tables(rows).values()]
+
+    monkeypatch.setattr(smith, "unpack_minors", recording)
+    path = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+    levels = char_minors(path, ring)
+    assert decoded == [[1], [1], distinct_packed(path)[2]]
+    assert [len(level) for level in levels] == [1, 1, 1]
+    assert _is_one(levels[0][0]) and _is_one(levels[1][0]) and not _is_one(levels[2][0])
+    double = [[2 * v for v in row] for row in path]
+    decoded.clear()
+    levels = char_minors(double, ring)
+    assert decoded == distinct_packed(double)
+    assert [len(level) for level in levels] == [len(d) for d in decoded] != [1, 1, 1]
+    assert not any(_is_one(p) for level in levels for p in level)

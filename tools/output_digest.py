@@ -15,7 +15,8 @@ Run it on two checkouts and diff the two files.  It covers:
 * `ideals --ring Zx` and `ideals --ring Qx`, JSON and text, over every
   connected graph with n <= 6 and every kind;
 * `ideals --ring ZX`, JSON and text, over every connected graph with n <= 6
-  (critical and distance ideals);
+  (critical and distance ideals; each profile is computed once, for the JSON
+  pass, and reused by the text pass);
 * the `cross_check` reports for n = 2..6 and every kind;
 * `verify --max-n 6` of every suite except `tables`;
 * `gen --n N` for N = 1..8 (the built-in connected-graph corpora).
@@ -30,7 +31,9 @@ import json
 import os
 import sys
 import tempfile
+from unittest import mock
 
+from detideals import cli
 from detideals.cli import main
 from detideals.graphs import MATRIX_KINDS, enumerate_connected, write_graph6
 from detideals.suites import SUITES
@@ -111,6 +114,22 @@ def print_digests(tmp: str) -> None:
         print(f"gen n={n} {_sha(_cli('gen', '--n', str(n)))}", flush=True)
 
 
+def _memoised(multivariate_ideals):
+    """`multivariate_ideals` memoised by graph6, kind and force, so that the
+    JSON and text passes of `ideals --ring ZX` share each profile and the
+    canonical bases it caches."""
+    cache: dict = {}
+
+    def memoised(g, kind, force=False):
+        key = write_graph6(g), kind, force
+        if key not in cache:
+            cache[key] = multivariate_ideals(g, kind, force=force)
+        return cache[key]
+
+    return memoised
+
+
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "multivariate_ideals", _memoised(cli.multivariate_ideals)):
         print_digests(tmp)

@@ -215,13 +215,8 @@ def test_chain_criterion_skips_pairs_of_a_critical_ideal():
 
 
 def _relabel(g, rng):
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    rows = [0] * g.n
-    for i, j in g.edges():
-        rows[perm[i]] |= 1 << perm[j]
-        rows[perm[j]] |= 1 << perm[i]
-    return Graph(g.n, rows)
+    perm = rng.sample(range(g.n), g.n)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def test_chain_criterion_equals_criterion_free_basis_on_small_corpora():
@@ -620,8 +615,8 @@ def test_strong_basis_widens_at_a_pair_lcm():
 
 
 def test_strong_groebner_packs_each_generator_once():
-    # the feed's records go to StrongBasis.add as packed; only the widening
-    # at a pair lcm repacks, and it recodes monomials rather than term dicts
+    # each nonzero generator, a repeat up to sign included, is packed once
+    # for the sort; StrongBasis.add takes the packed records as they are
     gens = [{(7, 0): 1, (0, 1): 1}, {(0, 9): -2, (1, 0): 1}, {(3, 3): 1, (0, 0): 1},
             {(0, 9): 2, (1, 0): -1}, {(2, 2): 6}, {(1, 1): 4}]
     packed = []

@@ -40,6 +40,12 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _identifier(text: str) -> str:
+    if not text.isidentifier():
+        raise argparse.ArgumentTypeError(f"expected a variable name (an identifier), got {text!r}")
+    return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="detideals",
@@ -56,7 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="graph6 file, or - for stdin")
     p.add_argument("--matrix", choices=graphs.MATRIX_KINDS, default="adjacency")
     p.add_argument("--ring", choices=("Zx", "Qx", "ZX"), default="Zx")
-    p.add_argument("--var", default="x", help="variable name for text output")
+    p.add_argument("--var", type=_identifier, default="x",
+                   help="variable name of the Zx and Qx profiles in text and JSON output "
+                   "(an identifier); ZX profiles always use x0..x{n-1}")
     p.add_argument("--output", choices=("text", "json"), default="text")
     p.add_argument("--force", action="store_true",
                    help="override the multivariate size guard")

@@ -5,12 +5,16 @@ which keeps the canonical-form search and the enumeration fast.  The ideals
 are built from integer matrices; `char_matrix` (x*I - M) and
 `generalized_char_matrix` (diag(x0..x_{n-1}) - M) are oracle inputs only.
 
-Enumeration deduplicates the one-vertex extensions of each connected graph by
-`_certificate`, an individualisation-refinement certificate, and runs the
-lex-min search `canonical_columns` once per isomorphism class.
+Enumeration joins a new vertex to each connected graph on one vertex fewer.
+It tries one neighbourhood mask per orbit of the parent's automorphisms
+(`_automorphisms`, read off the refinement tree of `_least_leaves`), groups
+the children by `_certificate`, an individualisation-refinement certificate,
+and runs the lex-min search `canonical_columns` once per isomorphism class.
 `canonical_columns` stays: it defines each class's representative and the
 order of the output (and of `canonical_graph`), and it is the test oracle of
-the certificate.
+the certificate.  It explores only the vertices of least column, carried down
+the search in cells of equal column; the plain depth-first search it replaced
+is its test oracle.
 """
 
 from __future__ import annotations
@@ -339,50 +343,67 @@ def canonical_columns(g: Graph) -> tuple[int, ...]:
     Returned per column: entry p-1 holds the p bits of column p (adjacency of
     position p to positions 0..p-1, position 0 in the highest bit), so tuple
     comparison equals bit-string comparison.
+
+    A depth-first search places vertices at positions 0, 1, ... and keeps
+    `best`, the least string seen, so that the placed prefix always equals
+    the prefix of `best`.  The unplaced vertices are kept in cells of equal
+    column, in increasing column order; placing v splits each cell into its
+    non-neighbours of v (column shifted left by one bit) and its neighbours
+    (shifted, plus one).  Only the first cell can take the next position: a
+    vertex of larger column makes the string larger than `best` once the
+    first cell has been tried.  A child is cut before it is built when its
+    own first column exceeds `best`.  Among unplaced twins (`_twin_classes`)
+    only the lowest is tried, since swapping two of them is an automorphism
+    that fixes every placed vertex (twins also share their column).
     """
     n, rows = g.n, g.rows
     if n == 1:
         return ()
     twin = _twin_classes(n, rows)
+    below = [0] * n  # the vertices of v's twin class with a smaller label
+    for v in range(n):
+        for u in range(v):
+            if twin[u] == twin[v]:
+                below[v] |= 1 << u
     # sentinel value 2^p is larger than any real p-bit column
-    best = [1 << p for p in range(1, n)]
-    placed: list[int] = []
+    top = [1 << p for p in range(1, n)]
+    best = top[:]
+    last = n - 1
 
-    def dfs(mask: int):
-        p = len(placed)
-        if p == n:
-            return
-        items = []
-        for v in range(n):
-            if (mask >> v) & 1:
-                continue
-            skip = False
-            for u in range(v):
-                if not ((mask >> u) & 1) and twin[u] == twin[v]:
-                    skip = True  # an unplaced twin with a smaller label covers v
-                    break
-            if skip:
+    def place(p: int, free: int, cells: list[tuple[int, int]]):
+        # positions 0..p-1 are placed and `free` is the unplaced set; the
+        # vertices of cells[0], whose column is best[p-1], can take position p
+        col, first = cells[0]
+        b = best[p]
+        rest = first
+        while rest:
+            vb = rest & -rest
+            rest ^= vb
+            v = vb.bit_length() - 1
+            if below[v] & free:
                 continue
             rv = rows[v]
-            col = 0
-            for u in placed:
-                col = (col << 1) | ((rv >> u) & 1)
-            items.append((col, v))
-        items.sort()
-        for col, v in items:
-            if p >= 1:
-                b = best[p - 1]
-                if col > b:
-                    break
-                if col < b:
-                    best[p - 1] = col
-                    for q in range(p, n - 1):
-                        best[q] = 1 << (q + 1)
-            placed.append(v)
-            dfs(mask | (1 << v))
-            placed.pop()
+            # the least column at position p + 1 once v is placed
+            c, m = (col, first ^ vb) if first ^ vb else cells[1]
+            c = c << 1 if m & ~rv else (c << 1) | 1
+            if c > b:
+                continue
+            if c < b:
+                best[p] = b = c
+                best[p + 1 :] = top[p + 1 :]
+            if p + 1 == last:
+                continue
+            child = []
+            for c, m in cells:
+                m &= ~vb
+                x = m & ~rv
+                if x:
+                    child.append((c << 1, x))
+                if m ^ x:
+                    child.append(((c << 1) | 1, m ^ x))
+            place(p + 1, free ^ vb, child)
 
-    dfs(0)
+    place(0, (1 << n) - 1, [(0, (1 << n) - 1)])
     return tuple(best)
 
 
@@ -410,10 +431,12 @@ def _refine(rows: Sequence[int], cells: list[int]) -> list[int]:
         cells = out
 
 
-def _certificate(n: int, rows: Sequence[int]) -> tuple[int, ...]:
-    """A complete isomorphism invariant of the graph with adjacency `rows`:
-    the least leaf code of an individualisation-refinement search (McKay &
-    Piperno, "Practical graph isomorphism II", J. Symbolic Comput. 2014).
+def _least_leaves(
+    n: int, rows: Sequence[int], twin: Sequence[int]
+) -> tuple[tuple[int, ...], list[list[int]]]:
+    """The individualisation-refinement search of `_certificate`: its least
+    leaf code, and every leaf that reaches it as its list of singleton cells
+    (vertex bitmasks in leaf order).  `twin` is `_twin_classes(n, rows)`.
 
     The search starts from the degree cells, refined until equitable; a node
     whose cells are not all singletons takes its first smallest non-singleton
@@ -421,6 +444,54 @@ def _certificate(n: int, rows: Sequence[int]) -> tuple[int, ...]:
     that vertex (puts it in a cell of its own just before the rest of the
     cell) and refines again.  At a leaf the cells order the vertices, and the
     code is the tuple of rows relabelled into that order.
+    """
+    least: tuple[int, ...] | None = None
+    leaves: list[list[int]] = []
+
+    def search(cells: list[int]):
+        nonlocal least, leaves
+        cells = _refine(rows, cells)
+        if len(cells) == n:
+            pos = [0] * n
+            for p, cell in enumerate(cells):
+                pos[cell.bit_length() - 1] = p
+            code = []
+            for cell in cells:
+                r, row = rows[cell.bit_length() - 1], 0
+                while r:
+                    low = r & -r
+                    r ^= low
+                    row |= 1 << pos[low.bit_length() - 1]
+                code.append(row)
+            code = tuple(code)
+            if least is None or code < least:
+                least, leaves = code, [cells]
+            elif code == least:
+                leaves.append(cells)
+            return
+        i = min((c.bit_count(), i) for i, c in enumerate(cells) if c & (c - 1))[1]
+        cell = rest = cells[i]
+        reps: dict[int, int] = {}
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            reps.setdefault(twin[low.bit_length() - 1], low)
+        for v in reps.values():
+            search(cells[:i] + [v, cell ^ v] + cells[i + 1 :])
+
+    degrees: dict[int, int] = {}
+    for v in range(n):
+        d = rows[v].bit_count()
+        degrees[d] = degrees.get(d, 0) | (1 << v)
+    search([degrees[d] for d in sorted(degrees)])
+    return least, leaves
+
+
+def _certificate(n: int, rows: Sequence[int]) -> tuple[int, ...]:
+    """A complete isomorphism invariant of the graph with adjacency `rows`:
+    the least leaf code of the individualisation-refinement search
+    `_least_leaves` (McKay & Piperno, "Practical graph isomorphism II",
+    J. Symbolic Comput. 2014).
 
     Proof that it is complete.  Refinement and the choice of cell use only
     adjacency and the order of the cells, so relabelling the graph by phi
@@ -435,37 +506,69 @@ def _certificate(n: int, rows: Sequence[int]) -> tuple[int, ...]:
     Conversely, a leaf code is the graph itself under a relabelling, so equal
     certificates mean isomorphic graphs.
     """
+    return _least_leaves(n, rows, _twin_classes(n, rows))[0]
+
+
+def _automorphisms(n: int, rows: Sequence[int]) -> list[list[int]]:
+    """Automorphisms of the graph with adjacency `rows`, as maps perm[v]:
+    the map from the first leaf of least code of `_least_leaves` to each
+    other such leaf, and the transposition of each vertex with the lowest
+    vertex of its twin class.
+
+    Two leaves with equal codes order the vertices as a and b with
+    adj(a[i], a[j]) = adj(b[i], b[j]) for all i, j, so a[i] -> b[i] is an
+    automorphism; swapping two twins is one too.  They generate the whole
+    automorphism group: an automorphism maps the first least leaf onto a
+    least leaf of the search tree without twin pruning, and twin swaps that
+    fix the individualised vertices carry that leaf onto a least leaf that
+    the pruned search keeps (see `_certificate`).
+    """
     twin = _twin_classes(n, rows)
-
-    def search(cells: list[int]) -> tuple[int, ...]:
-        cells = _refine(rows, cells)
-        if len(cells) == n:
-            pos = [0] * n
-            for p, cell in enumerate(cells):
-                pos[cell.bit_length() - 1] = p
-            code = []
-            for cell in cells:
-                r, row = rows[cell.bit_length() - 1], 0
-                while r:
-                    low = r & -r
-                    r ^= low
-                    row |= 1 << pos[low.bit_length() - 1]
-                code.append(row)
-            return tuple(code)
-        i = min((c.bit_count(), i) for i, c in enumerate(cells) if c & (c - 1))[1]
-        cell = rest = cells[i]
-        reps: dict[int, int] = {}
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            reps.setdefault(twin[low.bit_length() - 1], low)
-        return min(search(cells[:i] + [v, cell ^ v] + cells[i + 1 :]) for v in reps.values())
-
-    degrees: dict[int, int] = {}
+    leaves = _least_leaves(n, rows, twin)[1]
+    first = [cell.bit_length() - 1 for cell in leaves[0]]
+    perms = []
+    for leaf in leaves[1:]:
+        perm = [0] * n
+        for u, cell in zip(first, leaf):
+            perm[u] = cell.bit_length() - 1
+        perms.append(perm)
+    lowest: dict[int, int] = {}
     for v in range(n):
-        d = rows[v].bit_count()
-        degrees[d] = degrees.get(d, 0) | (1 << v)
-    return search([degrees[d] for d in sorted(degrees)])
+        u = lowest.setdefault(twin[v], v)
+        if u != v:
+            perm = list(range(n))
+            perm[u], perm[v] = v, u
+            perms.append(perm)
+    return perms
+
+
+def _orbit_representatives(m: int, perms: Sequence[Sequence[int]]) -> list[int]:
+    """The least nonempty subset (bitmask over m vertices) of each orbit of
+    the group generated by the vertex maps `perms`, in increasing order."""
+    size = 1 << m
+    images = []
+    for perm in perms:
+        image = [0] * size
+        for mask in range(1, size):
+            low = mask & -mask
+            image[mask] = image[mask ^ low] | (1 << perm[low.bit_length() - 1])
+        images.append(image)
+    seen = bytearray(size)
+    reps = []
+    for mask in range(1, size):
+        if seen[mask]:
+            continue
+        reps.append(mask)
+        seen[mask] = 1
+        stack = [mask]
+        while stack:
+            x = stack.pop()
+            for image in images:
+                y = image[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    stack.append(y)
+    return reps
 
 
 def _graph_from_columns(n: int, cols: Sequence[int]) -> Graph:
@@ -490,7 +593,7 @@ def _connected_cache(n: int) -> tuple[Graph, ...]:
     classes: dict[tuple[int, ...], tuple[int, ...]] = {}
     for parent in _connected_cache(n - 1):
         prows = parent.rows
-        for mask in range(1, 1 << (n - 1)):
+        for mask in _orbit_representatives(n - 1, _automorphisms(n - 1, prows)):
             rows = [prows[i] | (((mask >> i) & 1) << (n - 1)) for i in range(n - 1)]
             rows.append(mask)
             cert = _certificate(n, rows)
@@ -504,10 +607,13 @@ def enumerate_connected(n: int) -> tuple[Graph, ...]:
     isomorphism class, in a deterministic order (built-in generator, n <= 8).
 
     Every class is reached by joining a new vertex to a connected graph on
-    n - 1 vertices.  The extensions are grouped by `_certificate`, a complete
-    invariant; the first extension of each new class is put into the form of
-    `canonical_columns`, once per class, and the representatives are sorted
-    by those columns.
+    n - 1 vertices.  Two neighbourhood masks in one orbit of the parent's
+    automorphism group give isomorphic children, so only the least mask of
+    each orbit is tried (McKay, "Isomorph-free exhaustive generation",
+    J. Algorithms 1998).  The children are grouped by `_certificate`, a
+    complete invariant; the first child of each new class is put into the
+    form of `canonical_columns`, once per class, and the representatives are
+    sorted by those columns.
     """
     if not 1 <= n <= MAX_GENERATED_N:
         raise InputError(f"built-in generation supports 1 <= n <= {MAX_GENERATED_N}")

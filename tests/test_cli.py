@@ -55,6 +55,29 @@ def test_ideals_distance_ltimes(capsys):
     assert "k=5: [t^5 - 25*t^3 - 70*t^2 - 66*t - 20]" in out
 
 
+@pytest.mark.parametrize("var", ["2", "", "x y", "t^2", "-"])
+def test_ideals_var_must_be_an_identifier(capsys, var):
+    # "--var 2" would print "2^2 - 1", "--var ''" would print "^2 - 1"
+    code, out, err = run_cli(capsys, "ideals", "--var", var, "Cl")
+    assert code == 2 and out == ""
+    assert "--var" in err and "identifier" in err
+
+
+def test_ideals_var_names_the_variable_of_zx_and_qx_profiles(capsys):
+    for ring in ("Zx", "Qx"):
+        code, out, _ = run_cli(capsys, "ideals", "--ring", ring, "--var", "t_1",
+                               "--output", "json", "Cl")
+        assert code == 0
+        assert json.loads(out)["ideals"][3]["basis"] == ["t_1^4 - 4*t_1^2"]
+    # ZX profiles keep x0..x{n-1} whatever --var says
+    code, out, _ = run_cli(capsys, "ideals", "--ring", "ZX", "--var", "t", "Cl")
+    assert code == 0 and "x0*x1*x2*x3" in out and "t" not in out.split("corank")[1]
+    code, default, _ = run_cli(capsys, "ideals", "Cl")
+    code_x, explicit, _ = run_cli(capsys, "ideals", "--var", "x", "Cl")
+    assert code == code_x == 0 and default == explicit
+    assert "k=4: [x^4 - 4*x^2]" in default
+
+
 def test_ideals_json_critical_c4(capsys):
     code, out, _ = run_cli(capsys, "ideals", "--matrix", "adjacency",
                            "--ring", "ZX", "--output", "json", "Cl")

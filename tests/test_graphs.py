@@ -1,13 +1,18 @@
 import hashlib
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from detideals import graphs
 from detideals.graphs import (
     DisconnectedGraphError,
+    _automorphisms,
     _certificate,
+    _orbit_representatives,
+    _twin_classes,
     Graph,
     Graph6Error,
     build_matrix,
@@ -223,6 +228,49 @@ def relabel(g, rnd):
     return Graph(g.n, rows)
 
 
+def lexmin_columns_oracle(g):
+    """The lex-min search that `canonical_columns` replaced: at each depth it
+    builds every eligible vertex's column from the placed vertices, sorts the
+    candidates and cuts at the first column above the best."""
+    n, rows = g.n, g.rows
+    if n == 1:
+        return ()
+    twin = _twin_classes(n, rows)
+    best = [1 << p for p in range(1, n)]
+    placed = []
+
+    def dfs(mask):
+        p = len(placed)
+        if p == n:
+            return
+        items = []
+        for v in range(n):
+            if (mask >> v) & 1:
+                continue
+            if any(not (mask >> u) & 1 and twin[u] == twin[v] for u in range(v)):
+                continue  # an unplaced twin with a smaller label covers v
+            col = 0
+            for u in placed:
+                col = (col << 1) | ((rows[v] >> u) & 1)
+            items.append((col, v))
+        items.sort()
+        for col, v in items:
+            if p >= 1:
+                b = best[p - 1]
+                if col > b:
+                    break
+                if col < b:
+                    best[p - 1] = col
+                    for q in range(p, n - 1):
+                        best[q] = 1 << (q + 1)
+            placed.append(v)
+            dfs(mask | (1 << v))
+            placed.pop()
+
+    dfs(0)
+    return tuple(best)
+
+
 @given(graphs_strategy(max_n=7), st.randoms())
 @settings(deadline=None, max_examples=60)
 def test_canonical_form_is_isomorphism_invariant(g, rnd):
@@ -255,6 +303,29 @@ def test_certificate_classes_equal_canonical_form_classes():
             assert by_cert.setdefault(cert, cols) == cols
             assert by_cols.setdefault(cols, cert) == cert
         assert len(by_cert) == len(enumerate_connected(n))
+
+
+def test_canonical_columns_equal_the_dfs_oracle_on_one_vertex_extensions():
+    for n in range(2, 8):
+        for rows in one_vertex_extensions(n):
+            g = Graph(n, rows)
+            assert canonical_columns(g) == lexmin_columns_oracle(g), write_graph6(g)
+
+
+def test_canonical_columns_equal_the_dfs_oracle_on_random_graphs():
+    rnd = random.Random(2024)
+    checked = 0
+    while checked < 200:
+        n = rnd.randint(8, 10)
+        p = rnd.uniform(0.15, 0.85)
+        g = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                 if rnd.random() < p])
+        if not is_connected(g):
+            continue
+        h = relabel(g, rnd)
+        cols = canonical_columns(h)
+        assert cols == lexmin_columns_oracle(h) == canonical_columns(g), write_graph6(g)
+        checked += 1
 
 
 def petersen_graph():
@@ -293,6 +364,54 @@ def test_certificate_on_symmetric_graphs():
     # equitable from the start, yet separated: C_6 / 2 K_3, K_{3,3} / prism,
     # Petersen / pentagonal prism
     assert len(set(certs.values())) == len(certs)
+
+
+def test_canonical_columns_equal_the_dfs_oracle_on_symmetric_graphs():
+    rnd = random.Random(11)
+    for g in symmetric_graphs():
+        cols = lexmin_columns_oracle(g)
+        assert canonical_columns(g) == cols, write_graph6(g)
+        assert canonical_columns(relabel(g, rnd)) == cols, write_graph6(g)
+
+
+def is_automorphism(g, perm):
+    return sorted(perm) == list(range(g.n)) and all(
+        g.has_edge(perm[u], perm[v]) for u, v in g.edges())
+
+
+def test_automorphisms_are_automorphisms():
+    corpus = [g for n in range(1, 8) for g in enumerate_connected(n)] + list(symmetric_graphs())
+    for g in corpus:
+        perms = _automorphisms(g.n, g.rows)
+        assert all(is_automorphism(g, perm) for perm in perms), write_graph6(g)
+    # the Petersen graph has no twins, so each of its 120 automorphisms
+    # but the identity is the map to one least leaf
+    assert len(_automorphisms(10, petersen_graph().rows)) == 119
+
+
+def test_mask_orbits_equal_the_orbits_of_the_whole_group():
+    # the maps generate every automorphism: their orbits on vertex subsets
+    # are those of the group found by trying every permutation
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            group = [q for q in itertools.permutations(range(n)) if is_automorphism(g, q)]
+            least = {min(sum(1 << q[v] for v in range(n) if (mask >> v) & 1) for q in group)
+                     for mask in range(1, 1 << n)}
+            assert _orbit_representatives(n, _automorphisms(n, g.rows)) == sorted(least)
+
+
+def test_enumeration_certifies_one_mask_per_orbit(monkeypatch):
+    expected = enumerate_connected(7)
+    calls = []
+
+    def counting(n, rows):
+        calls.append(n)
+        return _certificate(n, rows)
+
+    monkeypatch.setattr(graphs, "_certificate", counting)
+    assert graphs._connected_cache.__wrapped__(7) == expected
+    masks = len(enumerate_connected(6)) * (2 ** 6 - 1)  # 7,056
+    assert calls.count(7) <= 0.6 * masks
 
 
 # SHA-256 of the newline-joined graph6 strings of enumerate_connected(n)

@@ -19,7 +19,9 @@ Run it on two checkouts and diff the two files.  It covers:
   pass, and reused by the text pass);
 * the `cross_check` reports for n = 2..6 and every kind;
 * `verify --max-n 6` of every suite except `tables`;
-* `gen --n N` for N = 1..8 (the built-in connected-graph corpora).
+* `gen --n N` for N = 1..8 (the built-in connected-graph corpora);
+* `write_graph6(canonical_graph(g))` over 500 seeded random connected graphs
+  with n = 9 and 500 with n = 10, beyond the reach of `gen`.
 
 It uses the standard library and whatever `detideals` is on the import path.
 """
@@ -29,13 +31,21 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 from unittest import mock
 
 from detideals import cli
 from detideals.cli import main
-from detideals.graphs import MATRIX_KINDS, enumerate_connected, write_graph6
+from detideals.graphs import (
+    MATRIX_KINDS,
+    Graph,
+    canonical_graph,
+    enumerate_connected,
+    is_connected,
+    write_graph6,
+)
 from detideals.suites import SUITES
 from detideals.survey import MODES, cross_check
 
@@ -112,6 +122,24 @@ def print_digests(tmp: str) -> None:
 
     for n in range(1, 9):
         print(f"gen n={n} {_sha(_cli('gen', '--n', str(n)))}", flush=True)
+
+    forms = [write_graph6(canonical_graph(g))
+             for n in (9, 10) for g in _random_connected(random.Random(n), n, 500)]
+    digest = _sha("\n".join(forms).encode())
+    print(f"canonical_graph n=9,10 random {digest}", flush=True)
+
+
+def _random_connected(rnd: random.Random, n: int, count: int) -> list[Graph]:
+    """`count` connected graphs on n vertices, each drawn with an edge
+    probability drawn uniformly from [0.2, 0.8]."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    out = []
+    while len(out) < count:
+        p = rnd.uniform(0.2, 0.8)
+        g = Graph.from_edges(n, [e for e in pairs if rnd.random() < p])
+        if is_connected(g):
+            out.append(g)
+    return out
 
 
 def _memoised(multivariate_ideals):

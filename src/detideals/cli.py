@@ -58,8 +58,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("ideals", help="determinantal ideal profile of one graph matrix")
-    p.add_argument("graph6", nargs="?", help="inline graph6 string")
-    p.add_argument("--input", help="graph6 file, or - for stdin")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("graph6", nargs="?", help="inline graph6 string")
+    source.add_argument("--input", help="graph6 file, or - for stdin")
     p.add_argument("--matrix", choices=graphs.MATRIX_KINDS, default="adjacency")
     p.add_argument("--ring", choices=("Zx", "Qx", "ZX"), default="Zx")
     p.add_argument("--var", type=_identifier, default="x",
@@ -70,8 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="override the multivariate size guard")
 
     p = sub.add_parser("snf", help="Smith normal form of a graph matrix")
-    p.add_argument("graph6", nargs="?")
-    p.add_argument("--input", help="graph6 file, or - for stdin")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("graph6", nargs="?", help="inline graph6 string")
+    source.add_argument("--input", help="graph6 file, or - for stdin")
     p.add_argument("--matrix", choices=graphs.MATRIX_KINDS, default="adjacency")
     p.add_argument("--ring", choices=("Z", "Qx"), default="Z")
     p.add_argument("--output", choices=("text", "json"), default="text")

@@ -5,16 +5,15 @@ which keeps the canonical-form search and the enumeration fast.  The ideals
 are built from integer matrices; `char_matrix` (x*I - M) and
 `generalized_char_matrix` (diag(x0..x_{n-1}) - M) are oracle inputs only.
 
-Enumeration joins a new vertex to each connected graph on one vertex fewer.
-It tries one neighbourhood mask per orbit of the parent's automorphisms
-(`_automorphisms`, read off the refinement tree of `_least_leaves`), groups
-the children by `_certificate`, an individualisation-refinement certificate,
-and runs the lex-min search `canonical_columns` once per isomorphism class.
-`canonical_columns` stays: it defines each class's representative and the
-order of the output (and of `canonical_graph`), and it is the test oracle of
-the certificate.  It explores only the vertices of least column, carried down
-the search in cells of equal column; the plain depth-first search it replaced
-is its test oracle.
+One isomorphism search, `_lexmin`, serves both the canonical form and the
+enumeration.  `canonical_columns` is the lexicographically least
+upper-triangle bit string over all labelings; it fixes each class's
+representative and the order of the output (and of `canonical_graph`).  The
+search explores only the vertices of least column, carried down in cells of
+equal column; the plain depth-first search it replaced is its test oracle.
+Enumeration is orderly generation (`_all_columns`): every lex-min string on
+n - 1 vertices is extended by one new column, and a child is kept iff it is
+its own lex-min string, a test that stops at the first smaller column.
 """
 
 from __future__ import annotations
@@ -342,7 +341,23 @@ def canonical_columns(g: Graph) -> tuple[int, ...]:
 
     Returned per column: entry p-1 holds the p bits of column p (adjacency of
     position p to positions 0..p-1, position 0 in the highest bit), so tuple
-    comparison equals bit-string comparison.
+    comparison equals bit-string comparison.  The search is `_lexmin`.
+    """
+    n = g.n
+    if n == 1:
+        return ()
+    # sentinel value 2^p is larger than any real p-bit column
+    best = [1 << p for p in range(1, n)]
+    _lexmin(n, g.rows, best, False)
+    return tuple(best)
+
+
+def _lexmin(n: int, rows: Sequence[int], best: list[int], stop: bool) -> bool:
+    """The lex-min search of the graph on n >= 2 vertices with adjacency
+    `rows`.  `best` holds n - 1 columns: sentinels or the columns of one
+    labeling.  Without `stop`, lower `best` to the least string and return
+    False.  With `stop`, leave `best` as it is and return True at the first
+    column found below it, that is iff some labeling gives a smaller string.
 
     A depth-first search places vertices at positions 0, 1, ... and keeps
     `best`, the least string seen, so that the placed prefix always equals
@@ -356,21 +371,16 @@ def canonical_columns(g: Graph) -> tuple[int, ...]:
     only the lowest is tried, since swapping two of them is an automorphism
     that fixes every placed vertex (twins also share their column).
     """
-    n, rows = g.n, g.rows
-    if n == 1:
-        return ()
     twin = _twin_classes(n, rows)
     below = [0] * n  # the vertices of v's twin class with a smaller label
     for v in range(n):
         for u in range(v):
             if twin[u] == twin[v]:
                 below[v] |= 1 << u
-    # sentinel value 2^p is larger than any real p-bit column
     top = [1 << p for p in range(1, n)]
-    best = top[:]
     last = n - 1
 
-    def place(p: int, free: int, cells: list[tuple[int, int]]):
+    def place(p: int, free: int, cells: list[tuple[int, int]]) -> bool:
         # positions 0..p-1 are placed and `free` is the unplaced set; the
         # vertices of cells[0], whose column is best[p-1], can take position p
         col, first = cells[0]
@@ -389,6 +399,8 @@ def canonical_columns(g: Graph) -> tuple[int, ...]:
             if c > b:
                 continue
             if c < b:
+                if stop:
+                    return True
                 best[p] = b = c
                 best[p + 1 :] = top[p + 1 :]
             if p + 1 == last:
@@ -401,177 +413,14 @@ def canonical_columns(g: Graph) -> tuple[int, ...]:
                     child.append((c << 1, x))
                 if m ^ x:
                     child.append(((c << 1) | 1, m ^ x))
-            place(p + 1, free ^ vb, child)
+            if place(p + 1, free ^ vb, child):
+                return True
+        return False
 
-    place(0, (1 << n) - 1, [(0, (1 << n) - 1)])
-    return tuple(best)
-
-
-def _refine(rows: Sequence[int], cells: list[int]) -> list[int]:
-    """Split the ordered cells (vertex bitmasks) until the partition is
-    equitable.  A vertex's signature is its neighbour count in each cell, in
-    cell order; each cell splits into its signature classes in sorted order."""
-    while True:
-        out = []
-        for cell in cells:
-            if not cell & (cell - 1):
-                out.append(cell)
-                continue
-            parts: dict[tuple[int, ...], int] = {}
-            rest = cell
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                r = rows[low.bit_length() - 1]
-                sig = tuple([(r & c).bit_count() for c in cells])
-                parts[sig] = parts.get(sig, 0) | low
-            out.extend(parts[sig] for sig in sorted(parts))
-        if len(out) == len(cells):
-            return out
-        cells = out
+    return place(0, (1 << n) - 1, [(0, (1 << n) - 1)])
 
 
-def _least_leaves(
-    n: int, rows: Sequence[int], twin: Sequence[int]
-) -> tuple[tuple[int, ...], list[list[int]]]:
-    """The individualisation-refinement search of `_certificate`: its least
-    leaf code, and every leaf that reaches it as its list of singleton cells
-    (vertex bitmasks in leaf order).  `twin` is `_twin_classes(n, rows)`.
-
-    The search starts from the degree cells, refined until equitable; a node
-    whose cells are not all singletons takes its first smallest non-singleton
-    cell and, for one vertex per `_twin_classes` class in it, individualises
-    that vertex (puts it in a cell of its own just before the rest of the
-    cell) and refines again.  At a leaf the cells order the vertices, and the
-    code is the tuple of rows relabelled into that order.
-    """
-    least: tuple[int, ...] | None = None
-    leaves: list[list[int]] = []
-
-    def search(cells: list[int]):
-        nonlocal least, leaves
-        cells = _refine(rows, cells)
-        if len(cells) == n:
-            pos = [0] * n
-            for p, cell in enumerate(cells):
-                pos[cell.bit_length() - 1] = p
-            code = []
-            for cell in cells:
-                r, row = rows[cell.bit_length() - 1], 0
-                while r:
-                    low = r & -r
-                    r ^= low
-                    row |= 1 << pos[low.bit_length() - 1]
-                code.append(row)
-            code = tuple(code)
-            if least is None or code < least:
-                least, leaves = code, [cells]
-            elif code == least:
-                leaves.append(cells)
-            return
-        i = min((c.bit_count(), i) for i, c in enumerate(cells) if c & (c - 1))[1]
-        cell = rest = cells[i]
-        reps: dict[int, int] = {}
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            reps.setdefault(twin[low.bit_length() - 1], low)
-        for v in reps.values():
-            search(cells[:i] + [v, cell ^ v] + cells[i + 1 :])
-
-    degrees: dict[int, int] = {}
-    for v in range(n):
-        d = rows[v].bit_count()
-        degrees[d] = degrees.get(d, 0) | (1 << v)
-    search([degrees[d] for d in sorted(degrees)])
-    return least, leaves
-
-
-def _certificate(n: int, rows: Sequence[int]) -> tuple[int, ...]:
-    """A complete isomorphism invariant of the graph with adjacency `rows`:
-    the least leaf code of the individualisation-refinement search
-    `_least_leaves` (McKay & Piperno, "Practical graph isomorphism II",
-    J. Symbolic Comput. 2014).
-
-    Proof that it is complete.  Refinement and the choice of cell use only
-    adjacency and the order of the cells, so relabelling the graph by phi
-    maps the search tree onto the tree of the relabelled graph, node for
-    node, with equal leaf codes; the full tree's set of leaf codes is thus an
-    invariant.  Twin pruning keeps that set: two unindividualised vertices u,
-    v of one twin class lie in the same cell (twins have equal signatures, so
-    refinement never splits them), and swapping them is an automorphism that
-    fixes every individualised vertex, so it maps the subtree that
-    individualises u onto the one that individualises v with equal leaf
-    codes.  So isomorphic graphs get equal certificates.
-    Conversely, a leaf code is the graph itself under a relabelling, so equal
-    certificates mean isomorphic graphs.
-    """
-    return _least_leaves(n, rows, _twin_classes(n, rows))[0]
-
-
-def _automorphisms(n: int, rows: Sequence[int]) -> list[list[int]]:
-    """Automorphisms of the graph with adjacency `rows`, as maps perm[v]:
-    the map from the first leaf of least code of `_least_leaves` to each
-    other such leaf, and the transposition of each vertex with the lowest
-    vertex of its twin class.
-
-    Two leaves with equal codes order the vertices as a and b with
-    adj(a[i], a[j]) = adj(b[i], b[j]) for all i, j, so a[i] -> b[i] is an
-    automorphism; swapping two twins is one too.  They generate the whole
-    automorphism group: an automorphism maps the first least leaf onto a
-    least leaf of the search tree without twin pruning, and twin swaps that
-    fix the individualised vertices carry that leaf onto a least leaf that
-    the pruned search keeps (see `_certificate`).
-    """
-    twin = _twin_classes(n, rows)
-    leaves = _least_leaves(n, rows, twin)[1]
-    first = [cell.bit_length() - 1 for cell in leaves[0]]
-    perms = []
-    for leaf in leaves[1:]:
-        perm = [0] * n
-        for u, cell in zip(first, leaf):
-            perm[u] = cell.bit_length() - 1
-        perms.append(perm)
-    lowest: dict[int, int] = {}
-    for v in range(n):
-        u = lowest.setdefault(twin[v], v)
-        if u != v:
-            perm = list(range(n))
-            perm[u], perm[v] = v, u
-            perms.append(perm)
-    return perms
-
-
-def _orbit_representatives(m: int, perms: Sequence[Sequence[int]]) -> list[int]:
-    """The least nonempty subset (bitmask over m vertices) of each orbit of
-    the group generated by the vertex maps `perms`, in increasing order."""
-    size = 1 << m
-    images = []
-    for perm in perms:
-        image = [0] * size
-        for mask in range(1, size):
-            low = mask & -mask
-            image[mask] = image[mask ^ low] | (1 << perm[low.bit_length() - 1])
-        images.append(image)
-    seen = bytearray(size)
-    reps = []
-    for mask in range(1, size):
-        if seen[mask]:
-            continue
-        reps.append(mask)
-        seen[mask] = 1
-        stack = [mask]
-        while stack:
-            x = stack.pop()
-            for image in images:
-                y = image[x]
-                if not seen[y]:
-                    seen[y] = 1
-                    stack.append(y)
-    return reps
-
-
-def _graph_from_columns(n: int, cols: Sequence[int]) -> Graph:
+def _rows_from_columns(n: int, cols: Sequence[int]) -> list[int]:
     rows = [0] * n
     for j in range(1, n):
         col = cols[j - 1]
@@ -579,7 +428,11 @@ def _graph_from_columns(n: int, cols: Sequence[int]) -> Graph:
             if (col >> (j - 1 - i)) & 1:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return Graph(n, rows)
+    return rows
+
+
+def _graph_from_columns(n: int, cols: Sequence[int]) -> Graph:
+    return Graph(n, _rows_from_columns(n, cols))
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -587,33 +440,54 @@ def canonical_graph(g: Graph) -> Graph:
 
 
 @lru_cache(maxsize=None)
-def _connected_cache(n: int) -> tuple[Graph, ...]:
+def _all_columns(n: int) -> tuple[tuple[int, ...], ...]:
+    """The `canonical_columns` of every graph on n vertices, connected or
+    not, one per isomorphism class, in increasing order.
+
+    Orderly generation (Read, "Every one a winner", Ann. Discrete Math.
+    1978): each lex-min string on n - 1 vertices is extended by every new
+    column, and a child is kept iff it is its own lex-min string.  The first
+    n - 2 columns of a lex-min string are the lex-min string of the graph
+    without its last-placed vertex (a smaller one would extend, with that
+    vertex last, to a smaller whole string), so each class is kept exactly
+    once, from its canonical parent.  Parents and columns are tried in
+    increasing order, so the output is sorted.  A new column whose first
+    n - 2 bits fall below the parent's last column is never canonical
+    (swapping the last two positions gives a smaller string), so the
+    columns start at the parent's last column shifted left by one bit.
+    """
     if n == 1:
-        return (Graph(1, (0,)),)
-    classes: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for parent in _connected_cache(n - 1):
-        prows = parent.rows
-        for mask in _orbit_representatives(n - 1, _automorphisms(n - 1, prows)):
-            rows = [prows[i] | (((mask >> i) & 1) << (n - 1)) for i in range(n - 1)]
+        return ((),)
+    m = n - 1  # the new vertex, and the bit count of its column
+    # the neighbourhood bitmask of column c: c's bit m-1-i is position i
+    masks = [sum(((c >> (m - 1 - i)) & 1) << i for i in range(m)) for c in range(1 << m)]
+    out = []
+    for cols in _all_columns(m):
+        prows = _rows_from_columns(m, cols)
+        for c in range(cols[-1] << 1 if cols else 0, 1 << m):
+            mask = masks[c]
+            rows = [r | ((mask >> i) & 1) << m for i, r in enumerate(prows)]
             rows.append(mask)
-            cert = _certificate(n, rows)
-            if cert not in classes:
-                classes[cert] = canonical_columns(Graph(n, rows))
-    return tuple(_graph_from_columns(n, cols) for cols in sorted(classes.values()))
+            child = cols + (c,)
+            if not _lexmin(n, rows, list(child), True):
+                out.append(child)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _connected_cache(n: int) -> tuple[Graph, ...]:
+    every = (_graph_from_columns(n, cols) for cols in _all_columns(n))
+    return tuple(g for g in every if is_connected(g))
 
 
 def enumerate_connected(n: int) -> tuple[Graph, ...]:
     """All connected graphs on n vertices, one canonical representative per
     isomorphism class, in a deterministic order (built-in generator, n <= 8).
 
-    Every class is reached by joining a new vertex to a connected graph on
-    n - 1 vertices.  Two neighbourhood masks in one orbit of the parent's
-    automorphism group give isomorphic children, so only the least mask of
-    each orbit is tried (McKay, "Isomorph-free exhaustive generation",
-    J. Algorithms 1998).  The children are grouped by `_certificate`, a
-    complete invariant; the first child of each new class is put into the
-    form of `canonical_columns`, once per class, and the representatives are
-    sorted by those columns.
+    The representatives are the connected members of `_all_columns(n)`, the
+    lex-min strings of every graph on n vertices made by orderly generation,
+    each turned into the graph whose columns it holds; so each is its own
+    `canonical_graph`, and they come sorted by `canonical_columns`.
     """
     if not 1 <= n <= MAX_GENERATED_N:
         raise InputError(f"built-in generation supports 1 <= n <= {MAX_GENERATED_N}")

@@ -394,8 +394,10 @@ def suite_determined_complete(max_n=None, workers=None) -> list[CheckResult]:
                verify_determined_by(corpus, kn, "distlap", "coinvariant", workers=workers))
         _check(results, f"K_{n} unique laplacian coinvariant key",
                verify_determined_by(corpus, kn, "laplacian", "coinvariant", workers=workers))
+        # F(K_n) = n*I - J, whose SNF is diag(1, n, ..., n, 0)
         snf = snf_integer(graphs.build_matrix(kn, "distlap"))
-        _check(results, f"K_{n}: second invariant factor of F recorded", True,
+        _check(results, f"K_{n}: second invariant factor of F recorded",
+               snf.diagonal() == (1,) + (n,) * (n - 2) + (0,),
                detail=f"f_2(F(K_{n})) = {snf.factors[1]}")
     return results
 

@@ -243,6 +243,17 @@ def test_survey_refuses_both_n_and_input(capsys, tmp_path):
     assert code == 2 and "not allowed with argument" in err and out == ""
 
 
+@pytest.mark.parametrize("command", ["ideals", "snf"])
+@pytest.mark.parametrize("order", ["inline_first", "input_first"])
+def test_refuses_both_inline_graph_and_input(capsys, tmp_path, command, order):
+    corpus = tmp_path / "k4.g6"
+    corpus.write_text("C~\n")
+    pair = ["Dt_", "--input", str(corpus)]
+    argv = pair if order == "inline_first" else pair[1:] + pair[:1]
+    code, out, err = run_cli(capsys, command, *argv)
+    assert code == 2 and "not allowed with argument" in err and out == ""
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -1,17 +1,14 @@
 import hashlib
-import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detideals import graphs
 from detideals.graphs import (
     DisconnectedGraphError,
-    _automorphisms,
-    _certificate,
-    _orbit_representatives,
+    _all_columns,
+    _graph_from_columns,
     _twin_classes,
     Graph,
     Graph6Error,
@@ -277,12 +274,6 @@ def test_canonical_form_is_isomorphism_invariant(g, rnd):
     assert canonical_columns(relabel(g, rnd)) == canonical_columns(g)
 
 
-@given(graphs_strategy(max_n=9), st.randoms())
-@settings(deadline=None, max_examples=200)
-def test_certificate_is_isomorphism_invariant(g, rnd):
-    assert _certificate(g.n, relabel(g, rnd).rows) == _certificate(g.n, g.rows)
-
-
 def one_vertex_extensions(n):
     """Every graph made by joining a new vertex n-1 to a nonempty set of
     vertices of a connected graph on n-1 vertices, as adjacency rows."""
@@ -290,19 +281,6 @@ def one_vertex_extensions(n):
         prows = parent.rows
         for mask in range(1, 1 << (n - 1)):
             yield [prows[i] | (((mask >> i) & 1) << (n - 1)) for i in range(n - 1)] + [mask]
-
-
-def test_certificate_classes_equal_canonical_form_classes():
-    # the certificate separates exactly the children that canonical_columns
-    # separates, on every child the generator sees up to n = 7
-    for n in range(2, 8):
-        by_cert, by_cols = {}, {}
-        for rows in one_vertex_extensions(n):
-            cert = _certificate(n, rows)
-            cols = canonical_columns(Graph(n, rows))
-            assert by_cert.setdefault(cert, cols) == cols
-            assert by_cols.setdefault(cols, cert) == cert
-        assert len(by_cert) == len(enumerate_connected(n))
 
 
 def test_canonical_columns_equal_the_dfs_oracle_on_one_vertex_extensions():
@@ -351,21 +329,6 @@ def symmetric_graphs():
     yield Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])  # 2 K_3
 
 
-def test_certificate_on_symmetric_graphs():
-    rnd = random.Random(7)
-    certs = {}
-    for g in symmetric_graphs():
-        cert = _certificate(g.n, g.rows)
-        # a leaf code is the graph under a relabelling ...
-        assert canonical_columns(Graph(g.n, cert)) == canonical_columns(g)
-        # ... and the least one does not depend on the labelling
-        assert all(_certificate(g.n, relabel(g, rnd).rows) == cert for _ in range(5))
-        assert certs.setdefault(canonical_columns(g), cert) == cert
-    # equitable from the start, yet separated: C_6 / 2 K_3, K_{3,3} / prism,
-    # Petersen / pentagonal prism
-    assert len(set(certs.values())) == len(certs)
-
-
 def test_canonical_columns_equal_the_dfs_oracle_on_symmetric_graphs():
     rnd = random.Random(11)
     for g in symmetric_graphs():
@@ -374,44 +337,33 @@ def test_canonical_columns_equal_the_dfs_oracle_on_symmetric_graphs():
         assert canonical_columns(relabel(g, rnd)) == cols, write_graph6(g)
 
 
-def is_automorphism(g, perm):
-    return sorted(perm) == list(range(g.n)) and all(
-        g.has_edge(perm[u], perm[v]) for u, v in g.edges())
+@given(graphs_strategy(max_n=9).filter(lambda g: g.n >= 2))
+@settings(deadline=None, max_examples=200)
+def test_lexmin_prefix_is_the_lexmin_form_of_the_parent(g):
+    # what orderly generation rests on: the first n-2 columns of a lex-min
+    # string are the lex-min string of the graph without its last vertex
+    cols = canonical_columns(g)
+    assert canonical_columns(_graph_from_columns(g.n - 1, cols[:-1])) == cols[:-1]
 
 
-def test_automorphisms_are_automorphisms():
-    corpus = [g for n in range(1, 8) for g in enumerate_connected(n)] + list(symmetric_graphs())
-    for g in corpus:
-        perms = _automorphisms(g.n, g.rows)
-        assert all(is_automorphism(g, perm) for perm in perms), write_graph6(g)
-    # the Petersen graph has no twins, so each of its 120 automorphisms
-    # but the identity is the map to one least leaf
-    assert len(_automorphisms(10, petersen_graph().rows)) == 119
+def test_orderly_generation_keeps_exactly_the_canonical_children():
+    # every column on every parent, those below the swap cut included
+    for n in range(2, 8):
+        kept = set(_all_columns(n))
+        for cols in _all_columns(n - 1):
+            for c in range(1 << (n - 1)):
+                child = cols + (c,)
+                canonical = canonical_columns(_graph_from_columns(n, child)) == child
+                assert (child in kept) == canonical, child
+                if cols and c < cols[-1] << 1:
+                    assert not canonical, child
 
 
-def test_mask_orbits_equal_the_orbits_of_the_whole_group():
-    # the maps generate every automorphism: their orbits on vertex subsets
-    # are those of the group found by trying every permutation
-    for n in range(1, 7):
-        for g in enumerate_connected(n):
-            group = [q for q in itertools.permutations(range(n)) if is_automorphism(g, q)]
-            least = {min(sum(1 << q[v] for v in range(n) if (mask >> v) & 1) for q in group)
-                     for mask in range(1, 1 << n)}
-            assert _orbit_representatives(n, _automorphisms(n, g.rows)) == sorted(least)
-
-
-def test_enumeration_certifies_one_mask_per_orbit(monkeypatch):
-    expected = enumerate_connected(7)
-    calls = []
-
-    def counting(n, rows):
-        calls.append(n)
-        return _certificate(n, rows)
-
-    monkeypatch.setattr(graphs, "_certificate", counting)
-    assert graphs._connected_cache.__wrapped__(7) == expected
-    masks = len(enumerate_connected(6)) * (2 ** 6 - 1)  # 7,056
-    assert calls.count(7) <= 0.6 * masks
+def test_all_columns_counts_every_graph(corpus8):
+    # OEIS A000088: graphs on n vertices, connected or not (the corpus8
+    # fixture has already filled the cache of _all_columns(8))
+    assert [len(_all_columns(n)) for n in range(1, 9)] == [1, 2, 4, 11, 34, 156, 1044, 12346]
+    assert all(list(_all_columns(n)) == sorted(_all_columns(n)) for n in range(1, 9))
 
 
 # SHA-256 of the newline-joined graph6 strings of enumerate_connected(n)

@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from detideals import survey
+from detideals import suites, survey
 from detideals.graphs import (
     DisconnectedGraphError,
     Graph,
@@ -342,3 +343,19 @@ def test_cross_check_n6(corpus6):
             assert report.codet_q_with_mate == 2
             assert report.codet_z_with_mate == 0
             assert report.coinvariant_with_mate == 112
+
+
+def test_determined_complete_checks_the_snf_of_the_distance_laplacian(monkeypatch):
+    name = "K_{}: second invariant factor of F recorded"
+    results = suites.suite_determined_complete(max_n=5, workers=1)
+    assert {name.format(4), name.format(5)} <= {r.name for r in results}
+    assert all(r.passed for r in results)
+    real = suites.snf_integer
+
+    def wrong(matrix):
+        snf = real(matrix)  # f_2 = n, made n + 1
+        return dataclasses.replace(snf, factors=(1, snf.factors[1] + 1) + snf.factors[2:])
+
+    monkeypatch.setattr(suites, "snf_integer", wrong)
+    results = suites.suite_determined_complete(max_n=5, workers=1)
+    assert [r.name for r in results if not r.passed] == [name.format(4), name.format(5)]

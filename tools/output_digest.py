@@ -20,6 +20,8 @@ Run it on two checkouts and diff the two files.  It covers:
 * the `cross_check` reports for n = 2..6 and every kind;
 * `verify --max-n 6` of every suite except `tables`;
 * `gen --n N` for N = 1..8 (the built-in connected-graph corpora);
+* `_connected_cache(9)`, the n = 9 corpus beyond the reach of `gen`, as the
+  SHA-256 of its newline-joined graph6 strings;
 * `write_graph6(canonical_graph(g))` over 500 seeded random connected graphs
   with n = 9 and 500 with n = 10, beyond the reach of `gen`.
 
@@ -41,6 +43,7 @@ from detideals.cli import main
 from detideals.graphs import (
     MATRIX_KINDS,
     Graph,
+    _connected_cache,
     canonical_graph,
     enumerate_connected,
     is_connected,
@@ -122,6 +125,9 @@ def print_digests(tmp: str) -> None:
 
     for n in range(1, 9):
         print(f"gen n={n} {_sha(_cli('gen', '--n', str(n)))}", flush=True)
+    corpus9 = _connected_cache(9)
+    digest = _sha("\n".join(write_graph6(g) for g in corpus9).encode())
+    print(f"_connected_cache n=9 {len(corpus9)} graphs {digest}", flush=True)
 
     forms = [write_graph6(canonical_graph(g))
              for n in (9, 10) for g in _random_connected(random.Random(n), n, 500)]

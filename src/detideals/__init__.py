@@ -22,13 +22,11 @@ from .graphs import (
     Graph6Error,
     InputError,
     build_matrix,
-    char_matrix,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     distance_matrix,
     enumerate_connected,
-    generalized_char_matrix,
     parse_graph6,
     path_graph,
     star_graph,

@@ -2,8 +2,10 @@
 
 Vertices are 0-based.  Adjacency is stored as one int bitmask per vertex,
 which keeps the canonical-form search and the enumeration fast.  The ideals
-are built from integer matrices; `char_matrix` (x*I - M) and
-`generalized_char_matrix` (diag(x0..x_{n-1}) - M) are oracle inputs only.
+are built from integer matrices (`smith.char_minors` packs and peels x*I - M
+itself); `char_matrix` (x*I - M) and `generalized_char_matrix`
+(diag(x0..x_{n-1}) - M) are inputs of the tests' oracles only, and the
+package does not export them.
 
 One isomorphism search, `_lexmin`, serves both the canonical form and the
 enumeration.  `canonical_columns` is the lexicographically least

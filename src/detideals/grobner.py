@@ -34,15 +34,16 @@ pair's lcm, so the field width is checked there and widened before a
 monomial would reach a guard bit.  `strong_groebner` alone sets the
 generators' signs and feed order; `Ideal` keeps them as given.
 
-A Z[x] ideal with a monic generator p of degree D, which every determinantal
-ideal I_k of x*I - M is (a principal k-minor is monic), takes no Buchberger
-run: I = (p) + L with L = {f in I : deg f < D}, and L is a Z-lattice in
-Z^D whose echelon (Hermite) form gives the same canonical basis
+A Z[x] ideal with a monic generator p of degree D takes no Buchberger run:
+I = (p) + L with L = {f in I : deg f < D}, and L is a Z-lattice in Z^D
+whose echelon (Hermite) form gives the same canonical basis
 (Szekeres, "A canonical basis for the ideals of a polynomial domain", Amer.
 Math. Monthly 1952; Cohen, "A Course in Computational Algebraic Number
-Theory", 2.4.2).  Buchberger still runs for Z[x] generator sets with no
-monic element and for every ideal of Z[x0..x_{m-1}], and is the oracle the
-lattice path is tested against.
+Theory", 2.4.2).  Nearly every level of `smith.char_minors` has such a
+generator (a principal minor is monic, and the minors left after its unit
+pivots almost always include one).  Buchberger still runs for Z[x]
+generator sets with no monic element and for every ideal of
+Z[x0..x_{m-1}], and is the oracle the lattice path is tested against.
 """
 
 from __future__ import annotations

@@ -3,11 +3,13 @@
 A profile holds the ideals I_1 .. I_n of x*I - M over Z[x] or Q[x], or of
 diag(x_1..x_n) - M over Z[X] (critical / distance ideals), together with the
 algebraic co-rank, evaluation maps and variety machinery.  The Z[x] and Z[X]
-ideals are generated by the distinct minors of `smith.char_minors`, one
-symmetric expansion of the packed matrix (just 1 for a level with a +-1
-minor, which is then never decoded), the Q[x] ones by the Delta_k of
-`smith.deltas_q`.  A Z[X] ideal's basis comes from `grobner.strong_groebner`,
-which packs each generator once for the chain-criterion `StrongBasis`.
+ideals are generated by `smith.char_minors`: it peels the unit pivots off
+the packed matrix (every edge gives one), so the first levels are just 1 and
+the rest are the distinct minors of the smaller Schur complement (just 1 for
+a level with a +-1 minor, which is then never decoded).  The Q[x] ideals are
+generated by the Delta_k of `smith.deltas_q`.  A Z[X] ideal's basis comes
+from `grobner.strong_groebner`, which packs each generator once for the
+chain-criterion `StrongBasis`.
 """
 
 from __future__ import annotations

@@ -7,12 +7,12 @@ characteristic polynomial alone, Delta_{k-1} being gcd(Delta_k, Delta_k').
 snf_poly_q turns them into the invariant factors of x*I - M.  delta_bruteforce
 recomputes every Delta_k as a gcd over all k-minors and is the independent
 oracle both are tested against.  minor_tables is the package's one Laplace
-expansion; on a symmetric matrix it expands each pair of row and column sets
-once.  packed_char_matrix packs x*I - M (Z[x]) or diag(x_0..x_{n-1}) - M
-(Z[X]) into ints; char_minors expands it, symmetrically for a symmetric M
-(every graph matrix), into the ideals' generators, leaving a level with a
-+-1 minor undecoded as just 1, and char_poly eliminates it by Bareiss, both
-decoding with unpack_minors.
+expansion.  packed_char_matrix packs x*I - M (Z[x]) or diag(x_0..x_{n-1}) - M
+(Z[X]) into ints.  char_minors first peels unit pivots off it
+(_peel_units: A ~ u + S for an entry u = +-1 and S its Schur complement, so
+I_k(A) = I_{k-1}(S)), then expands the smaller S into the ideals'
+generators, leaving a level with a +-1 minor undecoded as just 1; char_poly
+eliminates the packed matrix by Bareiss; both decode with unpack_minors.
 _square, _int_matrix and _symmetric are the one square, integer and symmetry
 checks.
 """
@@ -232,8 +232,7 @@ def snf_poly_q(matrix: Sequence[Sequence[int]]) -> SnfResult:
 # minors, the brute-force Delta_k oracle and characteristic polynomials
 
 
-def minor_tables(matrix: Sequence[Sequence], max_k: int | None = None, *,
-                 symmetric: bool = False) -> dict:
+def minor_tables(matrix: Sequence[Sequence], max_k: int | None = None) -> dict:
     """All k x k subdeterminants for k = 1..max_k, memoized Laplace expansion.
 
     Works for any entry type supporting +, -, * (int, Fraction, UniPoly,
@@ -243,33 +242,23 @@ def minor_tables(matrix: Sequence[Sequence], max_k: int | None = None, *,
     standing for row or column i.  This is the one expansion in the package:
     `char_minors` runs it on packed integers, `delta_bruteforce` and
     `profiles.minors_k` on the matrix they are given, which must be square.
-
-    `symmetric=True` (ValueError unless M == M^T) expands only the pairs
-    with R before C in the order of the subsets: the minor on (C, R) is that
-    of the transposed submatrix, so it equals the minor on (R, C) and is
-    copied, which keeps the keys in the order of the general path.
     """
     n = _square(matrix)
     if max_k is None:
         max_k = n
     if not 1 <= max_k <= n:
         raise ValueError("k out of range")
-    if symmetric and not _symmetric(matrix):
-        raise ValueError("symmetric=True needs a symmetric matrix")
     zero = matrix[0][0] - matrix[0][0]
     level = {(1 << i, 1 << j): matrix[i][j] for i in range(n) for j in range(n)}
     tables = {1: level}
     for k in range(2, max_k + 1):
         subsets = [(sum(1 << i for i in s), s) for s in combinations(range(n), k)]
         prev, level = level, {}
-        for r, (rmask, rows) in enumerate(subsets):
+        for rmask, rows in subsets:
             r0 = rows[0]
             rest = rmask ^ (1 << r0)
             row = matrix[r0]
-            for c, (cmask, cols) in enumerate(subsets):
-                if symmetric and c < r:
-                    level[rmask, cmask] = level[cmask, rmask]
-                    continue
+            for cmask, cols in subsets:
                 acc = zero
                 odd = False
                 for col in cols:
@@ -338,21 +327,67 @@ def unpack_minors(values, shift: int, ring: Ring) -> list:
     return out
 
 
+def _peel_units(rows: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """Peel +-1 pivots off a square integer matrix A, such as the packed ones
+    of `packed_char_matrix`: (r, S) with S (n-r) x (n-r), I_k(A) = (1) for
+    k <= r and I_{r+k}(A) = I_k(S) for k >= 1.
+
+    While an entry u = +-1 is left, take the one of least fill
+    (row nonzeros - 1) * (column nonzeros - 1), the first in row-major order
+    on a tie, and replace the matrix by its Schur complement
+    A_{-i,-j} - u * A_{-i,j} * A_{i,-j} (u^-1 = u).  Invertible row and
+    column operations clear row i and column j, so A ~ u + S (direct sum)
+    and the determinantal ideals shift by one (Fitting ideals do not depend
+    on the presentation; Eisenbud, Commutative Algebra, 20.2).  Every entry
+    of S is +- an (r+1)-minor of A and every k-minor of S +- a (k+r)-minor
+    of A, so the packing's digit bound still holds: a packed +-1 is the
+    polynomial +-1, and the minors of S decode like those of A.  The list
+    `rows` is reused for S; its row lists are not modified.
+    """
+    r = 0
+    while rows:
+        cols = [sum(1 for v in col if v) - 1 for col in zip(*rows)]
+        best = None
+        for i, row in enumerate(rows):
+            fill = sum(1 for v in row if v) - 1
+            for j, v in enumerate(row):
+                if (v == 1 or v == -1) and (best is None or fill * cols[j] < best[0]):
+                    best = (fill * cols[j], i, j)
+        if best is None:
+            break
+        _, i, j = best
+        pivot_row = rows.pop(i)
+        u = pivot_row[j]
+        for a, row in enumerate(rows):
+            c = u * row[j]
+            if c:
+                row = [v - c * w for v, w in zip(row, pivot_row)]
+            rows[a] = row[:j] + row[j + 1:]
+        r += 1
+    return r, rows
+
+
 def char_minors(matrix: Sequence[Sequence[int]], ring: Ring) -> list[list]:
     """For k = 1..n, generators of I_k of x*I - M (ring Z[x]) or
-    diag(x_0..x_{n-1}) - M (ring Z[X]): the distinct nonzero k-minors up to
-    sign, or just [1] if one of them is +-1.  The packing is injective and
-    packs 1 to 1, so a unit level is seen among the packed values and nothing
-    of it is decoded.  A symmetric M gives a symmetric packed matrix, which
-    `minor_tables` expands symmetrically.  Over Z[x] each minor has a
-    positive leading coefficient; the Groebner engine
-    (`grobner.strong_groebner`) sets the sign and order of the Z[X] ones."""
+    diag(x_0..x_{n-1}) - M (ring Z[X]).
+
+    `_peel_units` takes r unit pivots off the packed matrix (r >= 1 for
+    every graph with an edge: an edge is an off-diagonal -1).  Levels 1..r
+    are [1], never decoded; level r + k holds the distinct nonzero k-minors
+    of the Schur complement S up to sign, or just [1] if one of them is +-1.
+    Each is one of the (r+k)-minors of the full matrix, so they generate
+    the same ideal with fewer generators; the full expansion is the tests'
+    oracle.  S is never empty: det(x*I - M) is monic of degree n.  Over Z[x] each generator has a positive leading
+    coefficient; the Groebner engine (`grobner.strong_groebner`) sets the
+    sign and order of the Z[X] ones."""
     shift, rows = packed_char_matrix(matrix, ring)
-    out = []
-    for level in minor_tables(rows, symmetric=_symmetric(rows)).values():
+    r, rows = _peel_units(rows)
+    one = UniPoly.const(1, RING_Z) if ring.kind == "Zx" else MultiPoly.const(1, ring.arity)
+    out = [[one] for _ in range(r)]
+    for level in minor_tables(rows).values():
         distinct = {abs(v) for v in level.values()}
         distinct.discard(0)
-        out.append(unpack_minors([1] if 1 in distinct else distinct, shift, ring))
+        out.append([one] if 1 in distinct else unpack_minors(distinct, shift, ring))
     return out
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from fractions import Fraction
 from itertools import permutations
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detideals.graphs import (
+    Graph,
     build_matrix,
     char_matrix,
     complete_bipartite_graph,
@@ -15,10 +17,11 @@ from detideals.graphs import (
     cycle_graph,
     enumerate_connected,
     generalized_char_matrix,
+    is_connected,
     path_graph,
 )
 from detideals import smith
-from detideals.grobner import QX, ZX_UNI, zmulti
+from detideals.grobner import QX, ZX_UNI, Ideal, zmulti
 from detideals.polyring import RING_Q, RING_Z, MultiPoly, UniPoly
 from detideals.profiles import minors_k
 from detideals.smith import (
@@ -387,34 +390,73 @@ def _is_one(p):
     return p.is_constant() and p.constant_value() == 1
 
 
+def _full_minors(m, ring):
+    """The oracle of `char_minors`: per level, the distinct nonzero minors of
+    the whole packed matrix up to sign, decoded (no pivots peeled)."""
+    shift, rows = packed_char_matrix(m, ring)
+    return [unpack_minors({abs(v) for v in level.values()} - {0}, shift, ring)
+            for level in minor_tables(rows).values()]
+
+
+def _assert_same_ideals(m, ring):
+    # level by level, char_minors generates the ideal of all the minors: the
+    # canonical bases are equal, each generator is one of the minors up to
+    # sign (over Z[x] with a positive leading coefficient), and a level of
+    # just [1] has a +-1 minor
+    got_levels = char_minors(m, ring)
+    want_levels = _full_minors(m, ring)
+    assert len(got_levels) == len(want_levels)
+    for got, want in zip(got_levels, want_levels):
+        minors = {_positive(p) for p in want}
+        if len(got) == 1 and _is_one(got[0]):
+            assert any(map(_is_one, minors))
+            continue
+        signed = set(got) if ring == ZX_UNI else {_positive(p) for p in got}
+        assert len(signed) == len(got) and signed <= minors
+        assert Ideal(ring, got).canonical_basis() == Ideal(ring, want).canonical_basis()
+
+
 def _assert_char_minors_match(m, cm, ring):
-    # entry by entry (the decoding oracle), then the generators level by
-    # level: exactly [1] for a level with a +-1 minor, else the distinct
-    # minors, over Z[x] each with a positive leading coefficient, over Z[X]
-    # up to sign
+    # entry by entry (the decoding oracle): the full packed expansion decodes
+    # to the generic one over UniPoly or MultiPoly; then the generators
     shift, rows = packed_char_matrix(m, ring)
     tables = minor_tables(rows)
-    want = minor_tables(cm)
-    distinct_minors = char_minors(m, ring)
-    for k, level in want.items():
+    for k, level in minor_tables(cm).items():
         assert len(tables[k]) == len(level)
         assert unpack_minors([tables[k][key] for key in level], shift, ring) == list(level.values())
-        distinct = distinct_minors[k - 1]
-        minors = {_positive(p) for p in level.values() if not p.is_zero()}
-        if any(map(_is_one, minors)):
-            assert len(distinct) == 1 and _is_one(distinct[0])
-            continue
-        got = set(distinct) if ring == ZX_UNI else {_positive(p) for p in distinct}
-        assert len(got) == len(distinct)
-        assert got == minors
+    _assert_same_ideals(m, ring)
 
 
-def test_char_minors_equal_minor_tables_of_char_matrix():
-    # the packed integer expansion against the generic one over UniPoly
+def _codet_q_mates(corpus, kind):
+    """The graphs of `corpus` whose Delta_k over Q[x] another one shares."""
+    classes = {}
+    for g in corpus:
+        classes.setdefault(deltas_q(build_matrix(g, kind)), []).append(g)
+    return [g for graphs in classes.values() if len(graphs) > 1 for g in graphs]
+
+
+def _random_connected(rnd, n, count, p=0.4):
+    out = []
+    while len(out) < count:
+        g = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                 if rnd.random() < p])
+        if is_connected(g):
+            out.append(g)
+    return out
+
+
+def test_char_minors_equal_minor_tables_of_char_matrix(corpus7):
+    # the packed integer expansion against the generic one over UniPoly for
+    # n <= 6, and the peeled generators against all the minors: n <= 6, the
+    # n = 7 codet-Q mates and 20 seeded n = 9 graphs, every kind
     for n in range(1, 7):
         for g in enumerate_connected(n):
             for kind in KINDS:
                 _assert_char_minors_match(build_matrix(g, kind), char_matrix(g, kind), ZX_UNI)
+    nine = _random_connected(random.Random(909), 9, 20)
+    for kind in KINDS:
+        for g in _codet_q_mates(corpus7, kind) + nine:
+            _assert_same_ideals(build_matrix(g, kind), ZX_UNI)
 
 
 def test_char_minors_of_large_and_negative_entries():
@@ -428,10 +470,11 @@ def test_char_minors_of_large_and_negative_entries():
 
 
 def test_zx_char_minors_equal_minor_tables_of_generalized_char_matrix():
-    # the packed Z[X] minors against the generic expansion over MultiPoly:
-    # critical and distance ideals for n <= 6
+    # the packed Z[X] minors against the generic expansion over MultiPoly,
+    # and the peeled generators against all the minors: critical and
+    # distance ideals for n <= 5, critical ideals for n = 6
     for n in range(1, 7):
-        for kind in ("adjacency", "distance"):
+        for kind in ("adjacency", "distance") if n < 6 else ("adjacency",):
             for g in enumerate_connected(n):
                 _assert_char_minors_match(build_matrix(g, kind),
                                           generalized_char_matrix(g, kind), zmulti(n))
@@ -448,36 +491,49 @@ def test_zx_char_minors_of_large_and_negative_entries():
             packed_char_matrix(m, ring)
 
 
-def test_symmetric_minor_tables_equal_the_general_expansion():
-    # every packed x*I - M and diag(x_i) - M of every kind for n <= 6: the
-    # same minors under the same keys, in the same order
-    for n in range(1, 7):
-        for g in enumerate_connected(n):
-            for kind in KINDS:
-                for ring in (ZX_UNI, zmulti(n)):
-                    rows = packed_char_matrix(build_matrix(g, kind), ring)[1]
-                    general = minor_tables(rows)
-                    symmetric = minor_tables(rows, symmetric=True)
-                    assert [list(level.items()) for level in symmetric.values()] == \
-                        [list(level.items()) for level in general.values()]
-
-
-def test_symmetric_minor_tables_refuse_a_non_symmetric_matrix():
+def test_char_minors_of_a_non_symmetric_matrix():
     m = [[1, 2, 0], [2, 0, 1], [0, 3, 1]]
-    with pytest.raises(ValueError, match="symmetric"):
-        minor_tables(m, symmetric=True)
-    assert minor_tables(m, symmetric=False) == minor_tables(m)
-    # char_minors expands a non-symmetric M by the general path
     cm = [[UniPoly((-m[i][j], 1) if i == j else (-m[i][j],)) for j in range(3)]
           for i in range(3)]
     _assert_char_minors_match(m, cm, ZX_UNI)
 
 
+def test_peeling_a_unit_keeps_every_delta():
+    # seeded non-symmetric integer matrices with a +-1 entry: after r pivots,
+    # Delta_k(A) = 1 for k <= r and Delta_{r+k}(A) = Delta_k(S)
+    rnd = random.Random(31)
+    for _ in range(200):
+        n = rnd.randint(2, 5)
+        a = [[rnd.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        a[rnd.randrange(n)][rnd.randrange(n)] = rnd.choice((1, -1))
+        if smith._symmetric(a):
+            continue
+        r, s = smith._peel_units([row[:] for row in a])
+        assert 1 <= r <= n and len(s) == n - r and all(len(row) == n - r for row in s)
+        assert not any(v in (1, -1) for row in s for v in row)
+        for k in range(1, n + 1):
+            assert delta_bruteforce(a, k) == (1 if k <= r else delta_bruteforce(s, k - r))
+    # one step by hand: the pivot of least fill is the -1 at (1, 2)
+    a = [[3, 1, 2], [0, 2, -1], [4, 5, 6]]
+    assert smith._peel_units(a) == (1, [[3, 5], [4, 17]])
+    # three units tie at fill 1: the first in row-major order, (0, 0), is
+    # taken ((0, 1) or (1, 0) would leave -2)
+    assert smith._peel_units([[1, 1], [1, 3]]) == (1, [[2]])
+    # no unit entry: nothing is peeled, packed or not
+    double = [[0, 2, 0], [2, 0, 2], [0, 2, 0]]
+    assert smith._peel_units(double) == (0, double)
+    for ring in (ZX_UNI, zmulti(3)):
+        rows = packed_char_matrix(double, ring)[1]
+        assert smith._peel_units(rows) == (0, rows)
+
+
 @pytest.mark.parametrize("ring", [ZX_UNI, zmulti(3)])
 def test_char_minors_unit_level_is_one_without_decoding(monkeypatch, ring):
-    # the 1- and 2-minors of P_3 hold -1: those levels are exactly [1], and
-    # only the value 1 of them reaches the decoder; the top level, and every
-    # level of 2 * P_3 (no unit minor), keep all of their distinct minors
+    # P_3 peels two -1 pivots: levels 1 and 2 are exactly [1] and nothing of
+    # them reaches the decoder, only the top level's minor does.  2 * P_3 has
+    # no unit entry and no unit minor: every level keeps all of its distinct
+    # minors.  The block [[2, 3], [3, 5]] of `block` has no unit entry but
+    # determinant 1: its level 2 is [1], undecoded, with nothing peeled
     decoded = []
     unpack = smith.unpack_minors
 
@@ -493,7 +549,7 @@ def test_char_minors_unit_level_is_one_without_decoding(monkeypatch, ring):
     monkeypatch.setattr(smith, "unpack_minors", recording)
     path = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
     levels = char_minors(path, ring)
-    assert decoded == [[1], [1], distinct_packed(path)[2]]
+    assert decoded == [distinct_packed(path)[2]]
     assert [len(level) for level in levels] == [1, 1, 1]
     assert _is_one(levels[0][0]) and _is_one(levels[1][0]) and not _is_one(levels[2][0])
     double = [[2 * v for v in row] for row in path]
@@ -502,3 +558,10 @@ def test_char_minors_unit_level_is_one_without_decoding(monkeypatch, ring):
     assert decoded == distinct_packed(double)
     assert [len(level) for level in levels] == [len(d) for d in decoded] != [1, 1, 1]
     assert not any(_is_one(p) for level in levels for p in level)
+    block = [[0, 0, 2, 3], [0, 0, 3, 5], [2, 3, 0, 0], [3, 5, 0, 0]]
+    ring = ring if ring == ZX_UNI else zmulti(4)
+    decoded.clear()
+    levels = char_minors(block, ring)
+    full = distinct_packed(block)
+    assert 1 in full[1] and decoded == [d for d in full if 1 not in d]
+    assert [len(level) == 1 and _is_one(level[0]) for level in levels] == [1 in d for d in full]

@@ -6,7 +6,8 @@ monomials, lcm of the leading coefficients) and G-polynomials (Bezout
 combination realizing the gcd of the leading coefficients), and reduction
 uses division with positive remainder.  The result is the minimal reduced
 strong Groebner basis with positive leading coefficients, which is unique
-for an ideal, so ideal equality is list equality.
+for an ideal, so ideal equality is list equality; `StrongBasis.canonical`
+gets it in one minimalisation and one reduction sweep (proof there).
 
 Completion skips the S-polynomial of a pair by Buchberger's chain criterion,
 which carries over to strong bases over Z with one more condition on leading
@@ -358,47 +359,31 @@ class StrongBasis:
             self._append(r)
 
     def canonical(self) -> list[dict]:
-        """Minimal reduced basis, signs positive, sorted ascending."""
+        """The minimal reduced strong basis, signs positive, in ascending
+        `_record_key` order: one minimalisation, then one reduction sweep.
+
+        Minimalisation drops, in `_record_key` order, each element whose
+        leading term a kept one divides (lm_k | lm_f, lc_k | lc_f); the kept
+        ones still form a strong basis.  If a kept g has lm_g | lm_f, the
+        G-polynomial puts gcd(lc_f, lc_g) * lm_f in the leading ideal, so a
+        kept h has lm_h | lm_f and lc_h | gcd; minimality gives h = f, so lc_f
+        properly divides lc_g and g cannot reduce the leading term of f.
+        Reducing each element over the others thus keeps every leading term,
+        and so the order, and leaves each tail term c * X with 0 <= c < lc_g
+        for every g with lm_g | X.  Such a remainder modulo a strong basis is
+        unique (Kandri-Rody & Kapur, J. Symbolic Comput. 1988; Lichtblau
+        2012), so the others may be taken reduced or not."""
         if self._unit:
             return [{(0,) * self.packing.arity: 1}]
-        elems = list(self.elems)
-        while True:
-            elems = self._minimalize(elems)
-            elems, changed = self._interreduce(elems)
-            if not changed:
-                break
-        elems.sort(key=_record_key)
-        unpack = self.packing.unpack
-        return [{unpack(m): c for m, c in t.items()} for t, _, _ in elems]
-
-    def _minimalize(self, elems):
-        elems = sorted(elems, key=_record_key)
         mask = self.packing.mask
         keep: list[tuple[dict, int, int]] = []
-        for t, lm, lc in elems:
-            if any(not (lm - klm) & mask and lc % klc == 0 for _, klm, klc in keep):
-                continue
-            keep.append((t, lm, lc))
-        return keep
-
-    def _interreduce(self, elems):
-        mask = self.packing.mask
-        changed = False
-        while True:
-            dirty = False
-            for idx in range(len(elems)):
-                t = elems[idx][0]
-                others = elems[:idx] + elems[idx + 1 :]
-                r = _normal_form(t, others, mask)
-                if r != t:
-                    dirty = changed = True
-                    if r:
-                        elems[idx] = _record(r)
-                    else:
-                        del elems[idx]
-                    break
-            if not dirty:
-                return elems, changed
+        for t, lm, lc in sorted(self.elems, key=_record_key):
+            if not any(not (lm - klm) & mask and not lc % klc for _, klm, klc in keep):
+                keep.append((t, lm, lc))
+        for i, (t, lm, lc) in enumerate(keep):
+            keep[i] = (_normal_form(t, keep[:i] + keep[i + 1:], mask), lm, lc)
+        unpack = self.packing.unpack
+        return [{unpack(m): c for m, c in t.items()} for t, _, _ in keep]
 
 
 def strong_groebner(gens: Iterable[dict], arity: int) -> list[dict]:

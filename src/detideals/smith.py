@@ -1,6 +1,7 @@
 """Smith normal forms over Z and Q[x], Delta_k oracles, cokernel groups.
 
-snf_integer diagonalizes an integer matrix by exact elementary operations.
+snf_integer diagonalizes an integer matrix by exact elementary operations,
+then makes the diagonal a divisibility chain in one gcd/lcm sweep.
 deltas_q takes a symmetric integer matrix M (every graph matrix here): such an
 M is diagonalisable, so the Delta_k of x*I - M over Q[x] follow from the
 characteristic polynomial alone, Delta_{k-1} being gcd(Delta_k, Delta_k').
@@ -105,17 +106,16 @@ def cokernel(snf: SnfResult) -> GroupDescription:
 
 
 def _divisibility_fix_int(diag: list[int]) -> list[int]:
-    d = sorted(abs(x) for x in diag)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(d)):
-            for j in range(i + 1, len(d)):
-                if d[j] % d[i]:
-                    g = math.gcd(d[i], d[j])
-                    d[i], d[j] = g, d[i] // g * d[j]
-                    changed = True
-        d.sort()
+    """The SNF of a diagonal of nonzero integers: one sweep over i < j puts
+    (gcd, lcm) for (d_i, d_j) where d_i does not divide d_j, an equivalence
+    over Z that keeps the product.  After step i, d_i divides every later
+    entry, and later steps keep each entry a multiple of it."""
+    d = [abs(x) for x in diag]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            if d[j] % d[i]:
+                g = math.gcd(d[i], d[j])
+                d[i], d[j] = g, d[i] // g * d[j]
     return d
 
 
@@ -377,9 +377,10 @@ def char_minors(matrix: Sequence[Sequence[int]], ring: Ring) -> list[list]:
     of the Schur complement S up to sign, or just [1] if one of them is +-1.
     Each is one of the (r+k)-minors of the full matrix, so they generate
     the same ideal with fewer generators; the full expansion is the tests'
-    oracle.  S is never empty: det(x*I - M) is monic of degree n.  Over Z[x] each generator has a positive leading
-    coefficient; the Groebner engine (`grobner.strong_groebner`) sets the
-    sign and order of the Z[X] ones."""
+    oracle.  S is never empty: det(x*I - M) is monic of degree n.  Over
+    Z[x] each generator has a positive leading coefficient; the Groebner
+    engine (`grobner.strong_groebner`) sets the sign and order of the Z[X]
+    ones."""
     shift, rows = packed_char_matrix(matrix, ring)
     r, rows = _peel_units(rows)
     one = UniPoly.const(1, RING_Z) if ring.kind == "Zx" else MultiPoly.const(1, ring.arity)

@@ -7,12 +7,11 @@ through string matching, so the checks are independent of display order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 from . import graphs
 from .grobner import QX, ZX_UNI, Ideal, zmulti
-from fractions import Fraction
-
 from .polyring import RING_Q, RING_Z, MultiPoly, UniPoly
 from .profiles import (
     determinantal_ideals,
@@ -440,7 +439,7 @@ TABLE3 = {  # n -> coinvariant counts for (adjacency, laplacian, distance, distl
     8: (11117, 8027, 11080, 455),
 }
 
-KINDS = ("adjacency", "laplacian", "distance", "distlap")
+KINDS = graphs.MATRIX_KINDS
 
 
 def suite_tables(max_n=None, workers=None) -> list[CheckResult]:

@@ -212,6 +212,21 @@ def _with_mate(keys: Sequence[str]) -> int:
     return sum(len(ids) for ids in _classes(keys).values() if len(ids) >= 2)
 
 
+def _checked_workers(kind: str, mode: str, workers: int | None) -> int:
+    """The worker count, `default_workers()` if None.  InputError, before any
+    checkpoint is opened or pool started, for an unknown kind or mode or
+    workers < 1."""
+    if kind not in graphs.MATRIX_KINDS:
+        raise graphs.InputError(f"unknown matrix kind {kind!r}")
+    if mode not in MODES:
+        raise graphs.InputError(f"unknown survey mode {mode!r}")
+    if workers is None:
+        return default_workers()
+    if workers < 1:
+        raise graphs.InputError("workers must be a positive integer")
+    return workers
+
+
 def run_survey(
     corpus: Iterable[graphs.Graph],
     kind: str,
@@ -220,12 +235,11 @@ def run_survey(
     checkpoint_path: str | None = None,
     checkpoint_every: int = 1000,
 ) -> SurveyReport:
+    workers = _checked_workers(kind, mode, workers)
     if checkpoint_every < 1:
         raise graphs.InputError("checkpoint_every must be a positive integer")
     corpus = list(corpus)
     n = _validate_corpus(corpus)
-    if workers is None:
-        workers = default_workers()
     g6s = [graphs.write_graph6(g) for g in corpus]
     with _key_map(kind, mode, workers, len(corpus)) as keys:
         if mode in ("codet-Q", "codet-Z"):
@@ -249,11 +263,10 @@ def verify_determined_by(
     workers: int | None = None,
 ) -> bool:
     """True iff the target's invariant bucket inside the corpus is a singleton."""
+    workers = _checked_workers(kind, mode, workers)
     corpus = list(corpus)
     _validate_corpus(corpus)
     key = invariant_key(target, kind, mode)
-    if workers is None:
-        workers = default_workers()
     with _key_map(kind, mode, workers, len(corpus)) as keys:
         matches = list(keys(invariant_key, corpus)).count(key)
     if matches == 0:

@@ -1,8 +1,7 @@
 import pytest
 
 from detideals import enumerate_connected
-
-KINDS = ("adjacency", "laplacian", "distance", "distlap")
+from detideals.graphs import MATRIX_KINDS as KINDS  # noqa: F401
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,7 @@ import pytest
 
 from detideals.cli import main as cli_main
 from detideals.graphs import (
+    MATRIX_KINDS,
     build_matrix,
     char_matrix,
     complete_graph,
@@ -31,7 +32,7 @@ from detideals.smith import delta_bruteforce, snf_integer, snf_poly_q
 from detideals.suites import TABLE1, TABLE2, TABLE3, run_suite
 from detideals.survey import default_workers, run_survey, verify_determined_by
 
-KINDS = ("adjacency", "laplacian", "distance", "distlap")
+KINDS = MATRIX_KINDS
 
 
 @contextmanager

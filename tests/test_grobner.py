@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detideals import grobner
-from detideals.graphs import Graph, complete_bipartite_graph, enumerate_connected
+from detideals.graphs import (
+    MATRIX_KINDS,
+    Graph,
+    complete_bipartite_graph,
+    enumerate_connected,
+    parse_graph6,
+)
 from detideals.grobner import (
     QX,
     ZX_UNI,
@@ -393,11 +399,65 @@ def test_presentation_independence_multivariate(gens, i, j):
     replaced[i] = replaced[i] + xy * replaced[j]
     assert Ideal(zmulti(2), replaced).canonical_basis() == ideal.canonical_basis()
 
+# ---------------------------------------------------------------------------
+# the canonical basis against the definition of a minimal reduced strong basis
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _assert_reduced_strong_basis(ideal):
+    """Checks the canonical basis of `ideal` term by term: positive leading
+    coefficients in ascending `_record_key` order, no leading term reducible
+    by another element, each other term c*X with 0 <= c < lc_g for every
+    other g with lm_g | X, and every generator a member."""
+    basis = [grobner._terms(p) for p in ideal.canonical_basis()]
+    lead = [max(t, key=monomial_key) for t in basis]
+    packing = Packing(ideal.ring.arity, max((sum(e) for t in basis for e in t), default=0))
+    records = [grobner._record(packing.pack_terms(t)) for t in basis]
+    assert records == sorted(records, key=grobner._record_key)
+    for i, (f, lm) in enumerate(zip(basis, lead)):
+        assert f[lm] > 0
+        others = [(g[lmg], lmg) for j, (g, lmg) in enumerate(zip(basis, lead)) if j != i]
+        assert all(f[lm] < lc for lc, lmg in others if _divides(lmg, lm)), basis
+        for X, c in f.items():
+            if X != lm:
+                assert all(0 <= c < lc for lc, lmg in others if _divides(lmg, X)), basis
+    for g in ideal.gens:
+        assert ideal.member(g)
+
+
+def test_canonical_bases_of_graph_ideals_are_reduced_strong_bases():
+    # critical and distance ideals for n <= 5, and the n = 7 Z[x] levels with
+    # no monic generator, which reach StrongBasis over Z[x]
+    for n in range(1, 6):
+        for g in enumerate_connected(n):
+            for kind in ("adjacency", "distance"):
+                for ideal in multivariate_ideals(g, kind).ideals:
+                    _assert_reduced_strong_basis(ideal)
+    for g6 in ("F?NVG", "F?]ug"):
+        for kind in ("distance", "distlap"):
+            for ideal in determinantal_ideals(parse_graph6(g6), kind, "Zx").ideals:
+                _assert_reduced_strong_basis(ideal)
+
+
+@given(small_multi_gens)
+@settings(deadline=None, max_examples=60)
+def test_multivariate_canonical_basis_is_a_reduced_strong_basis(gens):
+    _assert_reduced_strong_basis(Ideal(zmulti(2), gens))
+
+
+@given(small_zx_gens)
+@settings(deadline=None, max_examples=60)
+def test_zx_canonical_basis_is_a_reduced_strong_basis(gens):
+    _assert_reduced_strong_basis(zx(*gens))
+
 
 # ---------------------------------------------------------------------------
 # the Z-lattice path for Z[x] ideals with a monic generator
 
-KINDS = ("adjacency", "laplacian", "distance", "distlap")
+KINDS = MATRIX_KINDS
 
 
 def _buchberger(ideal):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from detideals.graphs import (
+    MATRIX_KINDS,
     build_matrix,
     char_matrix,
     complete_graph,
@@ -28,7 +29,7 @@ from detideals.profiles import (
 )
 from detideals.smith import delta_bruteforce, snf_integer
 
-KINDS = ("adjacency", "laplacian", "distance", "distlap")
+KINDS = MATRIX_KINDS
 
 X = UniPoly.variable(RING_Z)
 

@@ -5,10 +5,11 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detideals.graphs import (
+    MATRIX_KINDS,
     Graph,
     build_matrix,
     char_matrix,
@@ -38,7 +39,7 @@ from detideals.smith import (
     unpack_minors,
 )
 
-KINDS = ("adjacency", "laplacian", "distance", "distlap")
+KINDS = MATRIX_KINDS
 XQ = UniPoly.variable(RING_Q)
 
 
@@ -87,7 +88,14 @@ matrices = st.lists(
 )
 
 
+def _diag(*d):
+    return [[d[i] if i == j else 0 for j in range(len(d))] for i in range(len(d))]
+
+
 @given(matrices)
+@example(_diag(12, 18, 8, 27))  # out of order, no entry divides the next
+@example(_diag(6, 4, 9, 1))
+@example(_diag(0, 10, 4, 6))  # rank 3
 @settings(deadline=None, max_examples=80)
 def test_snf_matches_bruteforce_oracle(m):
     snf = snf_integer(m)

@@ -5,8 +5,10 @@ import pytest
 
 from detideals import suites, survey
 from detideals.graphs import (
+    MATRIX_KINDS,
     DisconnectedGraphError,
     Graph,
+    InputError,
     canonical_graph,
     complete_graph,
     cycle_graph,
@@ -29,7 +31,7 @@ from detideals.survey import (
     verify_determined_by,
 )
 
-KINDS = ("adjacency", "laplacian", "distance", "distlap")
+KINDS = MATRIX_KINDS
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +171,29 @@ def test_survey_checkpoint(tmp_path, corpus5):
     with pytest.raises(ValueError):
         run_survey(corpus5, "adjacency", "coinvariant", workers=1,
                    checkpoint_path=str(path), checkpoint_every=0)
+
+
+@pytest.mark.parametrize("kind, mode, workers", [
+    ("bogus", "cospectral", 2),
+    ("adjacency", "bogus", 2),
+    ("adjacency", "cospectral", 0),
+    ("adjacency", "cospectral", -5),
+])
+def test_refused_survey_opens_no_checkpoint_and_no_pool(monkeypatch, tmp_path, corpus5,
+                                                        kind, mode, workers):
+    path = tmp_path / "keys.jsonl"
+    run_survey(corpus5, "adjacency", "coinvariant", workers=1, checkpoint_path=str(path))
+    before = path.read_bytes()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(survey.multiprocessing, "Pool", refuse)
+    with pytest.raises(InputError):
+        run_survey(corpus5, kind, mode, workers=workers, checkpoint_path=str(path))
+    assert path.read_bytes() == before
+    with pytest.raises(InputError):
+        verify_determined_by(corpus5, corpus5[0], kind, mode, workers=workers)
 
 
 # ---------------------------------------------------------------------------

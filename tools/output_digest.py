@@ -13,7 +13,9 @@ Run it on two checkouts and diff the two files.  It covers:
 * `snf --ring Qx --output json` and `snf --ring Z --output json` over every
   connected graph with n <= 7;
 * `ideals --ring Zx` and `ideals --ring Qx`, JSON and text, over every
-  connected graph with n <= 6 and every kind;
+  connected graph with n <= 6 and every kind, and `ideals --ring Zx --output
+  json` at n = 7 for every kind (its distance-kind levels with no monic
+  generator are the graph ideals that reach `StrongBasis` over Z[x]);
 * `ideals --ring ZX`, JSON and text, over every connected graph with n <= 6
   (critical and distance ideals; each profile is computed once, for the JSON
   pass, and reused by the text pass);
@@ -99,14 +101,17 @@ def print_digests(tmp: str) -> None:
                 doc = _cli("snf", "--input", corpus, "--matrix", kind, "--ring", ring,
                            "--output", "json")
                 print(f"snf-{ring} n={n} {kind} {_sha(doc)}", flush=True)
-        if n == 7:
-            continue
-        for ring in ("Zx", "Qx"):
+        # at n = 7 only the Z[x] JSON: it holds the distance-kind levels with
+        # no monic generator, the graph ideals that reach StrongBasis over Z[x]
+        rings, outputs = (("Zx",), ("json",)) if n == 7 else (("Zx", "Qx"), ("json", "text"))
+        for ring in rings:
             for kind in MATRIX_KINDS:
-                for output in ("json", "text"):
+                for output in outputs:
                     doc = _cli("ideals", "--input", corpus, "--matrix", kind,
                                "--ring", ring, "--output", output)
                     print(f"ideals-{ring} n={n} {kind} {output} {_sha(doc)}", flush=True)
+        if n == 7:
+            continue
         for kind in ("adjacency", "distance"):
             for output in ("json", "text"):
                 doc = _cli("ideals", "--input", corpus, "--matrix", kind, "--ring", "ZX",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from . import graphs
 from .polyring import poly_str
@@ -179,26 +180,27 @@ def _cmd_survey(args) -> int:
     if len(corpus) >= LARGE_CORPUS_THRESHOLD and not args.allow_large:
         raise SizeGuardError(
             f"corpus of {len(corpus)} graphs requires --allow-large")
-    report = run_survey(
-        corpus, args.matrix, args.mode,
-        workers=args.workers,
-        checkpoint_path=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
-    )
-    if args.output == "csv":
-        text = CSV_HEADER + "\n" + report.csv_row() + "\n"
-    elif args.output == "json":
-        text = json.dumps(report.to_json(), indent=2) + "\n"
-    else:
-        text = (f"n={report.n} matrix={report.kind} mode={report.mode} "
-                f"total={report.total} with_mate={report.with_mate}\n")
-        for key, members in report.buckets:
-            text += f"  [{len(members)}] {' '.join(members)}\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # --out is opened before any key is computed, and emptied only once the
+    # report is ready, so a refused survey leaves an existing file as it was
+    with open(args.out, "a", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+        report = run_survey(
+            corpus, args.matrix, args.mode,
+            workers=args.workers,
+            checkpoint_path=args.checkpoint,
+            checkpoint_every=args.checkpoint_every,
+        )
+        if args.output == "csv":
+            text = CSV_HEADER + "\n" + report.csv_row() + "\n"
+        elif args.output == "json":
+            text = json.dumps(report.to_json(), indent=2) + "\n"
+        else:
+            text = (f"n={report.n} matrix={report.kind} mode={report.mode} "
+                    f"total={report.total} with_mate={report.with_mate}\n")
+            for key, members in report.buckets:
+                text += f"  [{len(members)}] {' '.join(members)}\n"
+        if args.out:
+            fh.truncate(0)
+        fh.write(text)
     return EXIT_OK
 
 

@@ -30,10 +30,12 @@ monomial order, whose sum with another code is the code of the product, and
 whose divisibility test is one subtraction and one guard-bit mask test.
 `_normal_form` keeps its work set in a heap of these ints.  `strong_groebner`
 packs each generator once, in a packing sized to the largest generator
-degree, and builds `StrongBasis` on it; from then on degrees grow only at a
-pair's lcm, so the field width is checked there and widened before a
-monomial would reach a guard bit.  `strong_groebner` alone sets the
-generators' signs and feed order; `Ideal` keeps them as given.
+degree, and builds `StrongBasis` on it, which keeps that packing for its
+whole run.  From then on degrees grow only at a pair's lcm, which
+`Packing.pack` refuses with OverflowError once it would reach a guard bit;
+`strong_groebner` then starts again in wider fields.  `strong_groebner`
+alone sets the generators' signs and feed order; `Ideal` keeps them as
+given.
 
 A Z[x] ideal with a monic generator p of degree D takes no Buchberger run:
 I = (p) + L with L = {f in I : deg f < D}, and L is a Z-lattice in Z^D
@@ -235,47 +237,28 @@ def _record_key(rec: tuple[dict, int, int]):
 
 class StrongBasis:
     """Incremental strong Groebner basis over Z[x0..x_{arity-1}], built on
-    the `Packing` its generators are packed in.
+    the `Packing` its generators are packed in and kept in it.
 
-    `add` takes `_record`s packed in that packing, `feed_packing`, and
-    `canonical` returns term dicts keyed by exponent tuples.  Only a pair's
-    lcm can outgrow the fields; `_fit` then widens `packing`, and `add`
-    recodes the records fed after that."""
+    `add` takes `_record`s packed in `packing`, and `canonical` returns term
+    dicts keyed by exponent tuples.  A normal form never goes above the
+    monomials it starts from, so only a pair's lcm can outgrow the fields:
+    `Packing.pack` then raises OverflowError, and the basis is left
+    unfinished (`strong_groebner` starts again in wider fields)."""
 
     def __init__(self, packing: Packing):
-        self.packing = self.feed_packing = packing
+        self.packing = packing
         self.elems: list[tuple[dict, int, int]] = []
         self._lms: list[tuple] = []  # the unpacked leading monomial of each element
         self._pairs: list = []
         self._pending: set = set()  # (i, j), i < j, of every pair in _pairs
         self._unit = False
 
-    def _fit(self, degree: int):
-        """Recode every record and pair in wider fields if a monomial of
-        `degree` would not fit the packing."""
-        old = self.packing
-        if degree < old.limit:
-            return
-        new = self.packing = Packing(old.arity, degree)
-
-        def recode(m: int) -> int:
-            return new.pack(old.unpack(m))
-
-        self.elems = [({recode(m): c for m, c in t.items()}, recode(lm), lc)
-                      for t, lm, lc in self.elems]
-        self._pairs = [(recode(lcm), i, j) for lcm, i, j in self._pairs]
-        heapify(self._pairs)
-
     def add(self, rec: tuple[dict, int, int]) -> bool:
-        """Feed one generator, a `_record` packed in `feed_packing`; returns
-        True if it enlarged the basis."""
+        """Feed one generator, a `_record` packed in `packing`; returns True
+        if it enlarged the basis."""
         if self._unit:
             return False
-        terms = rec[0]
-        if self.packing is not self.feed_packing:
-            fed, pack = self.feed_packing, self.packing.pack
-            terms = {pack(fed.unpack(m)): c for m, c in terms.items()}
-        r = _normal_form(terms, self.elems, self.packing.mask)
+        r = _normal_form(rec[0], self.elems, self.packing.mask)
         if not r:
             return False
         self._append(r)
@@ -288,14 +271,12 @@ class StrongBasis:
             self._unit = True
         j = len(self.elems)
         lmj = self.packing.unpack(rec[1])
-        lcms = [tuple(map(max, lm, lmj)) for lm in self._lms]
+        pack = self.packing.pack
+        for i, lm in enumerate(self._lms):
+            heappush(self._pairs, (pack(tuple(map(max, lm, lmj))), i, j))
+            self._pending.add((i, j))
         self.elems.append(rec)
         self._lms.append(lmj)
-        self._fit(max(map(sum, lcms), default=0))
-        pack = self.packing.pack
-        for i, lcm in enumerate(lcms):
-            heappush(self._pairs, (pack(lcm), i, j))
-            self._pending.add((i, j))
 
     def _complete(self):
         """Treat the pending pairs, smallest lcm of leading monomials first.
@@ -327,12 +308,9 @@ class StrongBasis:
             self._pending.remove((i, j))
             lci, lcj = self.elems[i][2], self.elems[j][2]
             l = lci // math.gcd(lci, lcj) * lcj
-            packing = self.packing
             if not self._chained(lcm, l, i, j):
                 self._reduce_pair(lcm, i, j, l // lci, -(l // lcj))
             if lci % lcj and lcj % lci:
-                if self.packing is not packing:  # the S-polynomial widened it
-                    lcm = self.packing.pack(packing.unpack(lcm))
                 self._reduce_pair(lcm, i, j, *_bezout(lci, lcj))
 
     def _chained(self, lcm: int, l: int, i: int, j: int) -> bool:
@@ -390,20 +368,30 @@ def strong_groebner(gens: Iterable[dict], arity: int) -> list[dict]:
     """Canonical basis of the ideal of `gens`, exponent-tuple term dicts.  The
     engine sets its own feed: nonzero generators with positive leading
     coefficients, repeats up to sign dropped, in ascending `_record_key`.
-    A generator +-1 gives the unit basis at once, before any packing."""
+    A generator +-1 gives the unit basis at once, before any packing.  The
+    first packing is sized to the largest generator degree; if a pair's lcm
+    outgrows it, the run starts again in fields for degrees up to twice the
+    old `limit`.  Packing codes keep the monomial order, so every run feeds
+    and pairs in the same order."""
     gens = [g for g in gens if g]
     one = (0,) * arity
     if any(g == {one: 1} or g == {one: -1} for g in gens):
         return [{one: 1}]
-    packing = Packing(arity, max((sum(e) for g in gens for e in g), default=0))
-    feed: dict = {}
-    for g in gens:
-        rec = _record(packing.pack_terms(g))
-        feed.setdefault(_record_key(rec), rec)
-    basis = StrongBasis(packing)
-    for key in sorted(feed):
-        basis.add(feed[key])
-    return basis.canonical()
+    degree = max((sum(e) for g in gens for e in g), default=0)
+    while True:
+        packing = Packing(arity, degree)
+        feed: dict = {}
+        for g in gens:
+            rec = _record(packing.pack_terms(g))
+            feed.setdefault(_record_key(rec), rec)
+        basis = StrongBasis(packing)
+        try:
+            for key in sorted(feed):
+                basis.add(feed[key])
+        except OverflowError:
+            degree = packing.limit
+            continue
+        return basis.canonical()
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Smith normal forms over Z and Q[x], Delta_k oracles, cokernel groups.
 
-snf_integer diagonalizes an integer matrix by exact elementary operations,
-then makes the diagonal a divisibility chain in one gcd/lcm sweep.
+snf_integer takes off one entry p of least absolute value at a time, after
+division steps make p divide its row and column, by the Schur step it shares
+with _peel_units (_pivot_out: A ~ p + S), then makes the diagonal a
+divisibility chain in one gcd/lcm sweep.
 deltas_q takes a symmetric integer matrix M (every graph matrix here): such an
 M is diagonalisable, so the Delta_k of x*I - M over Q[x] follow from the
 characteristic polynomial alone, Delta_{k-1} being gcd(Delta_k, Delta_k').
@@ -10,7 +12,7 @@ recomputes every Delta_k as a gcd over all k-minors and is the independent
 oracle both are tested against.  minor_tables is the package's one Laplace
 expansion.  packed_char_matrix packs x*I - M (Z[x]) or diag(x_0..x_{n-1}) - M
 (Z[X]) into ints.  char_minors first peels unit pivots off it
-(_peel_units: A ~ u + S for an entry u = +-1 and S its Schur complement, so
+(_peel_units: _pivot_out on an entry u = +-1 gives A ~ u + S, so
 I_k(A) = I_{k-1}(S)), then expands the smaller S into the ideals'
 generators, leaving a level with a +-1 minor undecoded as just 1; char_poly
 eliminates the packed matrix by Bareiss; both decode with unpack_minors.
@@ -140,57 +142,60 @@ def _int_matrix(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
              for j, x in enumerate(row)] for i, row in enumerate(matrix)]
 
 
+def _pivot_out(rows: list[list[int]], i: int, j: int):
+    """Replace the square integer matrix `rows` by the Schur complement of
+    its entry p = rows[i][j], which must divide its column:
+    A_{-i,-j} - A_{-i,j} * A_{i,-j} / p, by row operations that clear column
+    j.  If p also divides its row, column operations clear row i, so
+    A ~ p + S (direct sum).  The row lists left in `rows` are new."""
+    pivot_row = rows.pop(i)
+    p = pivot_row[j]
+    for a, row in enumerate(rows):
+        c = row[j] // p
+        if c:
+            row = [v - c * w for v, w in zip(row, pivot_row)]
+        rows[a] = row[:j] + row[j + 1:]
+
+
 def snf_integer(matrix: Sequence[Sequence[int]]) -> SnfResult:
-    """Invariant factors of a square integer matrix by elementary operations."""
-    a = _int_matrix(matrix)
-    n = len(a)
+    """Invariant factors of a square integer matrix.
+
+    Take an entry p of least absolute value.  While p leaves a nonzero
+    remainder r in its column (row), subtract the multiple of p's row
+    (column) that leaves r in place of that entry, and take r, smaller than
+    |p|, as p; a +-1 divides everything.  Then `_pivot_out` gives A ~ p + S,
+    and S is treated the same way.  `_divisibility_fix_int` turns the
+    diagonal into the chain of invariant factors."""
+    rows = _int_matrix(matrix)
+    n = len(rows)
     diag: list[int] = []
-    for t in range(n):
-        # pivot: smallest nonzero absolute value in the remaining submatrix
-        piv = None
-        for i in range(t, n):
-            for j in range(t, n):
-                v = abs(a[i][j])
-                if v and (piv is None or v < piv[0]):
-                    piv = (v, i, j)
-        if piv is None:
+    while rows:
+        best = None
+        for a, row in enumerate(rows):
+            for b, v in enumerate(row):
+                if v and (best is None or abs(v) < best[0]):
+                    best = (abs(v), a, b)
+        if best is None:
             break
-        _, pi, pj = piv
-        a[t], a[pi] = a[pi], a[t]
-        for row in a:
-            row[t], row[pj] = row[pj], row[t]
-        while True:
-            if a[t][t] < 0:
-                a[t] = [-x for x in a[t]]
-            p = a[t][t]
-            dirty = False
-            for i in range(t + 1, n):
-                v = a[i][t]
-                if v:
-                    q = v // p
-                    if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(t + 1, n):
-                v = a[t][j]
-                if v:
-                    q = v // p
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-                        break
-            if not dirty:
-                break
-        diag.append(a[t][t])
+        _, i, j = best
+        p = rows[i][j]
+        while p != 1 and p != -1:
+            a = next((a for a, row in enumerate(rows) if row[j] % p), None)
+            if a is not None:
+                q = rows[a][j] // p
+                rows[a] = [v - q * w for v, w in zip(rows[a], rows[i])]
+                i = a
+            else:
+                b = next((b for b, v in enumerate(rows[i]) if v % p), None)
+                if b is None:
+                    break
+                q = rows[i][b] // p
+                for row in rows:
+                    row[b] -= q * row[j]
+                j = b
+            p = rows[i][j]
+        diag.append(p)
+        _pivot_out(rows, i, j)
     return SnfResult("Z", n, tuple(_divisibility_fix_int(diag)))
 
 
@@ -334,15 +339,13 @@ def _peel_units(rows: list[list[int]]) -> tuple[int, list[list[int]]]:
 
     While an entry u = +-1 is left, take the one of least fill
     (row nonzeros - 1) * (column nonzeros - 1), the first in row-major order
-    on a tie, and replace the matrix by its Schur complement
-    A_{-i,-j} - u * A_{-i,j} * A_{i,-j} (u^-1 = u).  Invertible row and
-    column operations clear row i and column j, so A ~ u + S (direct sum)
-    and the determinantal ideals shift by one (Fitting ideals do not depend
-    on the presentation; Eisenbud, Commutative Algebra, 20.2).  Every entry
-    of S is +- an (r+1)-minor of A and every k-minor of S +- a (k+r)-minor
-    of A, so the packing's digit bound still holds: a packed +-1 is the
-    polynomial +-1, and the minors of S decode like those of A.  The list
-    `rows` is reused for S; its row lists are not modified.
+    on a tie, and `_pivot_out` it: a unit divides its row and column, so
+    A ~ u + S and the determinantal ideals shift by one (Fitting ideals do
+    not depend on the presentation; Eisenbud, Commutative Algebra, 20.2).
+    Every entry of S is +- an (r+1)-minor of A and every k-minor of S +- a
+    (k+r)-minor of A, so the packing's digit bound still holds: a packed +-1
+    is the polynomial +-1, and the minors of S decode like those of A.  The
+    list `rows` is reused for S; its row lists are not modified.
     """
     r = 0
     while rows:
@@ -355,14 +358,7 @@ def _peel_units(rows: list[list[int]]) -> tuple[int, list[list[int]]]:
                     best = (fill * cols[j], i, j)
         if best is None:
             break
-        _, i, j = best
-        pivot_row = rows.pop(i)
-        u = pivot_row[j]
-        for a, row in enumerate(rows):
-            c = u * row[j]
-            if c:
-                row = [v - c * w for v, w in zip(row, pivot_row)]
-            rows[a] = row[:j] + row[j + 1:]
+        _pivot_out(rows, best[1], best[2])
         r += 1
     return r, rows
 

@@ -199,6 +199,35 @@ def test_survey_rejects_repeated_graph(capsys, tmp_path):
     assert code == 2 and "repeated graph in corpus: C~" in err and out == ""
 
 
+def test_survey_out_unwritable_is_input_error_before_any_key(capsys, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no key may be computed for an unwritable --out")
+
+    monkeypatch.setattr(cli, "run_survey", refuse)
+    code, out, err = run_cli(capsys, "survey", "--n", "7", "--matrix", "laplacian",
+                             "--mode", "codet-Z", "--out", str(tmp_path / "missing" / "x.csv"))
+    assert code == 2 and "error" in err and out == ""
+
+
+def test_refused_survey_leaves_out_file_as_it_was(capsys, tmp_path):
+    report = tmp_path / "report.csv"
+    old = b"an earlier report\nkept byte for byte\n" * 50
+    report.write_bytes(old)
+    repeated, big = tmp_path / "dup.g6", tmp_path / "big.g6"
+    repeated.write_text("C~\nC~\n")
+    big.write_text("@\n" * 20000)
+    for corpus, want in ((repeated, 2), (big, 3)):
+        code, _, _ = run_cli(capsys, "survey", "--input", str(corpus), "--matrix", "adjacency",
+                             "--mode", "cospectral", "--workers", "1", "--out", str(report))
+        assert code == want and report.read_bytes() == old
+    # a survey that runs replaces the whole file
+    argv = ("survey", "--n", "5", "--matrix", "adjacency", "--mode", "cospectral",
+            "--workers", "1")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and run_cli(capsys, *argv, "--out", str(report))[:2] == (0, "")
+    assert report.read_text() == out
+
+
 @pytest.mark.parametrize("argv", [
     ("snf",),
     ("ideals", "--output", "json"),

@@ -320,7 +320,7 @@ def _feed(gens):
     add = StrongBasis.add
 
     def recording(basis, rec):
-        fed.append(sorted((basis.feed_packing.unpack(m), c) for m, c in rec[0].items()))
+        fed.append(sorted((basis.packing.unpack(m), c) for m, c in rec[0].items()))
         return add(basis, rec)
 
     with mock.patch.object(StrongBasis, "add", recording):
@@ -627,51 +627,56 @@ def test_packing_hand_cases():
 
 
 def _basis(cls, arity, gens, degree):
-    """A `cls` basis fed `gens` in order, packed with fields for `degree`, and
-    the field width after each add."""
+    """A `cls` basis fed `gens` in order, packed with fields for `degree`."""
     packing = Packing(arity, degree)
     basis = cls(packing)
-    widths = []
     for g in gens:
         basis.add(grobner._record(packing.pack_terms(g)))
-        widths.append(basis.packing.bits)
-    return basis, widths
+    return basis
 
 
 def _preset(arity, gens, degree):
     """The criterion-free canonical basis with fields wide from the start."""
-    return _basis(CriterionFree, arity, gens, degree)[0].canonical()
+    return _basis(CriterionFree, arity, gens, degree).canonical()
+
+
+def test_strong_basis_refuses_a_pair_lcm_beyond_its_fields():
+    gens = [{(7, 0): 1, (0, 1): 1}, {(0, 9): 2, (1, 0): 1}]
+    # both generators fit 5-bit fields, the lcm x0^7 * x1^9 of their leading
+    # monomials (degree 16) does not: it is refused, not packed into a wrong
+    # code, and fields for degree 16 hold the whole run
+    with pytest.raises(OverflowError):
+        _basis(StrongBasis, 2, gens, 7)
+    assert _basis(StrongBasis, 2, gens, 8).canonical() == _preset(2, gens, 1000)
 
 
 @pytest.mark.parametrize("gens", [
     # each set fits fields for half its largest degree, and outgrows them at
-    # a pair's lcm; a generator fed after that is recoded from the narrow
-    # packing it was packed in
-    [{(7, 0): 1, (0, 1): 1}, {(0, 9): 2, (1, 0): 1}, {(3, 3): 1, (0, 0): 1}],
+    # a pair's lcm in the engine's own feed order
+    [{(7, 0): 1, (0, 1): 1}, {(0, 9): 2, (1, 0): 1}, {(3, 3): 2, (0, 0): 1}],
     [{(0, 8): 1, (1, 0): 1}, {(8, 0): 3, (0, 1): 1}],
     [{(5, 0, 0): 1, (0, 0, 1): 1}, {(0, 5, 0): 1, (1, 0, 0): 1}, {(0, 0, 6): 2, (0, 1, 0): 1}],
     [{(2, 1): 3, (0, 0): 1}, {(0, 40): 1, (3, 0): -1}],
 ])
-def test_strong_basis_widens_its_fields(gens):
+def test_strong_groebner_restarts_in_wider_fields(monkeypatch, gens):
     arity = len(next(iter(gens[0])))
     degree = max(sum(e) for g in gens for e in g)
-    basis, widths = _basis(StrongBasis, arity, gens, (degree + 1) // 2)
-    assert widths[-1] > widths[0]
-    got = basis.canonical()
+    limits = []
+
+    def narrow_first(arity, d):
+        packing = Packing(arity, d if limits else (degree + 1) // 2)
+        limits.append(packing.limit)
+        return packing
+
+    monkeypatch.setattr(grobner, "Packing", narrow_first)
+    got = strong_groebner(gens, arity)
+    monkeypatch.undo()
+    assert len(limits) > 1 and limits[-1] > limits[0]
     assert got == _preset(arity, gens, 1000) == strong_groebner(gens, arity)
     ring = zmulti(arity)
     ideal = Ideal(ring, [MultiPoly(arity, g) for g in gens])
     assert all(ideal.member(MultiPoly(arity, g)) for g in gens)
     assert [dict(p.terms) for p in ideal.canonical_basis()] == got
-
-
-def test_strong_basis_widens_at_a_pair_lcm():
-    gens = [{(7, 0): 1, (0, 1): 1}, {(0, 9): 2, (1, 0): 1}]
-    basis, widths = _basis(StrongBasis, 2, gens, 7)
-    # both generators fit 5-bit fields, the lcm x0^7 * x1^9 of their leading
-    # monomials (degree 16) does not
-    assert widths[0] == 5 < widths[1]
-    assert basis.canonical() == _preset(2, gens, 16)
 
 
 def test_strong_groebner_packs_each_generator_once():

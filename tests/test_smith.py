@@ -96,6 +96,10 @@ def _diag(*d):
 @example(_diag(12, 18, 8, 27))  # out of order, no entry divides the next
 @example(_diag(6, 4, 9, 1))
 @example(_diag(0, 10, 4, 6))  # rank 3
+@example([[2, 3, 0, 0], [3, 4, 0, 0], [0, 0, 5, 0], [0, 0, 0, 7]])  # remainder in its column
+@example([[2, 3, 0, 0], [4, 8, 0, 0], [0, 0, 6, 0], [0, 0, 0, 10]])  # remainder in its row only
+@example([[-2, 4, 0, 0], [6, 9, 0, 0], [0, 0, -3, 3], [0, 0, 3, 5]])  # negative least entry
+@example([[4, 2, 0, 6], [6, 9, 0, 3], [0, 0, 0, 0], [8, 4, 0, 12]])  # off the diagonal, zero row
 @settings(deadline=None, max_examples=80)
 def test_snf_matches_bruteforce_oracle(m):
     snf = snf_integer(m)

@@ -25,7 +25,12 @@ Run it on two checkouts and diff the two files.  It covers:
 * `_connected_cache(9)`, the n = 9 corpus beyond the reach of `gen`, as the
   SHA-256 of its newline-joined graph6 strings;
 * `write_graph6(canonical_graph(g))` over 500 seeded random connected graphs
-  with n = 9 and 500 with n = 10, beyond the reach of `gen`.
+  with n = 9 and 500 with n = 10, beyond the reach of `gen`;
+* the `snf_integer` factors of c*I - M for those n = 9 graphs, every kind and
+  every c in `survey.PREFILTER_SHIFTS`, and of 3,000 seeded random square
+  integer matrices of sizes 1-7 (entries in [-40, 40], mostly zeros, a
+  quarter of them with a row copied from another up to sign, so singular),
+  which pivot on entries other than +-1 far more often than graph matrices.
 
 It uses the standard library and whatever `detideals` is on the import path.
 """
@@ -46,13 +51,15 @@ from detideals.graphs import (
     MATRIX_KINDS,
     Graph,
     _connected_cache,
+    build_matrix,
     canonical_graph,
     enumerate_connected,
     is_connected,
     write_graph6,
 )
+from detideals.smith import snf_integer
 from detideals.suites import SUITES
-from detideals.survey import MODES, cross_check
+from detideals.survey import MODES, PREFILTER_SHIFTS, cross_check
 
 
 def _sha(data: bytes) -> str:
@@ -134,10 +141,27 @@ def print_digests(tmp: str) -> None:
     digest = _sha("\n".join(write_graph6(g) for g in corpus9).encode())
     print(f"_connected_cache n=9 {len(corpus9)} graphs {digest}", flush=True)
 
-    forms = [write_graph6(canonical_graph(g))
-             for n in (9, 10) for g in _random_connected(random.Random(n), n, 500)]
+    random_graphs = {n: _random_connected(random.Random(n), n, 500) for n in (9, 10)}
+    forms = [write_graph6(canonical_graph(g)) for n in (9, 10) for g in random_graphs[n]]
     digest = _sha("\n".join(forms).encode())
     print(f"canonical_graph n=9,10 random {digest}", flush=True)
+
+    for kind in MATRIX_KINDS:
+        for c in PREFILTER_SHIFTS:
+            factors = []
+            for g in random_graphs[9]:
+                m = build_matrix(g, kind)
+                shifted = [[c * (i == j) - v for j, v in enumerate(row)] for i, row in enumerate(m)]
+                factors.append(repr(snf_integer(shifted).factors))
+            digest = _sha("\n".join(factors).encode())
+            print(f"snf_integer n=9 random {kind} c={c} {digest}", flush=True)
+    by_size: dict = {}
+    for m in _random_int_matrices(random.Random(40), 3000):
+        by_size.setdefault(len(m), []).append(repr(snf_integer(m).factors))
+    for size in sorted(by_size):
+        digest = _sha("\n".join(by_size[size]).encode())
+        print(f"snf_integer random {size}x{size} {len(by_size[size])} matrices {digest}",
+              flush=True)
 
 
 def _random_connected(rnd: random.Random, n: int, count: int) -> list[Graph]:
@@ -150,6 +174,24 @@ def _random_connected(rnd: random.Random, n: int, count: int) -> list[Graph]:
         g = Graph.from_edges(n, [e for e in pairs if rnd.random() < p])
         if is_connected(g):
             out.append(g)
+    return out
+
+
+def _random_int_matrices(rnd: random.Random, count: int) -> list[list[list[int]]]:
+    """`count` square integer matrices of sizes 1-7 with entries in [-40, 40],
+    each entry nonzero with a probability drawn from [0.15, 0.5]; in about a
+    quarter of them (size >= 2) one row is a copy of another up to sign, so
+    the matrix is singular."""
+    out = []
+    for _ in range(count):
+        n = rnd.randint(1, 7)
+        p = rnd.uniform(0.15, 0.5)
+        m = [[rnd.randint(-40, 40) if rnd.random() < p else 0 for _ in range(n)]
+             for _ in range(n)]
+        if n >= 2 and rnd.random() < 0.25:
+            i, j = rnd.sample(range(n), 2)
+            m[i] = [rnd.choice((-1, 1)) * x for x in m[j]]
+        out.append(m)
     return out
 
 

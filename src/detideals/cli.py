@@ -91,7 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-large", action="store_true",
                    help="permit corpora at the n=9 scale")
     p.add_argument("--checkpoint", help="write per-graph key records to this JSONL file")
-    p.add_argument("--checkpoint-every", type=_positive_int, default=1000)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True)
@@ -183,12 +182,8 @@ def _cmd_survey(args) -> int:
     # --out is opened before any key is computed, and emptied only once the
     # report is ready, so a refused survey leaves an existing file as it was
     with open(args.out, "a", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
-        report = run_survey(
-            corpus, args.matrix, args.mode,
-            workers=args.workers,
-            checkpoint_path=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
-        )
+        report = run_survey(corpus, args.matrix, args.mode, workers=args.workers,
+                            checkpoint_path=args.checkpoint)
         if args.output == "csv":
             text = CSV_HEADER + "\n" + report.csv_row() + "\n"
         elif args.output == "json":

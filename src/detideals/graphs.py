@@ -317,27 +317,6 @@ def path_graph(n: int) -> Graph:
 MAX_GENERATED_N = 8
 
 
-def _twin_classes(n: int, rows: Sequence[int]) -> list[int]:
-    """Union-find classes of true/false twins; swapping twins is an automorphism."""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u in range(n):
-        for v in range(u + 1, n):
-            mu = rows[u] & ~(1 << v)
-            mv = rows[v] & ~(1 << u)
-            if rows[u] == rows[v] or (mu == mv and (rows[u] >> v) & 1):
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[rv] = ru
-    return [find(v) for v in range(n)]
-
-
 def canonical_columns(g: Graph) -> tuple[int, ...]:
     """Lexicographically minimal upper-triangle bit string over all labelings.
 
@@ -369,15 +348,17 @@ def _lexmin(n: int, rows: Sequence[int], best: list[int], stop: bool) -> bool:
     (shifted, plus one).  Only the first cell can take the next position: a
     vertex of larger column makes the string larger than `best` once the
     first cell has been tried.  A child is cut before it is built when its
-    own first column exceeds `best`.  Among unplaced twins (`_twin_classes`)
-    only the lowest is tried, since swapping two of them is an automorphism
-    that fixes every placed vertex (twins also share their column).
+    own first column exceeds `best`.  Among unplaced twins only the lowest
+    is tried, since swapping two of them is an automorphism that fixes every
+    placed vertex (twins also share their column).  u and v are twins iff
+    they have the same neighbours apart from each other; this covers true
+    and false twins, and is an equivalence, since no vertex has a twin of
+    each kind.
     """
-    twin = _twin_classes(n, rows)
-    below = [0] * n  # the vertices of v's twin class with a smaller label
+    below = [0] * n  # the twins of v with a smaller label
     for v in range(n):
         for u in range(v):
-            if twin[u] == twin[v]:
+            if (rows[u] & ~(1 << v)) == (rows[v] & ~(1 << u)):
                 below[v] |= 1 << u
     top = [1 << p for p in range(1, n)]
     last = n - 1

@@ -1,9 +1,10 @@
 """Smith normal forms over Z and Q[x], Delta_k oracles, cokernel groups.
 
 snf_integer takes off one entry p of least absolute value at a time, after
-division steps make p divide its row and column, by the Schur step it shares
-with _peel_units (_pivot_out: A ~ p + S), then makes the diagonal a
-divisibility chain in one gcd/lcm sweep.
+division steps (each reduces p's whole column, or else its row, mod p) make
+p divide its row and column, by the Schur step it shares with _peel_units
+(_pivot_out: A ~ p + S), then makes the diagonal a divisibility chain in one
+gcd/lcm sweep.
 deltas_q takes a symmetric integer matrix M (every graph matrix here): such an
 M is diagonalisable, so the Delta_k of x*I - M over Q[x] follow from the
 characteristic polynomial alone, Delta_{k-1} being gcd(Delta_k, Delta_k').
@@ -160,12 +161,14 @@ def _pivot_out(rows: list[list[int]], i: int, j: int):
 def snf_integer(matrix: Sequence[Sequence[int]]) -> SnfResult:
     """Invariant factors of a square integer matrix.
 
-    Take an entry p of least absolute value.  While p leaves a nonzero
-    remainder r in its column (row), subtract the multiple of p's row
-    (column) that leaves r in place of that entry, and take r, smaller than
-    |p|, as p; a +-1 divides everything.  Then `_pivot_out` gives A ~ p + S,
-    and S is treated the same way.  `_divisibility_fix_int` turns the
-    diagonal into the chain of invariant factors."""
+    Take an entry p of least absolute value.  A division step subtracts
+    from every other row the multiple of p's row that leaves its remainder
+    mod p in p's column, and takes the least nonzero remainder, smaller than
+    |p|, as p; only when the column leaves none, it does the same along p's
+    row by column operations.  A +-1 divides everything.  Once p divides its
+    row and column, `_pivot_out` gives A ~ p + S, and S is treated the same
+    way.  `_divisibility_fix_int` turns the diagonal into the chain of
+    invariant factors."""
     rows = _int_matrix(matrix)
     n = len(rows)
     diag: list[int] = []
@@ -180,19 +183,20 @@ def snf_integer(matrix: Sequence[Sequence[int]]) -> SnfResult:
         _, i, j = best
         p = rows[i][j]
         while p != 1 and p != -1:
-            a = next((a for a, row in enumerate(rows) if row[j] % p), None)
-            if a is not None:
-                q = rows[a][j] // p
-                rows[a] = [v - q * w for v, w in zip(rows[a], rows[i])]
-                i = a
+            for a, row in enumerate(rows):
+                q = row[j] // p
+                if q and a != i:
+                    rows[a] = [v - q * w for v, w in zip(row, rows[i])]
+            left = [(abs(row[j]), a) for a, row in enumerate(rows) if row[j] and a != i]
+            if left:
+                i = min(left)[1]
             else:
-                b = next((b for b, v in enumerate(rows[i]) if v % p), None)
-                if b is None:
+                # p is alone in its column, so column operations change row i only
+                rows[i] = [v if b == j else v % p for b, v in enumerate(rows[i])]
+                left = [(abs(v), b) for b, v in enumerate(rows[i]) if v and b != j]
+                if not left:
                     break
-                q = rows[i][b] // p
-                for row in rows:
-                    row[b] -= q * row[j]
-                j = b
+                j = min(left)[1]
             p = rows[i][j]
         diag.append(p)
         _pivot_out(rows, i, j)

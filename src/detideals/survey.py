@@ -20,15 +20,17 @@ and the buckets, `with_mate` and `total` are those of the real keys:
 Both stages share one pool, closed and reaped before `run_survey` returns.
 A checkpoint has one line per graph in input order: the real key of a graph
 that got one, the prefilter key (behind `PREFILTER_PREFIX`, which no real key
-has) of a pruned graph.  Each pruned line is written as soon as the survivor
-before it is done, so the file streams during stage 2.  `invariant_key`,
-`verify_determined_by` and `cross_check` compute the real key of every
-graph; they are the oracle of the two stages.
+has) of a pruned graph.  The file is line-buffered, so each line reaches it
+whole as soon as its key is known (a pruned line as soon as the survivor
+before it is done), and a killed survey leaves every finished line.
+`invariant_key`, `verify_determined_by` and `cross_check` compute the real
+key of every graph; they are the oracle of the two stages.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import multiprocessing
 import os
@@ -120,42 +122,30 @@ def prefilter_key(g: graphs.Graph, kind: str, mode: str) -> str:
     return key
 
 
-KeyFn = Callable[[graphs.Graph, str, str], str]
-KeyMap = Callable[[KeyFn, Sequence[graphs.Graph]], Iterator[str]]
-
-
-def _worker(task: tuple[KeyFn, graphs.Graph, str, str]) -> str:
-    fn, *args = task
-    return fn(*args)
-
-
 def default_workers() -> int:
     return os.cpu_count() or 1
 
 
 @contextlib.contextmanager
 def _key_map(kind: str, mode: str, workers: int, count: int):
-    """Yield keys(fn, graphs), an iterator over fn(g, kind, mode) in input
-    order.  With two or more workers and a corpus of `count` >= 4 graphs,
+    """Yield keys(fn, graphs), an iterator over fn(g, kind=kind, mode=mode) in
+    input order.  With two or more workers and a corpus of `count` >= 4 graphs,
     every call runs on one pool (workers receive the `Graph`), closed and
     reaped when the context exits."""
     if workers <= 1 or count < 4:
-        yield lambda fn, corpus: (fn(g, kind, mode) for g in corpus)
+        yield lambda fn, corpus: map(functools.partial(fn, kind=kind, mode=mode), corpus)
         return
     pool = multiprocessing.Pool(workers)
-
-    def keys(fn: KeyFn, corpus: Sequence[graphs.Graph]) -> Iterator[str]:
-        tasks = [(fn, g, kind, mode) for g in corpus]
-        return pool.imap(_worker, tasks, chunksize=max(1, len(tasks) // (workers * 8)))
-
     try:
-        yield keys
+        yield lambda fn, corpus: pool.imap(functools.partial(fn, kind=kind, mode=mode), corpus,
+                                           chunksize=max(1, len(corpus) // (workers * 8)))
     finally:
         pool.close()
         pool.join()
 
 
-def _prefiltered_keys(corpus: Sequence[graphs.Graph], keys: KeyMap) -> Iterator[str]:
+def _prefiltered_keys(corpus: Sequence[graphs.Graph],
+                      keys: Callable[..., Iterator[str]]) -> Iterator[str]:
     """In input order, the real key of every graph whose prefilter class has
     two or more members, and the prefilter key of every other graph; each
     prefilter key is yielded as soon as the real key before it."""
@@ -166,19 +156,17 @@ def _prefiltered_keys(corpus: Sequence[graphs.Graph], keys: KeyMap) -> Iterator[
         yield next(real) if i in survivors else key
 
 
-def _collect(stream: Iterable[str], g6s: Sequence[str], checkpoint_path: str | None,
-             checkpoint_every: int) -> list[str]:
-    """The keys of `stream`; optionally streamed to a JSONL checkpoint naming
-    each graph by `g6s`, flushed every `checkpoint_every` lines."""
+def _collect(stream: Iterable[str], g6s: Sequence[str], checkpoint_path: str | None) -> list[str]:
+    """The keys of `stream`; optionally written to a JSONL checkpoint naming
+    each graph by `g6s`.  The file is line-buffered, so each line reaches it
+    whole as soon as its key is known."""
     if not checkpoint_path:
         return list(stream)
     keys: list[str] = []
-    with open(checkpoint_path, "w", encoding="utf-8") as fh:
+    with open(checkpoint_path, "w", buffering=1, encoding="utf-8") as fh:
         for g6, key in zip(g6s, stream, strict=True):
             keys.append(key)
             fh.write(json.dumps({"graph": g6, "key_digest_input": key}) + "\n")
-            if len(keys) % checkpoint_every == 0:
-                fh.flush()
     return keys
 
 
@@ -233,11 +221,8 @@ def run_survey(
     mode: str,
     workers: int | None = None,
     checkpoint_path: str | None = None,
-    checkpoint_every: int = 1000,
 ) -> SurveyReport:
     workers = _checked_workers(kind, mode, workers)
-    if checkpoint_every < 1:
-        raise graphs.InputError("checkpoint_every must be a positive integer")
     corpus = list(corpus)
     n = _validate_corpus(corpus)
     g6s = [graphs.write_graph6(g) for g in corpus]
@@ -247,7 +232,7 @@ def run_survey(
         else:
             stream = keys(invariant_key, corpus)
         # a pruned graph's prefilter key is alone in its class, so it joins no bucket
-        found = _collect(stream, g6s, checkpoint_path, checkpoint_every)
+        found = _collect(stream, g6s, checkpoint_path)
     return _report(n, kind, mode, g6s, found)
 
 
@@ -255,7 +240,7 @@ def _report(n: int, kind: str, mode: str, g6s: Sequence[str], keys: Sequence[str
     buckets = tuple(sorted(
         (key, tuple(g6s[i] for i in ids)) for key, ids in _classes(keys).items() if len(ids) >= 2
     ))
-    return SurveyReport(n, kind, mode, len(keys), _with_mate(keys), buckets)
+    return SurveyReport(n, kind, mode, len(keys), sum(len(gs) for _, gs in buckets), buckets)
 
 
 def verify_determined_by(

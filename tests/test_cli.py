@@ -180,9 +180,7 @@ def test_survey_large_guard(capsys, tmp_path):
     assert code == 3 and "allow-large" in err
 
 
-@pytest.mark.parametrize("option, value", [("--checkpoint-every", "0"),
-                                           ("--workers", "0"),
-                                           ("--workers", "two")])
+@pytest.mark.parametrize("option, value", [("--workers", "0"), ("--workers", "two")])
 def test_survey_rejects_non_positive_counts(capsys, tmp_path, option, value):
     code, _, err = run_cli(capsys, "survey", "--n", "4", "--matrix", "adjacency",
                            "--mode", "cospectral", "--checkpoint",

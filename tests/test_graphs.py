@@ -9,7 +9,6 @@ from detideals.graphs import (
     DisconnectedGraphError,
     _all_columns,
     _graph_from_columns,
-    _twin_classes,
     Graph,
     Graph6Error,
     build_matrix,
@@ -225,6 +224,28 @@ def relabel(g, rnd):
     return Graph(g.n, rows)
 
 
+def twin_classes_oracle(n, rows):
+    """Union-find classes of true and false twins, closed under transitivity
+    by construction; swapping twins is an automorphism."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u in range(n):
+        for v in range(u + 1, n):
+            mu = rows[u] & ~(1 << v)
+            mv = rows[v] & ~(1 << u)
+            if rows[u] == rows[v] or (mu == mv and (rows[u] >> v) & 1):
+                ru, rv = find(u), find(v)
+                if ru != rv:
+                    parent[rv] = ru
+    return [find(v) for v in range(n)]
+
+
 def lexmin_columns_oracle(g):
     """The lex-min search that `canonical_columns` replaced: at each depth it
     builds every eligible vertex's column from the placed vertices, sorts the
@@ -232,7 +253,7 @@ def lexmin_columns_oracle(g):
     n, rows = g.n, g.rows
     if n == 1:
         return ()
-    twin = _twin_classes(n, rows)
+    twin = twin_classes_oracle(n, rows)
     best = [1 << p for p in range(1, n)]
     placed = []
 

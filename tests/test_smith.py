@@ -100,6 +100,10 @@ def _diag(*d):
 @example([[2, 3, 0, 0], [4, 8, 0, 0], [0, 0, 6, 0], [0, 0, 0, 10]])  # remainder in its row only
 @example([[-2, 4, 0, 0], [6, 9, 0, 0], [0, 0, -3, 3], [0, 0, 3, 5]])  # negative least entry
 @example([[4, 2, 0, 6], [6, 9, 0, 3], [0, 0, 0, 0], [8, 4, 0, 12]])  # off the diagonal, zero row
+# remainders of different sizes in the pivot's column (5, 2, 6 mod 7; -7, -3, -4 mod -11)
+@example([[7, 120, 131, 140], [103, 211, 149, 167], [226, 193, 307, 251], [300, 113, 157, 409]])
+@example([[-11, 150, 0, 205], [367, 0, 120, 0], [-245, 0, 0, 131], [150, 0, 0, 0]])
+@example([[13, 145, 999, 0], [26, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])  # 2, 11 in its row only
 @settings(deadline=None, max_examples=80)
 def test_snf_matches_bruteforce_oracle(m):
     snf = snf_integer(m)

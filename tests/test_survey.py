@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -162,15 +165,12 @@ def test_survey_rejects_mixed_or_disconnected():
 def test_survey_checkpoint(tmp_path, corpus5):
     path = tmp_path / "keys.jsonl"
     run_survey(corpus5, "adjacency", "coinvariant", workers=1,
-               checkpoint_path=str(path), checkpoint_every=5)
+               checkpoint_path=str(path))
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 21
     rec = json.loads(lines[0])
     assert set(rec) == {"graph", "key_digest_input"}
     assert rec["key_digest_input"].startswith("snf:")
-    with pytest.raises(ValueError):
-        run_survey(corpus5, "adjacency", "coinvariant", workers=1,
-                   checkpoint_path=str(path), checkpoint_every=0)
 
 
 @pytest.mark.parametrize("kind, mode, workers", [
@@ -281,8 +281,7 @@ def test_prefiltered_survey_serial_and_pooled_same_bytes(tmp_path, corpus6, kind
     out = {}
     for workers in (1, 2):
         path = tmp_path / f"keys{workers}.jsonl"
-        report = run_survey(corpus6, kind, mode, workers=workers, checkpoint_path=str(path),
-                            checkpoint_every=7)
+        report = run_survey(corpus6, kind, mode, workers=workers, checkpoint_path=str(path))
         out[workers] = json.dumps(report.to_json()), path.read_bytes()
     assert out[1] == out[2]
 
@@ -322,9 +321,42 @@ def test_pruned_lines_stream_before_the_next_real_key(monkeypatch, tmp_path, mat
         return real(g, kind, mode)
 
     monkeypatch.setattr(survey, "invariant_key", spying)
-    run_survey(corpus, kind, "codet-Z", workers=1, checkpoint_path=str(path),
-               checkpoint_every=1)
+    run_survey(corpus, kind, "codet-Z", workers=1, checkpoint_path=str(path))
     assert seen and all(seen)
+
+
+KILL_SCRIPT = """
+import os, sys
+from detideals import survey
+from detideals.graphs import enumerate_connected
+
+real, calls = survey.invariant_key, []
+
+def dying(g, kind, mode):
+    calls.append(g)
+    if len(calls) == int(sys.argv[2]):
+        os._exit(9)
+    return real(g, kind, mode)
+
+survey.invariant_key = dying
+survey.run_survey(enumerate_connected(6), "laplacian", "coinvariant", workers=1,
+                  checkpoint_path=sys.argv[1])
+"""
+
+
+def test_killed_survey_leaves_every_finished_line(tmp_path, corpus6):
+    # a serial survey killed at its k-th key leaves its k - 1 finished lines, whole
+    k = 60
+    path = tmp_path / "killed.jsonl"
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    out = subprocess.run([sys.executable, "-c", KILL_SCRIPT, str(path), str(k)],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True)
+    assert out.returncode == 9
+    full = tmp_path / "full.jsonl"
+    run_survey(corpus6, "laplacian", "coinvariant", workers=1, checkpoint_path=str(full))
+    lines = path.read_text().splitlines(keepends=True)
+    assert len(lines) == k - 1 and all(json.loads(line) for line in lines)
+    assert lines == full.read_text().splitlines(keepends=True)[:k - 1]
 
 
 # ---------------------------------------------------------------------------

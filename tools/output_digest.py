@@ -27,10 +27,12 @@ Run it on two checkouts and diff the two files.  It covers:
 * `write_graph6(canonical_graph(g))` over 500 seeded random connected graphs
   with n = 9 and 500 with n = 10, beyond the reach of `gen`;
 * the `snf_integer` factors of c*I - M for those n = 9 graphs, every kind and
-  every c in `survey.PREFILTER_SHIFTS`, and of 3,000 seeded random square
+  every c in `survey.PREFILTER_SHIFTS`, of 3,000 seeded random square
   integer matrices of sizes 1-7 (entries in [-40, 40], mostly zeros, a
   quarter of them with a row copied from another up to sign, so singular),
-  which pivot on entries other than +-1 far more often than graph matrices.
+  which pivot on entries other than +-1 far more often than graph matrices,
+  and of 3,000 more of sizes 1-8 with entries in [-1000, 1000], whose
+  division steps leave many remainders of different sizes.
 
 It uses the standard library and whatever `detideals` is on the import path.
 """
@@ -155,13 +157,16 @@ def print_digests(tmp: str) -> None:
                 factors.append(repr(snf_integer(shifted).factors))
             digest = _sha("\n".join(factors).encode())
             print(f"snf_integer n=9 random {kind} c={c} {digest}", flush=True)
-    by_size: dict = {}
-    for m in _random_int_matrices(random.Random(40), 3000):
-        by_size.setdefault(len(m), []).append(repr(snf_integer(m).factors))
-    for size in sorted(by_size):
-        digest = _sha("\n".join(by_size[size]).encode())
-        print(f"snf_integer random {size}x{size} {len(by_size[size])} matrices {digest}",
-              flush=True)
+    for label, matrices in (("random", _random_int_matrices(random.Random(40), 3000, 7, 40)),
+                            ("random large",
+                             _random_int_matrices(random.Random(1000), 3000, 8, 1000))):
+        by_size: dict = {}
+        for m in matrices:
+            by_size.setdefault(len(m), []).append(repr(snf_integer(m).factors))
+        for size in sorted(by_size):
+            digest = _sha("\n".join(by_size[size]).encode())
+            print(f"snf_integer {label} {size}x{size} {len(by_size[size])} matrices {digest}",
+                  flush=True)
 
 
 def _random_connected(rnd: random.Random, n: int, count: int) -> list[Graph]:
@@ -177,16 +182,17 @@ def _random_connected(rnd: random.Random, n: int, count: int) -> list[Graph]:
     return out
 
 
-def _random_int_matrices(rnd: random.Random, count: int) -> list[list[list[int]]]:
-    """`count` square integer matrices of sizes 1-7 with entries in [-40, 40],
-    each entry nonzero with a probability drawn from [0.15, 0.5]; in about a
-    quarter of them (size >= 2) one row is a copy of another up to sign, so
-    the matrix is singular."""
+def _random_int_matrices(rnd: random.Random, count: int, max_n: int,
+                         bound: int) -> list[list[list[int]]]:
+    """`count` square integer matrices of sizes 1-`max_n` with entries in
+    [-bound, bound], each entry nonzero with a probability drawn from
+    [0.15, 0.5]; in about a quarter of them (size >= 2) one row is a copy of
+    another up to sign, so the matrix is singular."""
     out = []
     for _ in range(count):
-        n = rnd.randint(1, 7)
+        n = rnd.randint(1, max_n)
         p = rnd.uniform(0.15, 0.5)
-        m = [[rnd.randint(-40, 40) if rnd.random() < p else 0 for _ in range(n)]
+        m = [[rnd.randint(-bound, bound) if rnd.random() < p else 0 for _ in range(n)]
              for _ in range(n)]
         if n >= 2 and rnd.random() < 0.25:
             i, j = rnd.sample(range(n), 2)

@@ -225,16 +225,44 @@ def divmod_poly(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
     return UniPoly(q, RING_Q), UniPoly(rem, RING_Q)
 
 
+def _primitive(coeffs: list[int]) -> list[int]:
+    """The integer coefficient list divided by its content (the gcd of its
+    entries); the empty list stays empty."""
+    content = math.gcd(*coeffs)
+    return [c // content for c in coeffs] if content > 1 else coeffs
+
+
 def gcd_poly_q(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd over Q[x]; rejects the (0, 0) input."""
-    a = a.to_q()
-    b = b.to_q()
-    if a.is_zero() and b.is_zero():
+    """Monic gcd over Q[x]; rejects the (0, 0) input.
+
+    Both sides are cleared of denominators and content, then a primitive
+    pseudo-remainder sequence runs over Z (Brown, J. ACM 1971): each step
+    scales the remainder by the divisor's leading coefficient instead of
+    dividing by it, and drops the content of the result.  Every remainder
+    is a rational multiple of the Euclidean one over Q, so the last nonzero
+    one is a gcd; the monic gcd over Q is unique, so dividing it by its
+    leading coefficient at the end gives the same polynomial as Euclid over
+    Q[x], with no Fraction before that division."""
+    cleared = []
+    for p in (a, b):
+        den = math.lcm(*(c.denominator for c in p.coeffs))
+        cleared.append(_primitive([c.numerator * (den // c.denominator) for c in p.coeffs]))
+    a, b = cleared
+    if not a and not b:
         raise ValueError("gcd of two zero polynomials is undefined")
-    while not b.is_zero():
-        _, r = divmod_poly(a, b)
-        a, b = b, r
-    return a.monic()
+    while b:
+        r, lead, top = a, b[-1], len(b) - 1
+        while len(r) > top:
+            g = math.gcd(r[-1], lead)
+            c, s = r[-1] // g, lead // g
+            shift = len(r) - 1 - top
+            r = [v * s for v in r]
+            for i, w in enumerate(b, shift):
+                r[i] -= c * w
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, _primitive(r)
+    return UniPoly(a, RING_Q).monic()
 
 
 def squarefree_part(p: UniPoly) -> UniPoly:

@@ -1,10 +1,10 @@
 """Smith normal forms over Z and Q[x], Delta_k oracles, cokernel groups.
 
-snf_integer takes off one entry p of least absolute value at a time, after
-division steps (each reduces p's whole column, or else its row, mod p) make
-p divide its row and column, by the Schur step it shares with _peel_units
-(_pivot_out: A ~ p + S), then makes the diagonal a divisibility chain in one
-gcd/lcm sweep.
+snf_integer takes off one entry p of least absolute value at a time (the
+first +-1, if there is one), after division steps (each reduces p's whole
+column, or else its row, mod p) make p divide its row and column, by the
+Schur step it shares with _peel_units (_pivot_out: A ~ p + S), then makes
+the diagonal a divisibility chain in one gcd/lcm sweep.
 deltas_q takes a symmetric integer matrix M (every graph matrix here): such an
 M is diagonalisable, so the Delta_k of x*I - M over Q[x] follow from the
 characteristic polynomial alone, Delta_{k-1} being gcd(Delta_k, Delta_k').
@@ -16,7 +16,8 @@ expansion.  packed_char_matrix packs x*I - M (Z[x]) or diag(x_0..x_{n-1}) - M
 (_peel_units: _pivot_out on an entry u = +-1 gives A ~ u + S, so
 I_k(A) = I_{k-1}(S)), then expands the smaller S into the ideals'
 generators, leaving a level with a +-1 minor undecoded as just 1; char_poly
-eliminates the packed matrix by Bareiss; both decode with unpack_minors.
+eliminates the packed matrix by Bareiss, on a trailing block that shrinks by
+one row and column per step; both decode with unpack_minors.
 _square, _int_matrix and _symmetric are the one square, integer and symmetry
 checks.
 """
@@ -158,10 +159,25 @@ def _pivot_out(rows: list[list[int]], i: int, j: int):
         rows[a] = row[:j] + row[j + 1:]
 
 
+def _least_entry(rows: list[list[int]]) -> tuple[int, int] | None:
+    """(i, j) of the first nonzero entry of least absolute value in row-major
+    order, None if every entry is 0.  No entry is smaller than a +-1, so the
+    scan stops at the first one."""
+    best = None
+    for a, row in enumerate(rows):
+        for b, v in enumerate(row):
+            if v and (best is None or abs(v) < best[0]):
+                if v == 1 or v == -1:
+                    return a, b
+                best = abs(v), a, b
+    return best and best[1:]
+
+
 def snf_integer(matrix: Sequence[Sequence[int]]) -> SnfResult:
     """Invariant factors of a square integer matrix.
 
-    Take an entry p of least absolute value.  A division step subtracts
+    Take an entry p of least absolute value, the first in row-major order
+    (`_least_entry`, which stops at the first +-1).  A division step subtracts
     from every other row the multiple of p's row that leaves its remainder
     mod p in p's column, and takes the least nonzero remainder, smaller than
     |p|, as p; only when the column leaves none, it does the same along p's
@@ -173,14 +189,10 @@ def snf_integer(matrix: Sequence[Sequence[int]]) -> SnfResult:
     n = len(rows)
     diag: list[int] = []
     while rows:
-        best = None
-        for a, row in enumerate(rows):
-            for b, v in enumerate(row):
-                if v and (best is None or abs(v) < best[0]):
-                    best = (abs(v), a, b)
+        best = _least_entry(rows)
         if best is None:
             break
-        _, i, j = best
+        i, j = best
         p = rows[i][j]
         while p != 1 and p != -1:
             for a, row in enumerate(rows):
@@ -410,15 +422,21 @@ def delta_bruteforce(matrix: Sequence[Sequence], k: int):
 
 def char_poly(matrix: Sequence[Sequence[int]]) -> UniPoly:
     """det(x*I - M) for a square integer matrix, by fraction-free (Bareiss)
-    elimination on the packed x*I - M of `packed_char_matrix`.  Sylvester's
-    identity makes every division exact, and pivot k is the positive leading
-    principal minor of size k + 1, so the last one is the determinant."""
+    elimination on the packed x*I - M of `packed_char_matrix`.  Step k keeps
+    only the trailing block: each row below the pivot p drops the column
+    just eliminated and becomes (v*p - c*w) // prev, c its entry in that
+    column and w the pivot row's; a row with c = 0 is only scaled,
+    v*p // prev.  Sylvester's identity makes every division exact, and
+    pivot k is the positive leading principal minor of size k + 1, so the
+    last one is the determinant."""
     shift, a = packed_char_matrix(matrix, ZX_UNI)
-    n, prev = len(a), 1
-    for k in range(n):
-        pivot_row, p = a[k], a[k][k]
-        for i in range(k + 1, n):
-            c = a[i][k]
-            a[i] = [(v * p - c * w) // prev for v, w in zip(a[i], pivot_row)]
+    prev = 1
+    while a:
+        pivot = a.pop(0)
+        p = pivot.pop(0)
+        for i, row in enumerate(a):
+            c = row.pop(0)
+            a[i] = ([(v * p - c * w) // prev for v, w in zip(row, pivot)] if c
+                    else [v * p // prev for v in row])
         prev = p
     return unpack_minors([prev], shift, ZX_UNI)[0]

@@ -17,7 +17,10 @@ and the buckets, `with_mate` and `total` are those of the real keys:
   map that sends I_k onto (Delta_k(c*I - M)), so equal Z[x] ideals give
   equal integer SNFs at every c.
 
-Both stages share one pool, closed and reaped before `run_survey` returns.
+Pooled keys run on one process-wide pool (`_key_map`): the first pooled
+survey starts it, later ones with the same worker count reuse it, and it is
+closed and reaped at interpreter exit.  Its workers are forked when it
+starts, so they see module state (patched functions, caches) as of then.
 A checkpoint has one line per graph in input order: the real key of a graph
 that got one, the prefilter key (behind `PREFILTER_PREFIX`, which no real key
 has) of a pruned graph.  The file is line-buffered, so each line reaches it
@@ -29,6 +32,7 @@ key of every graph; they are the oracle of the two stages.
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import functools
 import json
@@ -126,22 +130,60 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
+_pool: tuple[int, multiprocessing.pool.Pool] | None = None  # (workers, pool), see _key_map
+
+
+def _shared_pool(workers: int) -> multiprocessing.pool.Pool:
+    """The process-wide pool of `workers` workers, started if there is none;
+    a pool of another size is closed and reaped first."""
+    global _pool
+    if _pool is not None and _pool[0] != workers:
+        _close_pool()
+    if _pool is None:
+        _pool = (workers, multiprocessing.Pool(workers))
+        # atexit runs its handlers last in, first out: registered after the
+        # pool's own exit handler, _close_pool reaps the workers before that
+        # one would terminate them
+        atexit.unregister(_close_pool)
+        atexit.register(_close_pool)
+    return _pool[1]
+
+
+def _close_pool(terminate: bool = False) -> None:
+    """Close, or terminate with its tasks in flight, and reap the
+    process-wide pool, if any; also run at interpreter exit."""
+    global _pool
+    if _pool is not None:
+        pool, _pool = _pool[1], None
+        if terminate:
+            pool.terminate()
+        else:
+            pool.close()
+        pool.join()
+
+
 @contextlib.contextmanager
 def _key_map(kind: str, mode: str, workers: int, count: int):
     """Yield keys(fn, graphs), an iterator over fn(g, kind=kind, mode=mode) in
     input order.  With two or more workers and a corpus of `count` >= 4 graphs,
-    every call runs on one pool (workers receive the `Graph`), closed and
-    reaped when the context exits."""
+    every call runs on the process-wide pool of `_shared_pool` (workers
+    receive the `Graph`), which outlives the context: every later pooled
+    survey with the same worker count reuses it.  The workers are forked when
+    the pool starts and see module state as of then; the pool is shared, so
+    two threads must not run pooled surveys at once.  A context left by an
+    exception (KeyboardInterrupt and GeneratorExit too) may leave tasks in
+    flight, so it terminates the pool and the next pooled survey starts a
+    new one."""
     if workers <= 1 or count < 4:
         yield lambda fn, corpus: map(functools.partial(fn, kind=kind, mode=mode), corpus)
         return
-    pool = multiprocessing.Pool(workers)
+    pool = _shared_pool(workers)
     try:
         yield lambda fn, corpus: pool.imap(functools.partial(fn, kind=kind, mode=mode), corpus,
                                            chunksize=max(1, len(corpus) // (workers * 8)))
-    finally:
-        pool.close()
-        pool.join()
+    except BaseException:
+        _close_pool(terminate=True)
+        raise
 
 
 def _prefiltered_keys(corpus: Sequence[graphs.Graph],

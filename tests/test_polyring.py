@@ -9,6 +9,7 @@ from detideals.polyring import (
     RING_Z,
     MultiPoly,
     UniPoly,
+    divmod_poly,
     gcd_poly_q,
     monomial_key,
     poly_str,
@@ -112,14 +113,49 @@ def test_gcd_poly_q_rejects_two_zeros():
         gcd_poly_q(UniPoly.zero(RING_Q), UniPoly.zero(RING_Q))
 
 
+def _gcd_euclid_q(a, b):
+    """Monic gcd by Euclid's algorithm over Q[x], remainders in Fractions:
+    the oracle of the integer pseudo-remainder sequence in gcd_poly_q."""
+    a, b = a.to_q(), b.to_q()
+    while not b.is_zero():
+        a, b = b, divmod_poly(a, b)[1]
+    return a.monic()
+
+
+rational = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+wide_poly_q = st.one_of(
+    st.just(UniPoly.zero(RING_Q)),
+    st.builds(UniPoly.const, rational.filter(bool), st.just(RING_Q)),
+    st.builds(lambda cs, lc: UniPoly(cs + [lc], RING_Q),
+              st.lists(rational, max_size=6), rational.filter(bool)),
+)
+
+
+@given(wide_poly_q, wide_poly_q, wide_poly_q)
+@settings(max_examples=300)
+def test_gcd_poly_q_equals_euclid_over_q(a, b, planted):
+    # zero, constants, leading coefficients of any sign and size, a planted
+    # common factor (a zero one makes both sides zero)
+    for x, y in ((a, b), (a * planted, b * planted)):
+        if x.is_zero() and y.is_zero():
+            with pytest.raises(ValueError):
+                gcd_poly_q(x, y)
+        else:
+            assert gcd_poly_q(x, y) == _gcd_euclid_q(x, y)
+
+
+def test_gcd_poly_q_of_integer_polynomials():
+    a, b = UniPoly([-6, 1, 1], RING_Z), UniPoly([-4, 0, 2], RING_Z)  # (x+3)(x-2), 2(x^2-2)
+    assert gcd_poly_q(a, b) == qc(1)
+    assert gcd_poly_q(a * b, UniPoly([4, -2], RING_Z) * a) == (XQ - qc(2)) * (XQ + qc(3))
+
+
 @given(poly_q, poly_q)
 def test_gcd_poly_q_divides_both(a, b):
     if a.is_zero() and b.is_zero():
         return
     g = gcd_poly_q(a, b)
     assert g.lc == 1
-    from detideals.polyring import divmod_poly
-
     for p in (a, b):
         if not p.is_zero():
             _, r = divmod_poly(p, g)

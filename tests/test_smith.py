@@ -367,6 +367,69 @@ def test_char_poly_at_the_digit_bound():
     assert char_poly([]) == UniPoly([1])
 
 
+def _block_diagonal(blocks):
+    n = sum(len(b) for b in blocks)
+    m = [[0] * n for _ in range(n)]
+    start = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            m[start + i][start:start + len(row)] = row
+        start += len(b)
+    return m
+
+
+blocks = st.integers(1, 3).flatmap(lambda k: st.lists(
+    st.lists(st.integers(-9, 9), min_size=k, max_size=k), min_size=k, max_size=k))
+
+
+@given(st.lists(blocks, min_size=1, max_size=3).filter(lambda bs: sum(map(len, bs)) <= 6))
+@settings(deadline=None, max_examples=60)
+def test_char_poly_of_block_diagonal_matrices(bs):
+    # rows below a pivot hold 0 in its column, so elimination only scales them
+    _assert_char_poly_is_determinant(_block_diagonal(bs))
+
+
+def test_char_poly_of_diagonal_matrices():
+    x = UniPoly.variable(RING_Z)
+    for d in ([0], [3, -3], [0, 0, 0], [1, 2, 3, 4, 5, 6], [-7, 0, 7, 0, -7]):
+        m = _block_diagonal([[[v]] for v in d])
+        _assert_char_poly_is_determinant(m)
+        expected = UniPoly([1])
+        for v in d:
+            expected = expected * (x - UniPoly([v]))
+        assert char_poly(m) == expected
+
+
+def _x_minus(m):
+    """x*I - M over Q[x]."""
+    return [[XQ - qc(v) if i == j else qc(-v) for j, v in enumerate(row)]
+            for i, row in enumerate(m)]
+
+
+def _symmetric_block(rnd, k):
+    b = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            b[i][j] = b[j][i] = rnd.randint(-4, 4)
+    return b
+
+
+def test_deltas_q_with_eigenvalues_of_multiplicity_three_or_more():
+    # the adjacency matrix of K_n has the eigenvalue -1 n - 1 times (its Laplacian n);
+    # B + B + B has each eigenvalue of B three times
+    rnd = random.Random(3)
+    matrices = [build_matrix(complete_graph(n), kind) for n in (4, 5, 6)
+                for kind in ("adjacency", "laplacian")]
+    for k in (1, 2):
+        for _ in range(6):
+            b = _symmetric_block(rnd, k)
+            matrices.append(_block_diagonal([b, b, b]))
+            matrices.append(_block_diagonal([b, b, b, _symmetric_block(rnd, 1)]))
+    for m in matrices:
+        xm = _x_minus(m)
+        assert deltas_q(m) == tuple(delta_bruteforce(xm, k) for k in range(1, len(m) + 1)), m
+
+
 def _bits(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 

@@ -360,6 +360,83 @@ def test_killed_survey_leaves_every_finished_line(tmp_path, corpus6):
 
 
 # ---------------------------------------------------------------------------
+# the process-wide pool
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """The worker count of each pool started; no pool is left before or after."""
+    survey._close_pool()
+    real, starts = survey.multiprocessing.Pool, []
+
+    def counting(workers):
+        starts.append(workers)
+        return real(workers)
+
+    monkeypatch.setattr(survey.multiprocessing, "Pool", counting)
+    yield starts
+    survey._close_pool()
+
+
+def test_pooled_surveys_share_one_pool(pool_starts, corpus5, corpus6):
+    runs = [(corpus6, "laplacian", "cospectral"), (corpus6, "distlap", "codet-Z"),
+            (corpus5, "adjacency", "coinvariant")]
+    pooled = [run_survey(*run, workers=2) for run in runs]
+    assert verify_determined_by(corpus6, complete_graph(6), "laplacian", "coinvariant", workers=2)
+    assert pool_starts == [2]
+    assert pooled == [run_survey(*run, workers=1) for run in runs]
+    # another worker count replaces the pool
+    assert run_survey(corpus5, "laplacian", "cospectral", workers=3) == run_survey(
+        corpus5, "laplacian", "cospectral", workers=1)
+    assert pool_starts == [2, 3] and survey._pool[0] == 3
+
+
+def test_serial_surveys_start_no_pool(pool_starts, corpus5):
+    run_survey(corpus5, "laplacian", "codet-Z", workers=1)
+    run_survey(corpus5[:3], "laplacian", "codet-Z", workers=2)
+    verify_determined_by(corpus5[:3], corpus5[0], "laplacian", "coinvariant", workers=2)
+    assert pool_starts == [] and survey._pool is None
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt, GeneratorExit])
+def test_key_map_left_by_an_exception_terminates_the_pool(pool_starts, corpus6, exc):
+    with pytest.raises(exc):
+        with survey._key_map("laplacian", "cospectral", 2, len(corpus6)) as keys:
+            workers = survey._pool[1]._pool
+            next(keys(invariant_key, corpus6))  # the other tasks are still in flight
+            raise exc
+    assert survey._pool is None
+    assert not any(w.is_alive() for w in workers)
+    assert run_survey(corpus6, "laplacian", "cospectral", workers=2) == run_survey(
+        corpus6, "laplacian", "cospectral", workers=1)
+    assert pool_starts == [2, 2]
+
+
+EXIT_SCRIPT = """
+from detideals import survey
+from detideals.graphs import enumerate_connected
+
+corpus = enumerate_connected(5)
+survey.run_survey(corpus, "laplacian", "codet-Z", workers=2)
+survey.run_survey(corpus, "adjacency", "coinvariant", workers=2)
+print(*(w.pid for w in survey._pool[1]._pool))
+"""
+
+
+def test_pooled_process_exits_cleanly_and_reaps_its_workers():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    out = subprocess.run([sys.executable, "-X", "dev", "-c", EXIT_SCRIPT],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0 and out.stderr == ""
+    pids = [int(pid) for pid in out.stdout.split()]
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+# ---------------------------------------------------------------------------
 # determined-by
 
 

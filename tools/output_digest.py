@@ -32,7 +32,14 @@ Run it on two checkouts and diff the two files.  It covers:
   quarter of them with a row copied from another up to sign, so singular),
   which pivot on entries other than +-1 far more often than graph matrices,
   and of 3,000 more of sizes 1-8 with entries in [-1000, 1000], whose
-  division steps leave many remainders of different sizes.
+  division steps leave many remainders of different sizes;
+* `gcd_poly_q` of 3,000 seeded pairs of rational polynomials (zero on one
+  side, constants, leading coefficients of either sign and any size, and a
+  planted common factor in most pairs);
+* `deltas_q` of the adjacency matrices of K_1..K_9 and of 600 seeded
+  symmetric integer matrices of sizes 2-9, each a block repeated two to four
+  times and conjugated by a signed permutation, so that some eigenvalue has
+  multiplicity two or more.
 
 It uses the standard library and whatever `detideals` is on the import path.
 """
@@ -45,6 +52,7 @@ import os
 import random
 import sys
 import tempfile
+from fractions import Fraction
 from unittest import mock
 
 from detideals import cli
@@ -59,7 +67,8 @@ from detideals.graphs import (
     is_connected,
     write_graph6,
 )
-from detideals.smith import snf_integer
+from detideals.polyring import RING_Q, UniPoly, gcd_poly_q
+from detideals.smith import deltas_q, snf_integer
 from detideals.suites import SUITES
 from detideals.survey import MODES, PREFILTER_SHIFTS, cross_check
 
@@ -168,6 +177,15 @@ def print_digests(tmp: str) -> None:
             print(f"snf_integer {label} {size}x{size} {len(by_size[size])} matrices {digest}",
                   flush=True)
 
+    gcds = [repr(gcd_poly_q(a, b).coeffs) for a, b in _rational_pairs(random.Random(71), 3000)]
+    print(f"gcd_poly_q random rational pairs {len(gcds)} {_sha(chr(10).join(gcds).encode())}",
+          flush=True)
+    complete = [[[int(i != j) for j in range(n)] for i in range(n)] for n in range(1, 10)]
+    for label, matrices in (("K_1..K_9 adjacency", complete),
+                            ("random repeated blocks", _repeated_blocks(random.Random(72), 600))):
+        deltas = [repr([d.coeffs for d in deltas_q(m)]) for m in matrices]
+        print(f"deltas_q {label} {len(deltas)} {_sha(chr(10).join(deltas).encode())}", flush=True)
+
 
 def _random_connected(rnd: random.Random, n: int, count: int) -> list[Graph]:
     """`count` connected graphs on n vertices, each drawn with an edge
@@ -198,6 +216,61 @@ def _random_int_matrices(rnd: random.Random, count: int, max_n: int,
             i, j = rnd.sample(range(n), 2)
             m[i] = [rnd.choice((-1, 1)) * x for x in m[j]]
         out.append(m)
+    return out
+
+
+def _rational_poly(rnd: random.Random, degree: int) -> UniPoly:
+    """A Q[x] polynomial of the given degree (zero if -1), coefficients p/q
+    with |p| <= 30 and 1 <= q <= 12, the leading one nonzero."""
+    cs = [Fraction(rnd.randint(-30, 30), rnd.randint(1, 12)) for _ in range(degree + 1)]
+    if cs and not cs[-1]:
+        cs[-1] = Fraction(rnd.choice((-1, 1)) * rnd.randint(1, 30), rnd.randint(1, 12))
+    return UniPoly(cs, RING_Q)
+
+
+def _rational_pairs(rnd: random.Random, count: int) -> list[tuple[UniPoly, UniPoly]]:
+    """`count` pairs of Q[x] polynomials of degree -1 (zero) to 6, never both
+    zero; in about two thirds of them both are multiplied by one planted
+    factor of degree 1-3."""
+    out = []
+    while len(out) < count:
+        a, b = (_rational_poly(rnd, rnd.randint(-1, 6)) for _ in range(2))
+        if rnd.random() < 2 / 3:
+            f = _rational_poly(rnd, rnd.randint(1, 3))
+            a, b = a * f, b * f
+        if not (a.is_zero() and b.is_zero()):
+            out.append((a, b))
+    return out
+
+
+def _repeated_blocks(rnd: random.Random, count: int) -> list[list[list[int]]]:
+    """`count` symmetric integer matrices P diag(B, ..., B, C) P^T: a random
+    symmetric block B of size 1-3 (entries in [-5, 5]) repeated two to four
+    times, an optional symmetric block C of size 0-2, and a random signed
+    permutation P; each eigenvalue of B has multiplicity at least the number
+    of repeats.  Sizes stay at most 9."""
+    def block(k):
+        b = [[0] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                b[i][j] = b[j][i] = rnd.randint(-5, 5)
+        return b
+
+    out = []
+    while len(out) < count:
+        k, reps, extra = rnd.randint(1, 3), rnd.randint(2, 4), rnd.randint(0, 2)
+        n = k * reps + extra
+        if n > 9:
+            continue
+        m = [[0] * n for _ in range(n)]
+        blocks = [(r * k, b) for b in [block(k)] for r in range(reps)] + [(k * reps, block(extra))]
+        for start, b in blocks:
+            for i, row in enumerate(b):
+                m[start + i][start:start + len(row)] = row
+        perm = rnd.sample(range(n), n)
+        sign = [rnd.choice((-1, 1)) for _ in range(n)]
+        out.append([[sign[i] * sign[j] * m[perm[i]][perm[j]] for j in range(n)]
+                    for i in range(n)])
     return out
 
 

@@ -16,6 +16,9 @@ equal column; the plain depth-first search it replaced is its test oracle.
 Enumeration is orderly generation (`_all_columns`): every lex-min string on
 n - 1 vertices is extended by one new column, and a child is kept iff it is
 its own lex-min string, a test that stops at the first smaller column.
+graph6 is the column order of `canonical_columns` in six-bit characters:
+the codec converts through `_columns` and `_rows_from_columns`, the one
+inverse pair between columns and adjacency rows.
 """
 
 from __future__ import annotations
@@ -109,7 +112,9 @@ _G6_HEADER = ">>graph6<<"
 
 
 def parse_graph6(data) -> Graph:
-    """Decode one graph6 string (optionally prefixed with >>graph6<<)."""
+    """Decode one graph6 string (optionally prefixed with >>graph6<<): the
+    size character n + 63, then columns 1..n-1 concatenated, zero-padded and
+    cut into six-bit characters (value + 63).  Graph6Error for anything else."""
     if isinstance(data, (bytes, bytearray)):
         try:
             s = bytes(data).decode("ascii")
@@ -142,32 +147,26 @@ def parse_graph6(data) -> Graph:
     pad = 6 * nbytes - nbits
     if pad and bits & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits")
-    bits >>= pad
-    rows = [0] * n
-    pos = nbits
-    for j in range(1, n):
-        for i in range(j):
-            pos -= 1
-            if (bits >> pos) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(n, rows)
+    cols = []
+    for p in range(1, n):
+        nbits -= p
+        cols.append((bits >> (pad + nbits)) & ((1 << p) - 1))
+    return _graph_from_columns(n, cols)
 
 
 def write_graph6(g: Graph) -> str:
+    """The graph6 string of g in its own labelling (see `parse_graph6`)."""
     n = g.n
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append((g.rows[i] >> j) & 1)
-    while len(bits) % 6:
-        bits.append(0)
+    bits = 0
+    for p, col in enumerate(_columns(n, g.rows), 1):
+        bits = (bits << p) | col
+    nbits = n * (n - 1) // 2
+    shift = 6 * ((nbits + 5) // 6)
+    bits <<= shift - nbits
     out = [chr(n + 63)]
-    for i in range(0, len(bits), 6):
-        v = 0
-        for b in bits[i : i + 6]:
-            v = (v << 1) | b
-        out.append(chr(v + 63))
+    while shift:
+        shift -= 6
+        out.append(chr(((bits >> shift) & 63) + 63))
     return "".join(out)
 
 
@@ -403,15 +402,35 @@ def _lexmin(n: int, rows: Sequence[int], best: list[int], stop: bool) -> bool:
     return place(0, (1 << n) - 1, [(0, (1 << n) - 1)])
 
 
+def _column_mask(m: int, col: int) -> int:
+    """The neighbourhood bitmask of an m-bit column: bit m-1-i of `col` is
+    position i.  This reverses m bits, so it is its own inverse and also
+    turns the neighbours of position m below m into its column."""
+    mask = 0
+    while col:
+        low = col & -col
+        col ^= low
+        mask |= 1 << (m - low.bit_length())
+    return mask
+
+
 def _rows_from_columns(n: int, cols: Sequence[int]) -> list[int]:
+    """The adjacency rows of the graph whose columns 1..n-1 are `cols`."""
     rows = [0] * n
     for j in range(1, n):
-        col = cols[j - 1]
-        for i in range(j):
-            if (col >> (j - 1 - i)) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+        mask = _column_mask(j, cols[j - 1])
+        rows[j] |= mask
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            rows[low.bit_length() - 1] |= 1 << j
     return rows
+
+
+def _columns(n: int, rows: Sequence[int]) -> tuple[int, ...]:
+    """Columns 1..n-1 of the adjacency `rows` in their own labelling, the
+    inverse of `_rows_from_columns`."""
+    return tuple(_column_mask(j, rows[j] & ((1 << j) - 1)) for j in range(1, n))
 
 
 def _graph_from_columns(n: int, cols: Sequence[int]) -> Graph:
@@ -442,8 +461,7 @@ def _all_columns(n: int) -> tuple[tuple[int, ...], ...]:
     if n == 1:
         return ((),)
     m = n - 1  # the new vertex, and the bit count of its column
-    # the neighbourhood bitmask of column c: c's bit m-1-i is position i
-    masks = [sum(((c >> (m - 1 - i)) & 1) << i for i in range(m)) for c in range(1 << m)]
+    masks = [_column_mask(m, c) for c in range(1 << m)]
     out = []
     for cols in _all_columns(m):
         prows = _rows_from_columns(m, cols)

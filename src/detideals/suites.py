@@ -20,7 +20,7 @@ from .profiles import (
     multivariate_ideals,
     variety,
 )
-from .smith import GroupDescription, snf_integer
+from .smith import SnfResult, cokernel, snf_integer
 from .survey import run_survey, verify_determined_by
 
 
@@ -141,14 +141,12 @@ def suite_c4(max_n=None, workers=None) -> list[CheckResult]:
     deltas = evaluate_profile(profile, (2, 2, 2, 2))
     _check(results, "evaluation at deg(C4) gives Delta = (1,1,4,0)",
            deltas == [1, 1, 4, 0])
-    factors, free = invariant_factors_from_deltas(deltas)
-    group = GroupDescription(tuple(f for f in factors if f > 1), free)
+    group = cokernel(SnfResult("Z", 4, invariant_factors_from_deltas(deltas)[0]))
     _check(results, "critical group K(C4) = Z_4", group.torsion == (4,))
     deltas0 = evaluate_profile(profile, (0, 0, 0, 0))
     _check(results, "evaluation at 0 gives Delta = (1,1,0,0)", deltas0 == [1, 1, 0, 0])
-    factors0, free0 = invariant_factors_from_deltas(deltas0)
-    _check(results, "Smith group S(C4) = Z^2",
-           all(f == 1 for f in factors0) and free0 == 2)
+    group0 = cokernel(SnfResult("Z", 4, invariant_factors_from_deltas(deltas0)[0]))
+    _check(results, "Smith group S(C4) = Z^2", group0.torsion == () and group0.free_rank == 2)
     return results
 
 
@@ -291,47 +289,15 @@ def suite_fig1_critical(max_n=None, workers=None) -> list[CheckResult]:
 # symbolic distance-Laplacian checks for complete bipartite graphs
 
 
-def _star_representative() -> list[list[MultiPoly]]:
-    """F(K_{n,1}) on a (4,1) block representative, entries in Z[n,m]."""
-    n, _, one = _nm_vars()
-    two = MultiPoly.const(2, 2)
-    diag = n + n - one  # 2n - 1
-    corner = n
-    size = 5
-    mat = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            if i == j:
-                row.append(diag if i < 4 else corner)
-            elif i < 4 and j < 4:
-                row.append(-two)
-            else:
-                row.append(-one)
-        mat.append(row)
-    return mat
-
-
-def _bipartite_representative() -> list[list[MultiPoly]]:
-    """F(K_{n,m}) on a (4,4) block representative, entries in Z[n,m]."""
-    n, m, one = _nm_vars()
-    two = MultiPoly.const(2, 2)
-    diag_n = n + n + m - two  # 2n + m - 2
-    diag_m = n + m + m - two  # n + 2m - 2
-    size = 8
-    mat = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            same_block = (i < 4) == (j < 4)
-            if i == j:
-                row.append(diag_n if i < 4 else diag_m)
-            elif same_block:
-                row.append(-two)
-            else:
-                row.append(-one)
-        mat.append(row)
-    return mat
+def _block_representative(sizes: tuple[int, ...],
+                          diagonal: tuple[MultiPoly, ...]) -> list[list[MultiPoly]]:
+    """The distance Laplacian of a complete multipartite graph on a block
+    representative, entries in Z[n,m]: block b has sizes[b] vertices and
+    diagonal[b] on the diagonal, -2 lies inside a block, -1 across blocks."""
+    block = [b for b, size in enumerate(sizes) for _ in range(size)]
+    two, one = MultiPoly.const(2, 2), MultiPoly.const(1, 2)
+    return [[diagonal[a] if i == j else -two if a == b else -one for j, b in enumerate(block)]
+            for i, a in enumerate(block)]
 
 
 def suite_symbolic_bipartite(max_n=None, workers=None) -> list[CheckResult]:
@@ -339,7 +305,7 @@ def suite_symbolic_bipartite(max_n=None, workers=None) -> list[CheckResult]:
 
     results: list[CheckResult] = []
     n, m, one = _nm_vars()
-    three = MultiPoly.const(3, 2)
+    two, three = MultiPoly.const(2, 2), MultiPoly.const(3, 2)
 
     l1 = [
         (n * n).scale(4) - n.scale(4) - three,          # 4n^2 - 4n - 3
@@ -370,10 +336,12 @@ def suite_symbolic_bipartite(max_n=None, workers=None) -> list[CheckResult]:
     _check(results, "2(n+m)+1 is not in <3, n+2m>",
            not expected_l2.member((n + m).scale(2) + one))
 
-    star_minors = minors_k(_star_representative(), 2)
+    # F(K_{n,1}) on a (4,1) block representative: diagonal 2n - 1 and n
+    star_minors = minors_k(_block_representative((4, 1), (n + n - one, n)), 2)
     _check(results, "2-minors of the star representative generate <L1>",
            Ideal(NM_RING, star_minors).equal(ideal_l1))
-    bip_minors = minors_k(_bipartite_representative(), 2)
+    # F(K_{n,m}) on a (4,4) block representative: diagonal 2n + m - 2 and n + 2m - 2
+    bip_minors = minors_k(_block_representative((4, 4), (n + n + m - two, n + m + m - two)), 2)
     _check(results, "2-minors of the bipartite representative generate <L2>",
            Ideal(NM_RING, bip_minors).equal(ideal_l2))
     return results

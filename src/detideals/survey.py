@@ -28,6 +28,8 @@ whole as soon as its key is known (a pruned line as soon as the survivor
 before it is done), and a killed survey leaves every finished line.
 `invariant_key`, `verify_determined_by` and `cross_check` compute the real
 key of every graph; they are the oracle of the two stages.
+A graph is encoded as graph6 only where it is written: on its checkpoint
+line, as a report's bucket member, or as the witness of `cross_check`.
 """
 
 from __future__ import annotations
@@ -198,17 +200,19 @@ def _prefiltered_keys(corpus: Sequence[graphs.Graph],
         yield next(real) if i in survivors else key
 
 
-def _collect(stream: Iterable[str], g6s: Sequence[str], checkpoint_path: str | None) -> list[str]:
-    """The keys of `stream`; optionally written to a JSONL checkpoint naming
-    each graph by `g6s`.  The file is line-buffered, so each line reaches it
+def _collect(stream: Iterable[str], corpus: Sequence[graphs.Graph],
+             checkpoint_path: str | None) -> list[str]:
+    """The keys of `stream`, one per graph of `corpus`; optionally written to
+    a JSONL checkpoint naming each graph by its graph6 string, encoded as its
+    line is written.  The file is line-buffered, so each line reaches it
     whole as soon as its key is known."""
     if not checkpoint_path:
         return list(stream)
     keys: list[str] = []
     with open(checkpoint_path, "w", buffering=1, encoding="utf-8") as fh:
-        for g6, key in zip(g6s, stream, strict=True):
+        for g, key in zip(corpus, stream, strict=True):
             keys.append(key)
-            fh.write(json.dumps({"graph": g6, "key_digest_input": key}) + "\n")
+            fh.write(json.dumps({"graph": graphs.write_graph6(g), "key_digest_input": key}) + "\n")
     return keys
 
 
@@ -267,20 +271,22 @@ def run_survey(
     workers = _checked_workers(kind, mode, workers)
     corpus = list(corpus)
     n = _validate_corpus(corpus)
-    g6s = [graphs.write_graph6(g) for g in corpus]
     with _key_map(kind, mode, workers, len(corpus)) as keys:
         if mode in ("codet-Q", "codet-Z"):
             stream = _prefiltered_keys(corpus, keys)
         else:
             stream = keys(invariant_key, corpus)
         # a pruned graph's prefilter key is alone in its class, so it joins no bucket
-        found = _collect(stream, g6s, checkpoint_path)
-    return _report(n, kind, mode, g6s, found)
+        found = _collect(stream, corpus, checkpoint_path)
+    return _report(n, kind, mode, corpus, found)
 
 
-def _report(n: int, kind: str, mode: str, g6s: Sequence[str], keys: Sequence[str]) -> SurveyReport:
+def _report(n: int, kind: str, mode: str, corpus: Sequence[graphs.Graph],
+            keys: Sequence[str]) -> SurveyReport:
+    """The report of the keys of `corpus`; only bucket members are encoded."""
     buckets = tuple(sorted(
-        (key, tuple(g6s[i] for i in ids)) for key, ids in _classes(keys).items() if len(ids) >= 2
+        (key, tuple(graphs.write_graph6(corpus[i]) for i in ids))
+        for key, ids in _classes(keys).items() if len(ids) >= 2
     ))
     return SurveyReport(n, kind, mode, len(keys), sum(len(gs) for _, gs in buckets), buckets)
 
@@ -345,7 +351,6 @@ def cross_check(corpus: Iterable[graphs.Graph], kind: str) -> CrossCheckReport:
     the Z[x] bases, so it is independent of the characteristic polynomial."""
     corpus = list(corpus)
     n = _validate_corpus(corpus)
-    g6s = [graphs.write_graph6(g) for g in corpus]
     spectrum = []
     coinv = []
     qkeys = []
@@ -373,7 +378,8 @@ def cross_check(corpus: Iterable[graphs.Graph], kind: str) -> CrossCheckReport:
         for first, *rest in _classes(fine).values():
             for j in rest:
                 if coarse[j] != coarse[first]:
-                    witness = witness or f"{g6s[first]} vs {g6s[j]}"
+                    witness = witness or " vs ".join(
+                        graphs.write_graph6(corpus[i]) for i in (first, j))
                     return False
         return True
 

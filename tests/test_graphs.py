@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from detideals.graphs import (
     DisconnectedGraphError,
     _all_columns,
+    _columns,
     _graph_from_columns,
+    _rows_from_columns,
     Graph,
     Graph6Error,
     build_matrix,
@@ -66,6 +68,14 @@ def test_parse_graph6_errors():
         parse_graph6("~??")  # n > 62 encoding
     with pytest.raises(Graph6Error):
         parse_graph6("B" + chr(63 + 1))  # nonzero padding bit for n=3
+    with pytest.raises(Graph6Error):
+        parse_graph6("D~" + chr(127))  # character above offset 63 + 63
+    with pytest.raises(Graph6Error):
+        parse_graph6("Dt\u00e9")  # not ASCII
+    with pytest.raises(Graph6Error):
+        parse_graph6(b"Dt\xe9")
+    with pytest.raises(Graph6Error):
+        parse_graph6(chr(127))  # size byte above 62 + 63
 
 
 def test_write_graph6_examples():
@@ -86,9 +96,90 @@ def graphs_strategy(draw, max_n=9):
     return Graph(n, rows)
 
 
-@given(graphs_strategy())
+def write_graph6_oracle(g):
+    """The per-bit encoder the codec replaced: the upper triangle column by
+    column, six bits per character."""
+    n = g.n
+    bits = []
+    for j in range(1, n):
+        for i in range(j):
+            bits.append((g.rows[i] >> j) & 1)
+    while len(bits) % 6:
+        bits.append(0)
+    out = [chr(n + 63)]
+    for i in range(0, len(bits), 6):
+        v = 0
+        for b in bits[i : i + 6]:
+            v = (v << 1) | b
+        out.append(chr(v + 63))
+    return "".join(out)
+
+
+def graph6_body_oracle(n, body):
+    """The per-bit decoder the codec replaced: the adjacency rows of a valid
+    graph6 body on n vertices."""
+    nbits = n * (n - 1) // 2
+    bits = 0
+    for ch in body:
+        bits = (bits << 6) | (ord(ch) - 63)
+    bits >>= 6 * len(body) - nbits
+    rows = [0] * n
+    pos = nbits
+    for j in range(1, n):
+        for i in range(j):
+            pos -= 1
+            if (bits >> pos) & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows
+
+
+def assert_codec_equals_oracle(g):
+    g6 = write_graph6(g)
+    assert g6 == write_graph6_oracle(g)
+    assert list(parse_graph6(g6).rows) == graph6_body_oracle(g.n, g6[1:]) == list(g.rows)
+
+
+@st.composite
+def labelled_graphs(draw, max_n=62):
+    """Any graph on 1..max_n vertices, its upper triangle drawn as one integer
+    (one boolean per pair, as in `graphs_strategy`, is too slow at n = 62)."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    edges = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return Graph.from_edges(n, [e for k, e in enumerate(pairs) if (edges >> k) & 1])
+
+
+@given(labelled_graphs())
+@settings(deadline=None, max_examples=300)
 def test_graph6_roundtrip(g):
-    assert parse_graph6(write_graph6(g)) == g
+    assert_codec_equals_oracle(g)
+
+
+def test_graph6_codec_equals_the_per_bit_oracle_at_the_edges():
+    rnd = random.Random(62)
+    edge_cases = [Graph(1, (0,)), Graph(2, (0, 0)), complete_graph(2),
+                  Graph(62, (0,) * 62), complete_graph(62), path_graph(62), star_graph(62)]
+    edge_cases += [Graph.from_edges(62, [(i, j) for i in range(62) for j in range(i + 1, 62)
+                                         if rnd.random() < p]) for p in (0.1, 0.5, 0.9)]
+    for g in edge_cases:
+        assert_codec_equals_oracle(g)
+    assert write_graph6(complete_graph(62)) == "}" + "~" * 315 + "_"  # 1,891 bits
+
+
+@st.composite
+def column_tuples(draw, max_n=62):
+    n = draw(st.integers(1, max_n))
+    return n, tuple(draw(st.integers(0, (1 << j) - 1)) for j in range(1, n))
+
+
+@given(column_tuples())
+@settings(deadline=None, max_examples=200)
+def test_columns_invert_rows_from_columns(nc):
+    n, cols = nc
+    rows = _rows_from_columns(n, cols)
+    assert _columns(n, rows) == cols
+    assert _columns(n, Graph(n, rows).rows) == cols  # the rows are a valid graph
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +235,12 @@ def test_distance_matrix_equals_floyd_warshall(corpus7):
         assert distance_matrix(g) == d, write_graph6(g)
 
 
-def test_graph6_roundtrip_on_corpus(corpus6):
-    for g in corpus6:
-        assert parse_graph6(write_graph6(g)) == g
+def test_graph6_roundtrip_on_corpus(corpus7):
+    # every connected graph with n <= 7, canonical and relabelled
+    rnd = random.Random(7)
+    for g in [g for n in range(1, 7) for g in enumerate_connected(n)] + list(corpus7):
+        assert_codec_equals_oracle(g)
+        assert_codec_equals_oracle(relabel(g, rnd))
 
 
 def test_laplacian_rows_sum_to_zero():

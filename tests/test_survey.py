@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from detideals import suites, survey
+from detideals import graphs, suites, survey
 from detideals.graphs import (
     MATRIX_KINDS,
     DisconnectedGraphError,
@@ -205,8 +205,7 @@ CODET = ("codet-Q", "codet-Z")
 
 def _real_report(corpus, kind, mode):
     """The report of the real key of every graph, without the prefilter."""
-    g6s = [write_graph6(g) for g in corpus]
-    return _report(corpus[0].n, kind, mode, g6s, [invariant_key(g, kind, mode) for g in corpus])
+    return _report(corpus[0].n, kind, mode, corpus, [invariant_key(g, kind, mode) for g in corpus])
 
 
 def _survivors(corpus, kind, mode):
@@ -276,7 +275,8 @@ def test_checkpoint_holds_real_keys_and_prefixed_prefilter_keys(tmp_path, corpus
 
 
 @pytest.mark.parametrize("kind, mode", [("laplacian", "codet-Q"), ("laplacian", "codet-Z"),
-                                        ("distlap", "codet-Z")])
+                                        ("distlap", "codet-Z"), ("laplacian", "cospectral"),
+                                        ("adjacency", "coinvariant")])
 def test_prefiltered_survey_serial_and_pooled_same_bytes(tmp_path, corpus6, kind, mode):
     out = {}
     for workers in (1, 2):
@@ -452,6 +452,59 @@ def test_determined_by_n6(corpus6):
 def test_determined_by_target_must_be_in_corpus(corpus5):
     with pytest.raises(ValueError):
         verify_determined_by(corpus5, complete_graph(6), "laplacian", "coinvariant", workers=1)
+
+
+# ---------------------------------------------------------------------------
+# graph6 encoding
+
+
+@pytest.fixture
+def encoded(monkeypatch):
+    """The graphs given to `graphs.write_graph6` in this process, in call order."""
+    real = graphs.write_graph6
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(graphs, "write_graph6", counting)
+    return calls
+
+
+def _members(report):
+    return sorted(g6 for _, gs in report.buckets for g6 in gs)
+
+
+@pytest.mark.parametrize("mode", ["cospectral", "coinvariant"])
+def test_survey_encodes_only_its_bucket_members(encoded, corpus6, mode):
+    for workers in (1, 2):
+        encoded.clear()
+        report = run_survey(corpus6, "laplacian", mode, workers=workers)
+        assert sorted(write_graph6(g) for g in encoded) == _members(report)
+        assert 0 < report.with_mate < len(corpus6)
+
+
+def test_checkpoint_survey_encodes_each_graph_once_for_its_line(encoded, tmp_path, corpus6):
+    # in input order, as each line is written; the survey keeps no list of
+    # the strings, so its report then encodes its bucket members once more
+    path = tmp_path / "keys.jsonl"
+    report = run_survey(corpus6, "laplacian", "cospectral", workers=1, checkpoint_path=str(path))
+    lines = len(corpus6)
+    assert encoded[:lines] == list(corpus6)
+    assert sorted(write_graph6(g) for g in encoded[lines:]) == _members(report)
+    assert [r["graph"] for r in _checkpoint_records(path)] == [write_graph6(g) for g in corpus6]
+
+
+def test_cross_check_names_its_witness(monkeypatch, corpus5):
+    # every graph gets one eval-at-0 key, so the first graph whose
+    # coinvariant key differs from the first one's is the witness
+    monkeypatch.setattr(survey, "evaluate_profile", lambda profile, point: [0])
+    report = cross_check(corpus5, "adjacency")
+    assert not report.coinvariant_equals_eval0 and report.cospectral_equals_codet_q
+    keys = [invariant_key(g, "adjacency", "coinvariant") for g in corpus5]
+    j = next(j for j, key in enumerate(keys) if key != keys[0])
+    assert report.witness == f"{write_graph6(corpus5[0])} vs {write_graph6(corpus5[j])}"
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,10 @@ Run it on two checkouts and diff the two files.  It covers:
   SHA-256 of its newline-joined graph6 strings;
 * `write_graph6(canonical_graph(g))` over 500 seeded random connected graphs
   with n = 9 and 500 with n = 10, beyond the reach of `gen`;
+* `write_graph6` over 496 seeded random graphs, eight for each n = 1..62,
+  connected or not, in the random labelling they were drawn in (not the
+  canonical one), and the adjacency rows `parse_graph6` decodes from those
+  strings;
 * the `snf_integer` factors of c*I - M for those n = 9 graphs, every kind and
   every c in `survey.PREFILTER_SHIFTS`, of 3,000 seeded random square
   integer matrices of sizes 1-7 (entries in [-40, 40], mostly zeros, a
@@ -65,6 +69,7 @@ from detideals.graphs import (
     canonical_graph,
     enumerate_connected,
     is_connected,
+    parse_graph6,
     write_graph6,
 )
 from detideals.polyring import RING_Q, UniPoly, gcd_poly_q
@@ -156,6 +161,12 @@ def print_digests(tmp: str) -> None:
     forms = [write_graph6(canonical_graph(g)) for n in (9, 10) for g in random_graphs[n]]
     digest = _sha("\n".join(forms).encode())
     print(f"canonical_graph n=9,10 random {digest}", flush=True)
+    labelled = [write_graph6(g) for g in _random_labelled(random.Random(62), 8)]
+    print(f"write_graph6 n=1..62 random labelled {len(labelled)} "
+          f"{_sha(chr(10).join(labelled).encode())}", flush=True)
+    decoded = [repr(parse_graph6(g6).rows) for g6 in labelled]
+    print(f"parse_graph6 n=1..62 random labelled rows {len(decoded)} "
+          f"{_sha(chr(10).join(decoded).encode())}", flush=True)
 
     for kind in MATRIX_KINDS:
         for c in PREFILTER_SHIFTS:
@@ -197,6 +208,18 @@ def _random_connected(rnd: random.Random, n: int, count: int) -> list[Graph]:
         g = Graph.from_edges(n, [e for e in pairs if rnd.random() < p])
         if is_connected(g):
             out.append(g)
+    return out
+
+
+def _random_labelled(rnd: random.Random, per_n: int) -> list[Graph]:
+    """`per_n` graphs for each n = 1..62, connected or not, each drawn with an
+    edge probability drawn uniformly from [0.05, 0.95]."""
+    out = []
+    for n in range(1, 63):
+        for _ in range(per_n):
+            p = rnd.uniform(0.05, 0.95)
+            out.append(Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                            if rnd.random() < p]))
     return out
 
 

@@ -53,7 +53,7 @@ class Graph:
     def __init__(self, n: int, rows: Sequence[int]):
         if not 1 <= n <= 62:
             raise InputError("vertex count must be between 1 and 62")
-        rows = tuple(int(r) for r in rows)
+        rows = tuple(map(int, rows))
         if len(rows) != n:
             raise InputError("adjacency row count does not match n")
         for i, r in enumerate(rows):
@@ -61,10 +61,20 @@ class Graph:
                 raise InputError("adjacency bit outside the vertex range")
             if (r >> i) & 1:
                 raise InputError("loops are not allowed")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if ((rows[i] >> j) & 1) != ((rows[j] >> i) & 1):
+        # symmetric iff every bit j > i of row i has bit i of row j set and
+        # the bits above the diagonal are half of all bits: O(edges)
+        upper = 0
+        for i, r in enumerate(rows):
+            bit = 1 << i
+            r >>= i + 1
+            upper += r.bit_count()
+            while r:
+                low = r & -r
+                r ^= low
+                if not rows[low.bit_length() + i] & bit:
                     raise InputError("adjacency must be symmetric")
+        if 2 * upper != sum(map(int.bit_count, rows)):
+            raise InputError("adjacency must be symmetric")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
 
@@ -202,38 +212,55 @@ def is_connected(g: Graph) -> bool:
 
 
 def distance_matrix(g: Graph) -> list[list[int]]:
-    """All-pairs shortest paths by BFS; errors out on disconnected graphs."""
-    n = g.n
+    """All-pairs shortest paths; DisconnectedGraphError on a disconnected
+    graph.  Each pass grows the ball around a source by one level, the
+    neighbours of its last level, and gives the new vertices their distance.
+    A ball that stops growing short of every vertex is a component."""
+    n, rows = g.n, g.rows
+    full = (1 << n) - 1
     dist = []
     for s in range(n):
-        row = [-1] * n
-        for d, layer in enumerate(_layers(g, s)):
-            while layer:
-                low = layer & -layer
-                layer ^= low
+        row = [0] * n
+        ball = level = 1 << s
+        d = 0
+        while ball != full:
+            d += 1
+            grown = 0
+            while level:
+                low = level & -level
+                level ^= low
+                grown |= rows[low.bit_length() - 1]
+            level = new = grown & ~ball
+            if not new:
+                raise DisconnectedGraphError("distance matrix of a disconnected graph")
+            ball |= new
+            while new:
+                low = new & -new
+                new ^= low
                 row[low.bit_length() - 1] = d
-        if -1 in row:
-            raise DisconnectedGraphError("distance matrix of a disconnected graph")
         dist.append(row)
     return dist
 
 
 def build_matrix(g: Graph, kind: str) -> list[list[int]]:
     """The adjacency, Laplacian, distance or distance Laplacian matrix."""
-    n = g.n
+    rows, cols = g.rows, range(g.n)
     if kind == "adjacency":
-        return [[1 if g.has_edge(i, j) else 0 for j in range(n)] for i in range(n)]
+        return [[r >> j & 1 for j in cols] for r in rows]
     if kind == "laplacian":
-        return [
-            [g.degree(i) if i == j else (-1 if g.has_edge(i, j) else 0) for j in range(n)]
-            for i in range(n)
-        ]
+        out = [[-(r >> j & 1) for j in cols] for r in rows]
+        for i, r in enumerate(rows):
+            out[i][i] = r.bit_count()
+        return out
     if kind == "distance":
         return distance_matrix(g)
     if kind == "distlap":
-        d = distance_matrix(g)
-        t = [sum(row) for row in d]
-        return [[t[i] if i == j else -d[i][j] for j in range(n)] for i in range(n)]
+        out = distance_matrix(g)
+        for i, row in enumerate(out):
+            t = sum(row)
+            out[i] = row = [-v for v in row]
+            row[i] = t
+        return out
     raise InputError(f"unknown matrix kind {kind!r}")
 
 

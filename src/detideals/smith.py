@@ -18,8 +18,9 @@ I_k(A) = I_{k-1}(S)), then expands the smaller S into the ideals'
 generators, leaving a level with a +-1 minor undecoded as just 1; char_poly
 eliminates the packed matrix by Bareiss, on a trailing block that shrinks by
 one row and column per step; both decode with unpack_minors.
-_square, _int_matrix and _symmetric are the one square, integer and symmetry
-checks.
+_square, _int_matrix (with _all_int, which lets an all-int matrix skip the
+copy or the conversion) and _symmetric are the one square, integer and
+symmetry checks.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Sequence
 
-from .grobner import QX, ZX_UNI, Ideal, Ring, zmulti
+from .grobner import QX, ZX_UNI, Ideal, Ring
 from .polyring import (RING_Q, RING_Z, MultiPoly, UniPoly, divmod_poly, exact_int,
                        gcd_int_many, gcd_poly_q, poly_str)
 
@@ -136,10 +137,18 @@ def _symmetric(matrix: Sequence[Sequence]) -> bool:
     return all(matrix[i][j] == matrix[j][i] for i in range(len(matrix)) for j in range(i))
 
 
+def _all_int(matrix: Sequence[Sequence]) -> bool:
+    """True iff every entry is an int (not a bool, Fraction or float)."""
+    return {type(x) for row in matrix for x in row} <= {int}
+
+
 def _int_matrix(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
-    """A copy of a square integer matrix; ValueError if it is not square, or
-    naming the first non-integer entry."""
+    """A copy of a square integer matrix, with each integral entry of another
+    type (a Fraction with denominator 1, say) converted to int; ValueError if
+    it is not square, or naming the first non-integer entry."""
     _square(matrix)
+    if _all_int(matrix):
+        return [list(row) for row in matrix]
     return [[x if type(x) is int else exact_int(x, f"entry ({i},{j})")
              for j, x in enumerate(row)] for i, row in enumerate(matrix)]
 
@@ -162,13 +171,17 @@ def _pivot_out(rows: list[list[int]], i: int, j: int):
 def _least_entry(rows: list[list[int]]) -> tuple[int, int] | None:
     """(i, j) of the first nonzero entry of least absolute value in row-major
     order, None if every entry is 0.  No entry is smaller than a +-1, so the
-    scan stops at the first one."""
+    first one, if any, is found row by row without a full scan."""
+    for a, row in enumerate(rows):
+        if 1 in row:
+            b = row.index(1)
+            return a, row.index(-1) if -1 in row[:b] else b
+        if -1 in row:
+            return a, row.index(-1)
     best = None
     for a, row in enumerate(rows):
         for b, v in enumerate(row):
             if v and (best is None or abs(v) < best[0]):
-                if v == 1 or v == -1:
-                    return a, b
                 best = abs(v), a, b
     return best and best[1:]
 
@@ -310,17 +323,18 @@ def packed_char_matrix(matrix: Sequence[Sequence[int]], ring: Ring) -> tuple[int
 
     Returns (shift, packed rows).
     """
-    m = _int_matrix(matrix)
-    n = len(m)
-    if ring not in (ZX_UNI, zmulti(n)):
+    n = _square(matrix)
+    m = matrix if _all_int(matrix) else _int_matrix(matrix)
+    if not (ring == ZX_UNI or isinstance(ring, Ring) and ring.kind == "ZX" and ring.arity == n):
         raise ValueError(f"no packed minors of {n} rows over {ring}")
     bound = 1
     for row in m:
-        bound *= 1 + sum(abs(v) for v in row)
+        bound *= 1 + sum(map(abs, row))
     shift = bound.bit_length() + 1
-    x = [1 << (shift << i if ring.kind == "ZX" else shift) for i in range(n)]
-    return shift, [[x[i] - v if i == j else -v for j, v in enumerate(row)]
-                   for i, row in enumerate(m)]
+    rows = [[-v for v in row] for row in m]
+    for i, row in enumerate(rows):
+        row[i] += 1 << (shift << i if ring.kind == "ZX" else shift)
+    return shift, rows
 
 
 def unpack_minors(values, shift: int, ring: Ring) -> list:

@@ -21,6 +21,11 @@ Pooled keys run on one process-wide pool (`_key_map`): the first pooled
 survey starts it, later ones with the same worker count reuse it, and it is
 closed and reaped at interpreter exit.  Its workers are forked when it
 starts, so they see module state (patched functions, caches) as of then.
+The pool (`_WorkerPool`) runs no helper thread: each worker has its own
+pipe, and the surveying thread sends the chunks and reads the keys itself.
+An exception of a key function is raised in the surveying thread with its
+type, and a worker that dies raises RuntimeError there instead of stalling
+the survey; either terminates the pool.
 A checkpoint has one line per graph in input order: the real key of a graph
 that got one, the prefilter key (behind `PREFILTER_PREFIX`, which no real key
 has) of a pruned graph.  The file is line-buffered, so each line reaches it
@@ -40,14 +45,19 @@ import functools
 import json
 import multiprocessing
 import os
+import pickle
+import signal
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from . import graphs
 from .grobner import QX, Ideal
 from .polyring import poly_str
 from .profiles import IdealProfile, determinantal_ideals, evaluate_profile, variety
 from .smith import char_poly, snf_integer
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 MODES = ("cospectral", "coinvariant", "codet-Q", "codet-Z")
 
@@ -132,36 +142,148 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-_pool: tuple[int, multiprocessing.pool.Pool] | None = None  # (workers, pool), see _key_map
+def _serve(conn, inherited) -> None:
+    """A pool worker: read (fn, graphs) chunks from `conn` until None or EOF,
+    and send back (True, keys) or (False, exception) for each, with the
+    worker's traceback added to the exception as a note; an exception the
+    parent could not unpickle comes back as a RuntimeError holding its repr.
+    The worker first closes the parent's ends of the pipes it inherited, so
+    that the parent's death reaches every worker as EOF, and ignores SIGINT,
+    which a terminal sends to the whole process group: the parent alone
+    decides what an interrupt stops."""
+    import traceback  # here, not at the top: it adds to every import of detideals
+
+    for other in inherited:
+        other.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            task = conn.recv_bytes()
+        except EOFError:
+            return
+        try:
+            task = pickle.loads(task)
+            if task is None:
+                return
+            fn, chunk = task
+            result = True, [fn(g) for g in chunk]
+        except Exception as exc:
+            exc.add_note("".join(traceback.format_exception(exc)).rstrip())
+            result = False, exc
+        try:
+            payload = pickle.dumps(result)
+            if not result[0]:
+                pickle.loads(payload)  # the parent must be able to rebuild it
+        except Exception:
+            payload = pickle.dumps((False, RuntimeError(repr(result[1]))))
+        conn.send_bytes(payload)
 
 
-def _shared_pool(workers: int) -> multiprocessing.pool.Pool:
+class _WorkerPool:
+    """`size` workers forked (by the platform's default start method) with
+    one duplex pipe each.  The parent's main thread does all the work of the
+    pool: it sends every chunk and reads every result itself, through
+    `multiprocessing.connection.wait`, so no helper thread runs and a dead
+    worker is seen as the EOF of its pipe."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.procs: list[multiprocessing.Process] = []
+        self.conns: list[Connection] = []
+        self.busy: dict[Connection, int] = {}  # worker -> index of its chunk in flight
+        for _ in range(size):
+            conn, child = multiprocessing.Pipe()
+            proc = multiprocessing.Process(target=_serve, args=(child, self.conns + [conn]),
+                                           daemon=True)
+            proc.start()
+            child.close()
+            self.procs.append(proc)
+            self.conns.append(conn)
+
+    def imap(self, fn: Callable, items: Sequence) -> Iterator:
+        """fn(item) for every item, in input order, from chunks of
+        max(1, len(items) // (size * 8)) items.  At most one chunk is in
+        flight per worker, and a worker gets its next chunk as soon as its
+        result is read, before any key is yielded.  An exception of fn is
+        raised here with its type; a dead worker raises RuntimeError.  Either
+        leaves chunks in flight, and the pool must then be terminated."""
+        from multiprocessing.connection import wait  # loaded by the Pipe calls of __init__
+
+        if self.busy:
+            raise RuntimeError("another map of this pool has chunks in flight")
+        step = max(1, len(items) // (self.size * 8))
+        chunks = [items[i:i + step] for i in range(0, len(items), step)]
+        sent = 0
+        done: dict[int, list] = {}
+
+        def send(conn: Connection) -> None:
+            nonlocal sent
+            if sent < len(chunks):
+                try:
+                    conn.send((fn, chunks[sent]))
+                except OSError as exc:
+                    raise RuntimeError("a survey pool worker has exited") from exc
+                self.busy[conn] = sent
+                sent += 1
+
+        for conn in self.conns:
+            send(conn)
+        for index in range(len(chunks)):
+            while index not in done:
+                for conn in wait(list(self.busy)):
+                    try:
+                        ok, value = pickle.loads(conn.recv_bytes())
+                    except (EOFError, OSError) as exc:
+                        raise RuntimeError("a survey pool worker has exited") from exc
+                    chunk = self.busy.pop(conn)
+                    if not ok:
+                        raise value
+                    done[chunk] = value
+                    send(conn)
+            yield from done.pop(index)
+
+    def close(self, terminate: bool = False) -> None:
+        """Stop the workers, at once if `terminate` or if chunks are in
+        flight, else after their last chunk; reap them and close every pipe."""
+        for proc, conn in zip(self.procs, self.conns):
+            if terminate or self.busy:
+                proc.terminate()
+            else:
+                with contextlib.suppress(OSError):
+                    conn.send(None)
+        for proc in self.procs:
+            proc.join()
+        for conn in self.conns:
+            conn.close()
+        self.busy.clear()
+
+
+_pool: _WorkerPool | None = None  # see _key_map
+
+
+def _shared_pool(workers: int) -> _WorkerPool:
     """The process-wide pool of `workers` workers, started if there is none;
     a pool of another size is closed and reaped first."""
     global _pool
-    if _pool is not None and _pool[0] != workers:
+    if _pool is not None and _pool.size != workers:
         _close_pool()
     if _pool is None:
-        _pool = (workers, multiprocessing.Pool(workers))
-        # atexit runs its handlers last in, first out: registered after the
-        # pool's own exit handler, _close_pool reaps the workers before that
-        # one would terminate them
+        _pool = _WorkerPool(workers)
+        # atexit runs its handlers last in, first out: registered after
+        # multiprocessing's own exit handler, _close_pool reaps the workers
+        # before that one would terminate them
         atexit.unregister(_close_pool)
         atexit.register(_close_pool)
-    return _pool[1]
+    return _pool
 
 
 def _close_pool(terminate: bool = False) -> None:
-    """Close, or terminate with its tasks in flight, and reap the
+    """Close, or terminate with its chunks in flight, and reap the
     process-wide pool, if any; also run at interpreter exit."""
     global _pool
     if _pool is not None:
-        pool, _pool = _pool[1], None
-        if terminate:
-            pool.terminate()
-        else:
-            pool.close()
-        pool.join()
+        pool, _pool = _pool, None
+        pool.close(terminate)
 
 
 @contextlib.contextmanager
@@ -170,22 +292,25 @@ def _key_map(kind: str, mode: str, workers: int, count: int):
     input order.  With two or more workers and a corpus of `count` >= 4 graphs,
     every call runs on the process-wide pool of `_shared_pool` (workers
     receive the `Graph`), which outlives the context: every later pooled
-    survey with the same worker count reuses it.  The workers are forked when
-    the pool starts and see module state as of then; the pool is shared, so
-    two threads must not run pooled surveys at once.  A context left by an
-    exception (KeyboardInterrupt and GeneratorExit too) may leave tasks in
-    flight, so it terminates the pool and the next pooled survey starts a
+    survey with the same worker count reuses it.  The pool runs no helper
+    thread: the caller's thread sends the chunks and reads the keys while it
+    iterates.  The workers are forked when the pool starts and see module
+    state as of then; the pool is shared, so two threads must not run pooled
+    surveys at once.  A context left by an exception (KeyboardInterrupt and
+    GeneratorExit too, and the RuntimeError of a dead worker) or with chunks
+    still in flight terminates the pool, and the next pooled survey starts a
     new one."""
     if workers <= 1 or count < 4:
         yield lambda fn, corpus: map(functools.partial(fn, kind=kind, mode=mode), corpus)
         return
     pool = _shared_pool(workers)
     try:
-        yield lambda fn, corpus: pool.imap(functools.partial(fn, kind=kind, mode=mode), corpus,
-                                           chunksize=max(1, len(corpus) // (workers * 8)))
+        yield lambda fn, corpus: pool.imap(functools.partial(fn, kind=kind, mode=mode), corpus)
     except BaseException:
         _close_pool(terminate=True)
         raise
+    if pool.busy:
+        _close_pool(terminate=True)
 
 
 def _prefiltered_keys(corpus: Sequence[graphs.Graph],

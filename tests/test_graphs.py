@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from detideals.graphs import (
     DisconnectedGraphError,
+    InputError,
     _all_columns,
     _columns,
     _graph_from_columns,
+    _layers,
     _rows_from_columns,
     Graph,
     Graph6Error,
@@ -30,6 +32,55 @@ from detideals.graphs import (
     write_graph6,
 )
 from detideals.polyring import RING_Z, MultiPoly, UniPoly
+
+
+# ---------------------------------------------------------------------------
+# graphs
+
+
+@pytest.mark.parametrize("n, rows, message", [
+    (0, (), "vertex count"),
+    (63, (0,) * 63, "vertex count"),
+    (3, (0, 0), "row count"),
+    (3, (0b1000, 0, 0), "outside the vertex range"),
+    (3, (-1, 0, 0), "outside the vertex range"),
+    (3, (0b1, 0, 0), "loops"),
+    (3, (0b10, 0, 0), "symmetric"),  # an edge above the diagonal only
+    (3, (0, 0b1, 0), "symmetric"),  # an edge below the diagonal only
+    (3, (0b110, 0b1, 0), "symmetric"),  # 0-1 both ways, 0-2 in row 0 only
+    # two faults: range and loop checks run over all rows before symmetry,
+    # and the first row with a range or loop fault names it
+    (3, (0b10, 0, 0b100), "loops"),
+    (3, (0b10, 0, 0b1000), "outside the vertex range"),
+    (3, (0, 0b10, 0b1000), "loops"),
+    (3, (0b1000, 0b10, 0), "outside the vertex range"),
+    (3, (0b1001, 0, 0), "outside the vertex range"),
+])
+def test_graph_rejects_bad_rows(n, rows, message):
+    with pytest.raises(InputError, match=message):
+        Graph(n, rows)
+
+
+def test_graph_symmetry_check_equals_the_pairwise_oracle():
+    # every loop-free in-range row tuple is accepted iff it is symmetric
+    rnd = random.Random(5)
+    for _ in range(3000):
+        n = rnd.randint(1, 9)
+        rows = [rnd.getrandbits(n) & ~(1 << i) for i in range(n)]
+        if rnd.random() < 0.5:  # mostly symmetric, with at most one flipped bit
+            rows = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                        if rows[i] >> j & 1]).rows
+            if n > 1 and rnd.random() < 0.5:
+                i, j = rnd.sample(range(n), 2)
+                rows = list(rows)
+                rows[i] ^= 1 << j
+        symmetric = all((rows[i] >> j & 1) == (rows[j] >> i & 1)
+                        for i in range(n) for j in range(i + 1, n))
+        if symmetric:
+            assert Graph(n, rows).rows == tuple(rows)
+        else:
+            with pytest.raises(InputError, match="symmetric"):
+                Graph(n, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +284,87 @@ def test_distance_matrix_equals_floyd_warshall(corpus7):
                 for j in range(n):
                     d[i][j] = min(d[i][j], d[i][k] + d[k][j])
         assert distance_matrix(g) == d, write_graph6(g)
+
+
+def distance_matrix_oracle(g):
+    """All-pairs shortest paths by one `_layers` search per source (the
+    former `distance_matrix`)."""
+    n = g.n
+    dist = []
+    for s in range(n):
+        row = [-1] * n
+        for d, layer in enumerate(_layers(g, s)):
+            while layer:
+                low = layer & -layer
+                layer ^= low
+                row[low.bit_length() - 1] = d
+        if -1 in row:
+            raise DisconnectedGraphError("distance matrix of a disconnected graph")
+        dist.append(row)
+    return dist
+
+
+def build_matrix_oracle(g, kind):
+    """The four matrices entry by entry through `has_edge` and `degree` (the
+    former `build_matrix`)."""
+    n = g.n
+    if kind == "adjacency":
+        return [[1 if g.has_edge(i, j) else 0 for j in range(n)] for i in range(n)]
+    if kind == "laplacian":
+        return [[g.degree(i) if i == j else (-1 if g.has_edge(i, j) else 0) for j in range(n)]
+                for i in range(n)]
+    d = distance_matrix_oracle(g)
+    if kind == "distance":
+        return d
+    t = [sum(row) for row in d]
+    return [[t[i] if i == j else -d[i][j] for j in range(n)] for i in range(n)]
+
+
+def random_graphs(rnd, n, count, connected):
+    """`count` graphs on n vertices, connected or not as asked, each drawn
+    with an edge probability drawn from [0.02, 0.9]."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    out = []
+    while len(out) < count:
+        p = rnd.uniform(0.02, 0.9)
+        g = Graph.from_edges(n, [e for e in pairs if rnd.random() < p])
+        if is_connected(g) == connected:
+            out.append(g)
+    return out
+
+
+def assert_matrices_equal_oracle(g):
+    for kind in ("adjacency", "laplacian", "distance", "distlap"):
+        assert build_matrix(g, kind) == build_matrix_oracle(g, kind), (write_graph6(g), kind)
+    assert distance_matrix(g) == distance_matrix_oracle(g)
+
+
+def test_matrices_equal_the_oracle_on_relabelled_corpora(corpus7):
+    rnd = random.Random(11)
+    for g in [g for n in range(1, 7) for g in enumerate_connected(n)] + list(corpus7):
+        assert_matrices_equal_oracle(g)
+        assert_matrices_equal_oracle(relabel(g, rnd))
+
+
+def test_matrices_equal_the_oracle_on_random_graphs():
+    rnd = random.Random(62)
+    for n in range(2, 63):
+        for g in random_graphs(rnd, n, 3, connected=True):
+            assert_matrices_equal_oracle(g)
+
+
+def test_disconnected_graphs_have_no_distance_matrices():
+    rnd = random.Random(63)
+    disconnected = [relabel(g, rnd) for n in range(2, 8)
+                    for g in map(lambda cols, n=n: _graph_from_columns(n, cols), _all_columns(n))
+                    if not is_connected(g)]
+    disconnected += [g for n in range(2, 63) for g in random_graphs(rnd, n, 2, connected=False)]
+    for g in disconnected:
+        for kind in ("distance", "distlap"):
+            with pytest.raises(DisconnectedGraphError):
+                build_matrix(g, kind)
+        for kind in ("adjacency", "laplacian"):
+            assert build_matrix(g, kind) == build_matrix_oracle(g, kind)
 
 
 def test_graph6_roundtrip_on_corpus(corpus7):

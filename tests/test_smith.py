@@ -220,6 +220,69 @@ def test_integral_fractions_are_accepted():
     assert char_poly([[Fraction(-1)]]) == UniPoly([1, 1])
 
 
+def least_entry_oracle(rows):
+    """The former `_least_entry`: one row-major scan for the first nonzero
+    entry of least absolute value, stopping at the first +-1."""
+    best = None
+    for a, row in enumerate(rows):
+        for b, v in enumerate(row):
+            if v and (best is None or abs(v) < best[0]):
+                if v == 1 or v == -1:
+                    return a, b
+                best = abs(v), a, b
+    return best and best[1:]
+
+
+def packed_char_matrix_oracle(m, ring):
+    """The former packing of x*I - M or diag(x_0..x_{n-1}) - M, entry by
+    entry, for an integer matrix M."""
+    n = len(m)
+    bound = 1
+    for row in m:
+        bound *= 1 + sum(abs(v) for v in row)
+    shift = bound.bit_length() + 1
+    x = [1 << (shift << i if ring.kind == "ZX" else shift) for i in range(n)]
+    return shift, [[x[i] - v if i == j else -v for j, v in enumerate(row)]
+                   for i, row in enumerate(m)]
+
+
+def _kernel_inputs(rnd):
+    """c*I - M for every n <= 6 graph matrix and c in (0, 1, -1), and 2,000
+    random square matrices of sizes 1-8, entries in [-4, 4], mostly zeros."""
+    out = [[[c * (i == j) - v for j, v in enumerate(row)] for i, row in enumerate(m)]
+           for n in range(1, 7) for g in enumerate_connected(n) for kind in KINDS
+           for m in [build_matrix(g, kind)] for c in (0, 1, -1)]
+    for _ in range(2000):
+        n, p = rnd.randint(1, 8), rnd.uniform(0.1, 0.6)
+        out.append([[rnd.randint(-4, 4) if rnd.random() < p else 0 for _ in range(n)]
+                    for _ in range(n)])
+    return out
+
+
+def test_least_entry_and_packing_equal_the_oracles():
+    for m in _kernel_inputs(random.Random(17)):
+        assert smith._least_entry(m) == least_entry_oracle(m), m
+        before = [list(row) for row in m]
+        for ring in (ZX_UNI, zmulti(len(m))):
+            assert packed_char_matrix(m, ring) == packed_char_matrix_oracle(m, ring), m
+        assert m == before  # the input is left as it was
+
+
+def test_packing_converts_integral_entries_and_checks_the_ring():
+    m = [[Fraction(2), 1], [True, 0]]
+    shift, rows = packed_char_matrix(m, ZX_UNI)
+    assert (shift, rows) == packed_char_matrix([[2, 1], [1, 0]], ZX_UNI)
+    assert all(type(v) is int for row in rows for v in row)
+    copy = smith._int_matrix([[Fraction(3), 1], [1, 0]])
+    assert copy == [[3, 1], [1, 0]] and all(type(v) is int for row in copy for v in row)
+    ints = [[0, 1], [1, 0]]
+    copy = smith._int_matrix(ints)
+    assert copy == ints and all(a is not b for a, b in zip(copy, ints))
+    for ring in (QX, zmulti(3), "Zx"):
+        with pytest.raises(ValueError, match="no packed minors of 2 rows"):
+            packed_char_matrix(ints, ring)
+
+
 @pytest.mark.parametrize("m, reason", [
     ([[0, 1, 0], [1, 0, 1]], "square"),
     ([[0, 2], [1, 0]], "symmetric"),

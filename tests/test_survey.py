@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -188,7 +189,7 @@ def test_refused_survey_opens_no_checkpoint_and_no_pool(monkeypatch, tmp_path, c
     def refuse(*args, **kwargs):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(survey.multiprocessing, "Pool", refuse)
+    monkeypatch.setattr(survey, "_WorkerPool", refuse)
     with pytest.raises(InputError):
         run_survey(corpus5, kind, mode, workers=workers, checkpoint_path=str(path))
     assert path.read_bytes() == before
@@ -367,13 +368,13 @@ def test_killed_survey_leaves_every_finished_line(tmp_path, corpus6):
 def pool_starts(monkeypatch):
     """The worker count of each pool started; no pool is left before or after."""
     survey._close_pool()
-    real, starts = survey.multiprocessing.Pool, []
+    real, starts = survey._WorkerPool, []
 
     def counting(workers):
         starts.append(workers)
         return real(workers)
 
-    monkeypatch.setattr(survey.multiprocessing, "Pool", counting)
+    monkeypatch.setattr(survey, "_WorkerPool", counting)
     yield starts
     survey._close_pool()
 
@@ -388,7 +389,7 @@ def test_pooled_surveys_share_one_pool(pool_starts, corpus5, corpus6):
     # another worker count replaces the pool
     assert run_survey(corpus5, "laplacian", "cospectral", workers=3) == run_survey(
         corpus5, "laplacian", "cospectral", workers=1)
-    assert pool_starts == [2, 3] and survey._pool[0] == 3
+    assert pool_starts == [2, 3] and survey._pool.size == 3
 
 
 def test_serial_surveys_start_no_pool(pool_starts, corpus5):
@@ -402,7 +403,7 @@ def test_serial_surveys_start_no_pool(pool_starts, corpus5):
 def test_key_map_left_by_an_exception_terminates_the_pool(pool_starts, corpus6, exc):
     with pytest.raises(exc):
         with survey._key_map("laplacian", "cospectral", 2, len(corpus6)) as keys:
-            workers = survey._pool[1]._pool
+            workers = survey._pool.procs
             next(keys(invariant_key, corpus6))  # the other tasks are still in flight
             raise exc
     assert survey._pool is None
@@ -419,7 +420,7 @@ from detideals.graphs import enumerate_connected
 corpus = enumerate_connected(5)
 survey.run_survey(corpus, "laplacian", "codet-Z", workers=2)
 survey.run_survey(corpus, "adjacency", "coinvariant", workers=2)
-print(*(w.pid for w in survey._pool[1]._pool))
+print(*(w.pid for w in survey._pool.procs))
 """
 
 
@@ -434,6 +435,101 @@ def test_pooled_process_exits_cleanly_and_reaps_its_workers():
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+def test_a_map_left_with_chunks_in_flight_hands_on_no_stale_key(pool_starts, corpus6):
+    # a second map while the first has chunks in flight is refused
+    with pytest.raises(RuntimeError, match="in flight"):
+        with survey._key_map("laplacian", "cospectral", 2, len(corpus6)) as keys:
+            first = keys(invariant_key, corpus6)
+            next(first)
+            next(keys(invariant_key, corpus6))
+    assert survey._pool is None
+    # a context left normally with chunks in flight terminates the pool
+    with survey._key_map("laplacian", "cospectral", 2, len(corpus6)) as keys:
+        key = next(keys(invariant_key, corpus6))
+    assert survey._pool is None
+    assert key == invariant_key(corpus6[0], "laplacian", "cospectral")
+    assert run_survey(corpus6, "laplacian", "cospectral", workers=2) == run_survey(
+        corpus6, "laplacian", "cospectral", workers=1)
+    assert pool_starts == [2, 2, 2]
+
+
+def test_pooled_survey_starts_no_thread(pool_starts, corpus6):
+    threads = threading.active_count()
+    report = run_survey(corpus6, "distlap", "codet-Z", workers=2)
+    assert pool_starts == [2] and threading.active_count() == threads
+    assert report == run_survey(corpus6, "distlap", "codet-Z", workers=1)
+
+
+def _raises(g, kind, mode):
+    raise InputError(f"refused {write_graph6(g)}")
+
+
+class _Unpicklable(Exception):
+    def __init__(self, a, b):  # pickle rebuilds it from args alone, so it fails
+        super().__init__(a)
+
+
+def _raises_unpicklable(g, kind, mode):
+    raise _Unpicklable(write_graph6(g), 0)
+
+
+def _pooled_keys(fn, corpus):
+    with survey._key_map("laplacian", "cospectral", 2, len(corpus)) as keys:
+        return list(keys(fn, corpus))
+
+
+def test_worker_exception_reaches_the_parent_with_its_type(pool_starts, corpus6):
+    with pytest.raises(InputError, match="^refused ") as caught:
+        _pooled_keys(_raises, corpus6)
+    assert "in _raises" in caught.value.__notes__[0]  # the worker's traceback
+    assert survey._pool is None
+    with pytest.raises(RuntimeError, match="^_Unpicklable"):
+        _pooled_keys(_raises_unpicklable, corpus6)
+    assert survey._pool is None and pool_starts == [2, 2]
+
+
+DEAD_WORKER_SCRIPT = """
+import os, sys
+from detideals import survey
+from detideals.graphs import enumerate_connected
+
+parent, k, seen = os.getpid(), int(sys.argv[1]), 0
+real = survey.invariant_key
+
+
+def dying(g, kind, mode):
+    global seen
+    seen += 1
+    if seen == k and os.getpid() != parent:
+        os._exit(9)
+    return real(g, kind, mode)
+
+
+survey.invariant_key = dying
+corpus = enumerate_connected(6)
+try:
+    survey.run_survey(corpus, "laplacian", "coinvariant", workers=2)
+except RuntimeError as exc:
+    print("raised:", exc)
+assert survey._pool is None
+survey.invariant_key = real
+pooled = survey.run_survey(corpus, "laplacian", "coinvariant", workers=2)
+assert survey._pool is not None
+assert pooled == survey.run_survey(corpus, "laplacian", "coinvariant", workers=1)
+print("fresh pool: same report")
+"""
+
+
+def test_dead_worker_raises_and_the_next_survey_starts_a_fresh_pool():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    out = subprocess.run([sys.executable, "-c", DEAD_WORKER_SCRIPT, "5"],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                         timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["raised: a survey pool worker has exited",
+                                       "fresh pool: same report"]
 
 
 # ---------------------------------------------------------------------------

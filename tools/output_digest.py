@@ -30,6 +30,8 @@ Run it on two checkouts and diff the two files.  It covers:
   connected or not, in the random labelling they were drawn in (not the
   canonical one), and the adjacency rows `parse_graph6` decodes from those
   strings;
+* `build_matrix` of every kind over those 496 graphs (the distance and
+  distance Laplacian kinds over the connected ones only);
 * the `snf_integer` factors of c*I - M for those n = 9 graphs, every kind and
   every c in `survey.PREFILTER_SHIFTS`, of 3,000 seeded random square
   integer matrices of sizes 1-7 (entries in [-40, 40], mostly zeros, a
@@ -161,12 +163,18 @@ def print_digests(tmp: str) -> None:
     forms = [write_graph6(canonical_graph(g)) for n in (9, 10) for g in random_graphs[n]]
     digest = _sha("\n".join(forms).encode())
     print(f"canonical_graph n=9,10 random {digest}", flush=True)
-    labelled = [write_graph6(g) for g in _random_labelled(random.Random(62), 8)]
+    labelled_graphs = _random_labelled(random.Random(62), 8)
+    labelled = [write_graph6(g) for g in labelled_graphs]
     print(f"write_graph6 n=1..62 random labelled {len(labelled)} "
           f"{_sha(chr(10).join(labelled).encode())}", flush=True)
     decoded = [repr(parse_graph6(g6).rows) for g6 in labelled]
     print(f"parse_graph6 n=1..62 random labelled rows {len(decoded)} "
           f"{_sha(chr(10).join(decoded).encode())}", flush=True)
+    for kind in MATRIX_KINDS:
+        matrices = [repr(build_matrix(g, kind)) for g in labelled_graphs
+                    if kind in ("adjacency", "laplacian") or is_connected(g)]
+        print(f"build_matrix n=1..62 random labelled {kind} {len(matrices)} "
+              f"{_sha(chr(10).join(matrices).encode())}", flush=True)
 
     for kind in MATRIX_KINDS:
         for c in PREFILTER_SHIFTS:

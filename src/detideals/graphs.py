@@ -45,14 +45,18 @@ class DisconnectedGraphError(InputError):
     pass
 
 
+def _check_vertex_count(n: int) -> None:
+    if not 1 <= n <= 62:
+        raise InputError("vertex count must be between 1 and 62")
+
+
 class Graph:
     """Simple undirected graph on vertices 0..n-1 (1 <= n <= 62)."""
 
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, rows: Sequence[int]):
-        if not 1 <= n <= 62:
-            raise InputError("vertex count must be between 1 and 62")
+        _check_vertex_count(n)
         rows = tuple(map(int, rows))
         if len(rows) != n:
             raise InputError("adjacency row count does not match n")
@@ -86,8 +90,13 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        """The graph on vertices 0..n-1 with `edges`; InputError for a vertex
+        count outside 1..62, an endpoint outside 0..n-1 or a loop."""
+        _check_vertex_count(n)
         rows = [0] * n
         for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise InputError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
             if u == v:
                 raise InputError("loops are not allowed")
             rows[u] |= 1 << v
@@ -330,6 +339,8 @@ def complete_bipartite_graph(a: int, b: int) -> Graph:
 
 
 def cycle_graph(n: int) -> Graph:
+    if n < 3:
+        raise InputError("a cycle needs at least 3 vertices")
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 

@@ -22,9 +22,12 @@ survey starts it, later ones with the same worker count reuse it, and it is
 closed and reaped at interpreter exit.  Its workers are forked when it
 starts, so they see module state (patched functions, caches) as of then.
 The pool (`_WorkerPool`) runs no helper thread: each worker has its own
-pipe, and the surveying thread sends the chunks and reads the keys itself.
-An exception of a key function is raised in the surveying thread with its
-type, and a worker that dies raises RuntimeError there instead of stalling
+pipe, a map sends each worker one task holding all of its chunks, and the
+surveying thread reads the keys back itself in input order.  An exception
+of a key function is raised in the surveying thread with its type, at the
+first failing chunk in input order and after every key before it, so a
+pooled checkpoint keeps every line before the failing graph, as a serial
+one does.  A worker that dies raises RuntimeError there instead of stalling
 the survey; either terminates the pool.
 A checkpoint has one line per graph in input order: the real key of a graph
 that got one, the prefilter key (behind `PREFILTER_PREFIX`, which no real key
@@ -143,14 +146,15 @@ def default_workers() -> int:
 
 
 def _serve(conn, inherited) -> None:
-    """A pool worker: read (fn, graphs) chunks from `conn` until None or EOF,
-    and send back (True, keys) or (False, exception) for each, with the
-    worker's traceback added to the exception as a note; an exception the
-    parent could not unpickle comes back as a RuntimeError holding its repr.
-    The worker first closes the parent's ends of the pipes it inherited, so
-    that the parent's death reaches every worker as EOF, and ignores SIGINT,
-    which a terminal sends to the whole process group: the parent alone
-    decides what an interrupt stops."""
+    """A pool worker: read (fn, chunks) tasks from `conn` until None or EOF.
+    A task is read whole before anything is sent back; then each chunk's
+    (True, keys) is sent in turn, and the task stops at its first exception,
+    sent as (False, exception) with the worker's traceback added as a note.
+    An exception the parent could not unpickle comes back as a RuntimeError
+    holding its repr.  The worker first closes the parent's ends of the pipes
+    it inherited, so that the parent's death reaches every worker as EOF, and
+    ignores SIGINT, which a terminal sends to the whole process group: the
+    parent alone decides what an interrupt stops."""
     import traceback  # here, not at the top: it adds to every import of detideals
 
     for other in inherited:
@@ -165,32 +169,30 @@ def _serve(conn, inherited) -> None:
             task = pickle.loads(task)
             if task is None:
                 return
-            fn, chunk = task
-            result = True, [fn(g) for g in chunk]
+            fn, chunks = task
+            for chunk in chunks:
+                conn.send_bytes(pickle.dumps((True, [fn(g) for g in chunk])))
         except Exception as exc:
             exc.add_note("".join(traceback.format_exception(exc)).rstrip())
-            result = False, exc
-        try:
-            payload = pickle.dumps(result)
-            if not result[0]:
+            try:
+                payload = pickle.dumps((False, exc))
                 pickle.loads(payload)  # the parent must be able to rebuild it
-        except Exception:
-            payload = pickle.dumps((False, RuntimeError(repr(result[1]))))
-        conn.send_bytes(payload)
+            except Exception:
+                payload = pickle.dumps((False, RuntimeError(repr(exc))))
+            conn.send_bytes(payload)
 
 
 class _WorkerPool:
     """`size` workers forked (by the platform's default start method) with
     one duplex pipe each.  The parent's main thread does all the work of the
-    pool: it sends every chunk and reads every result itself, through
-    `multiprocessing.connection.wait`, so no helper thread runs and a dead
-    worker is seen as the EOF of its pipe."""
+    pool: it sends every task and reads every result itself, so no helper
+    thread runs and a dead worker is seen as the EOF of its pipe."""
 
     def __init__(self, size: int):
         self.size = size
         self.procs: list[multiprocessing.Process] = []
         self.conns: list[Connection] = []
-        self.busy: dict[Connection, int] = {}  # worker -> index of its chunk in flight
+        self.busy = False  # a map has results left unread
         for _ in range(size):
             conn, child = multiprocessing.Pipe()
             proc = multiprocessing.Process(target=_serve, args=(child, self.conns + [conn]),
@@ -202,49 +204,39 @@ class _WorkerPool:
 
     def imap(self, fn: Callable, items: Sequence) -> Iterator:
         """fn(item) for every item, in input order, from chunks of
-        max(1, len(items) // (size * 8)) items.  At most one chunk is in
-        flight per worker, and a worker gets its next chunk as soon as its
-        result is read, before any key is yielded.  An exception of fn is
-        raised here with its type; a dead worker raises RuntimeError.  Either
-        leaves chunks in flight, and the pool must then be terminated."""
-        from multiprocessing.connection import wait  # loaded by the Pipe calls of __init__
-
+        max(1, len(items) // (size * 8)) items, chunk c on worker c mod size.
+        Each worker that owns a chunk gets all of them in one task, sent before
+        any result is read; it writes only once it has read its whole task, so
+        no side blocks the other on a full pipe, and the workers compute ahead
+        of the reader.  The first failing chunk in input order raises its
+        exception here, with its type, after every key before it; a dead
+        worker raises RuntimeError.  Either leaves results unread, and the pool
+        must then be terminated."""
         if self.busy:
             raise RuntimeError("another map of this pool has chunks in flight")
         step = max(1, len(items) // (self.size * 8))
         chunks = [items[i:i + step] for i in range(0, len(items), step)]
-        sent = 0
-        done: dict[int, list] = {}
-
-        def send(conn: Connection) -> None:
-            nonlocal sent
-            if sent < len(chunks):
-                try:
-                    conn.send((fn, chunks[sent]))
-                except OSError as exc:
-                    raise RuntimeError("a survey pool worker has exited") from exc
-                self.busy[conn] = sent
-                sent += 1
-
-        for conn in self.conns:
-            send(conn)
-        for index in range(len(chunks)):
-            while index not in done:
-                for conn in wait(list(self.busy)):
-                    try:
-                        ok, value = pickle.loads(conn.recv_bytes())
-                    except (EOFError, OSError) as exc:
-                        raise RuntimeError("a survey pool worker has exited") from exc
-                    chunk = self.busy.pop(conn)
-                    if not ok:
-                        raise value
-                    done[chunk] = value
-                    send(conn)
-            yield from done.pop(index)
+        self.busy = bool(chunks)
+        try:
+            for w, conn in enumerate(self.conns[:len(chunks)]):
+                conn.send((fn, chunks[w::self.size]))
+        except OSError as exc:
+            raise RuntimeError("a survey pool worker has exited") from exc
+        for c in range(len(chunks)):
+            try:
+                ok, value = pickle.loads(self.conns[c % self.size].recv_bytes())
+            except (EOFError, OSError) as exc:
+                raise RuntimeError("a survey pool worker has exited") from exc
+            if not ok:
+                raise value
+            # cleared on the read, not after the last yield: a caller may stop
+            # at the last key without resuming this generator
+            self.busy = c < len(chunks) - 1
+            yield from value
 
     def close(self, terminate: bool = False) -> None:
-        """Stop the workers, at once if `terminate` or if chunks are in
-        flight, else after their last chunk; reap them and close every pipe."""
+        """Stop the workers, at once if `terminate` or if results are unread,
+        else after their last task; reap them and close every pipe."""
         for proc, conn in zip(self.procs, self.conns):
             if terminate or self.busy:
                 proc.terminate()
@@ -255,7 +247,7 @@ class _WorkerPool:
             proc.join()
         for conn in self.conns:
             conn.close()
-        self.busy.clear()
+        self.busy = False
 
 
 _pool: _WorkerPool | None = None  # see _key_map
@@ -293,13 +285,14 @@ def _key_map(kind: str, mode: str, workers: int, count: int):
     every call runs on the process-wide pool of `_shared_pool` (workers
     receive the `Graph`), which outlives the context: every later pooled
     survey with the same worker count reuses it.  The pool runs no helper
-    thread: the caller's thread sends the chunks and reads the keys while it
-    iterates.  The workers are forked when the pool starts and see module
-    state as of then; the pool is shared, so two threads must not run pooled
-    surveys at once.  A context left by an exception (KeyboardInterrupt and
-    GeneratorExit too, and the RuntimeError of a dead worker) or with chunks
-    still in flight terminates the pool, and the next pooled survey starts a
-    new one."""
+    thread: each call sends the workers their tasks, and the caller's thread
+    reads the keys while it iterates.  The workers are forked when the pool
+    starts and see module state as of then; the pool is shared, so two
+    threads must not run pooled surveys at once.  A context left by an
+    exception (KeyboardInterrupt and GeneratorExit too, a key function's
+    exception, raised at its first failing chunk in input order, and the
+    RuntimeError of a dead worker) or with results still unread terminates
+    the pool, and the next pooled survey starts a new one."""
     if workers <= 1 or count < 4:
         yield lambda fn, corpus: map(functools.partial(fn, kind=kind, mode=mode), corpus)
         return
@@ -420,16 +413,19 @@ def verify_determined_by(
     corpus: Iterable[graphs.Graph], target: graphs.Graph, kind: str, mode: str,
     workers: int | None = None,
 ) -> bool:
-    """True iff the target's invariant bucket inside the corpus is a singleton."""
+    """True iff the target's invariant bucket inside the corpus is a singleton.
+    InputError unless a corpus graph in that bucket is isomorphic to the
+    target (has its `canonical_columns`)."""
     workers = _checked_workers(kind, mode, workers)
     corpus = list(corpus)
     _validate_corpus(corpus)
     key = invariant_key(target, kind, mode)
     with _key_map(kind, mode, workers, len(corpus)) as keys:
-        matches = list(keys(invariant_key, corpus)).count(key)
-    if matches == 0:
-        raise graphs.InputError("target graph is not in the corpus class")
-    return matches == 1
+        bucket = [g for g, k in zip(corpus, keys(invariant_key, corpus)) if k == key]
+    form = graphs.canonical_columns(target)
+    if not any(graphs.canonical_columns(g) == form for g in bucket):
+        raise graphs.InputError("target graph is not in the corpus")
+    return len(bucket) == 1
 
 
 # ---------------------------------------------------------------------------

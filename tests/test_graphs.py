@@ -61,6 +61,20 @@ def test_graph_rejects_bad_rows(n, rows, message):
         Graph(n, rows)
 
 
+@pytest.mark.parametrize("n, edges, message", [
+    (3, [(0, 5)], "outside 0..2"),
+    (3, [(0, -1)], "outside 0..2"),
+    (3, [(3, 0)], "outside 0..2"),
+    (3, [(0, 1), (1, 1)], "loops"),
+    (0, [], "vertex count"),
+    (-1, [], "vertex count"),
+    (63, [(0, 1)], "vertex count"),
+])
+def test_from_edges_rejects_bad_input(n, edges, message):
+    with pytest.raises(InputError, match=message):
+        Graph.from_edges(n, edges)
+
+
 def test_graph_symmetry_check_equals_the_pairwise_oracle():
     # every loop-free in-range row tuple is accepted iff it is symmetric
     rnd = random.Random(5)
@@ -434,6 +448,10 @@ def test_named_family_constructors():
     assert sorted(k33.degree(i) for i in range(6)) == [3] * 6
     with pytest.raises(ValueError):
         complete_bipartite_graph(0, 3)
+    assert write_graph6(cycle_graph(3)) == write_graph6(complete_graph(3))
+    for n in (-1, 0, 1, 2):
+        with pytest.raises(InputError, match="at least 3 vertices"):
+            cycle_graph(n)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -490,6 +491,59 @@ def test_worker_exception_reaches_the_parent_with_its_type(pool_starts, corpus6)
     assert survey._pool is None and pool_starts == [2, 2]
 
 
+def _slow_then_refusing(g, kind, mode):
+    # chunk 0 (graphs 0-6, worker 0) is slow, chunk 3 (graph 21, worker 1) fails
+    i = enumerate_connected(6).index(g)
+    if i < 7:
+        time.sleep(0.05)
+    if i == 21:
+        raise InputError("refused graph 21")
+    return invariant_key(g, kind, mode)
+
+
+def test_pooled_survey_raises_at_its_first_failing_chunk_in_order(monkeypatch, pool_starts,
+                                                                   tmp_path, corpus6):
+    # 16 chunks of 7 on 2 workers: the error of chunk 3 is ready long before
+    # the keys of chunk 0, yet every line before graph 21 is written first
+    assert len(corpus6) // (2 * 8) == 7
+    full, path = tmp_path / "full.jsonl", tmp_path / "failed.jsonl"
+    run_survey(corpus6, "laplacian", "coinvariant", workers=1, checkpoint_path=str(full))
+    monkeypatch.setattr(survey, "invariant_key", _slow_then_refusing)
+    with pytest.raises(InputError, match="refused graph 21"):
+        run_survey(corpus6, "laplacian", "coinvariant", workers=2, checkpoint_path=str(path))
+    assert survey._pool is None and pool_starts == [2]
+    assert path.read_text().splitlines() == full.read_text().splitlines()[:21]
+
+
+LARGE_PAYLOAD_SCRIPT = """
+import functools
+from detideals import survey
+from detideals.graphs import enumerate_connected, write_graph6
+
+def big_key(g, kind, mode, pad):
+    return (write_graph6(g) + pad[0]) * 2 ** 16  # 4 characters at n = 5: 256 KB
+
+corpus = enumerate_connected(5)
+fn = functools.partial(big_key, pad="x" * (2 ** 20 + 1))  # each task is over 1 MB
+with survey._key_map("laplacian", "cospectral", 1, len(corpus)) as keys:
+    serial = list(keys(fn, corpus))
+with survey._key_map("laplacian", "cospectral", 2, len(corpus)) as keys:
+    pooled = list(keys(fn, corpus))
+assert min(map(len, serial)) > 2 ** 17 and pooled == serial
+assert survey._pool is not None and not survey._pool.busy
+print("same keys")
+"""
+
+
+def test_pooled_keys_survive_payloads_larger_than_the_pipe_buffers():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    out = subprocess.run([sys.executable, "-c", LARGE_PAYLOAD_SCRIPT],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                         timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "same keys\n"
+
+
 DEAD_WORKER_SCRIPT = """
 import os, sys
 from detideals import survey
@@ -548,6 +602,9 @@ def test_determined_by_n6(corpus6):
 def test_determined_by_target_must_be_in_corpus(corpus5):
     with pytest.raises(ValueError):
         verify_determined_by(corpus5, complete_graph(6), "laplacian", "coinvariant", workers=1)
+    # D~? is disconnected, so not in the corpus, yet one corpus graph shares its key
+    with pytest.raises(InputError, match="not in the corpus"):
+        verify_determined_by(corpus5, parse_graph6("D~?"), "adjacency", "coinvariant", workers=1)
 
 
 # ---------------------------------------------------------------------------

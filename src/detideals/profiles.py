@@ -43,10 +43,15 @@ class SizeGuardError(RuntimeError):
 class IdealProfile:
     """Ordered ideals I_1..I_n of one polynomial matrix of one graph."""
 
-    graph6: str
+    graph: graphs.Graph
     kind: str
     ring: Ring
     ideals: tuple[Ideal, ...]
+
+    @property
+    def graph6(self) -> str:
+        """The graph's graph6 string, encoded where a profile is rendered."""
+        return graphs.write_graph6(self.graph)
 
     @property
     def n(self) -> int:
@@ -87,14 +92,13 @@ def minors_k(matrix: Sequence[Sequence], k: int) -> list:
 
 def determinantal_ideals(g: graphs.Graph, kind: str, ring: str = "Zx") -> IdealProfile:
     """Characteristic ideal profile of x*I - M(G) over Z[x] or Q[x]."""
-    g6 = graphs.write_graph6(g)
     if ring == "Qx":
         ideals = tuple(Ideal(QX, [d]) for d in deltas_q(graphs.build_matrix(g, kind)))
-        return IdealProfile(g6, kind, QX, ideals)
+        return IdealProfile(g, kind, QX, ideals)
     if ring != "Zx":
         raise graphs.InputError("characteristic ideals live in Zx or Qx")
     minors = char_minors(graphs.build_matrix(g, kind), ZX_UNI)
-    return IdealProfile(g6, kind, ZX_UNI, tuple(Ideal(ZX_UNI, ms) for ms in minors))
+    return IdealProfile(g, kind, ZX_UNI, tuple(Ideal(ZX_UNI, ms) for ms in minors))
 
 
 def multivariate_ideals(g: graphs.Graph, kind: str, force: bool = False) -> IdealProfile:
@@ -109,7 +113,7 @@ def multivariate_ideals(g: graphs.Graph, kind: str, force: bool = False) -> Idea
         )
     ring = zmulti(g.n)
     ideals = tuple(Ideal(ring, minors) for minors in char_minors(matrix, ring))
-    return IdealProfile(graphs.write_graph6(g), kind, ring, ideals)
+    return IdealProfile(g, kind, ring, ideals)
 
 
 # ---------------------------------------------------------------------------

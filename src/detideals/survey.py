@@ -18,9 +18,11 @@ and the buckets, `with_mate` and `total` are those of the real keys:
   equal integer SNFs at every c.
 
 Pooled keys run on one process-wide pool (`_key_map`): the first pooled
-survey starts it, later ones with the same worker count reuse it, and it is
-closed and reaped at interpreter exit.  Its workers are forked when it
-starts, so they see module state (patched functions, caches) as of then.
+survey starts it, later ones with the same worker count reuse it, and one
+with another count terminates it and starts its own.  Its workers are
+forked, daemonic, when it starts, so they see module state (patched
+functions, caches) as of then, and multiprocessing terminates and reaps
+them at interpreter exit.  Terminating is the only way a pool stops.
 The pool (`_WorkerPool`) runs no helper thread: each worker has its own
 pipe, a map sends each worker one task holding all of its chunks, and the
 surveying thread reads the keys back itself in input order.  An exception
@@ -42,7 +44,6 @@ line, as a report's bucket member, or as the witness of `cross_check`.
 
 from __future__ import annotations
 
-import atexit
 import contextlib
 import functools
 import json
@@ -146,15 +147,16 @@ def default_workers() -> int:
 
 
 def _serve(conn, inherited) -> None:
-    """A pool worker: read (fn, chunks) tasks from `conn` until None or EOF.
-    A task is read whole before anything is sent back; then each chunk's
+    """A pool worker: read (fn, chunks) tasks from `conn` until EOF.  A task
+    is read whole before anything is sent back; then each chunk's
     (True, keys) is sent in turn, and the task stops at its first exception,
     sent as (False, exception) with the worker's traceback added as a note.
     An exception the parent could not unpickle comes back as a RuntimeError
     holding its repr.  The worker first closes the parent's ends of the pipes
-    it inherited, so that the parent's death reaches every worker as EOF, and
-    ignores SIGINT, which a terminal sends to the whole process group: the
-    parent alone decides what an interrupt stops."""
+    it inherited, so that the parent's death reaches every worker as EOF, or
+    as a broken pipe on its next send, and ignores SIGINT, which a terminal
+    sends to the whole process group: the parent alone decides what an
+    interrupt stops.  It runs until the parent terminates it or dies."""
     import traceback  # here, not at the top: it adds to every import of detideals
 
     for other in inherited:
@@ -166,10 +168,7 @@ def _serve(conn, inherited) -> None:
         except EOFError:
             return
         try:
-            task = pickle.loads(task)
-            if task is None:
-                return
-            fn, chunks = task
+            fn, chunks = pickle.loads(task)
             for chunk in chunks:
                 conn.send_bytes(pickle.dumps((True, [fn(g) for g in chunk])))
         except Exception as exc:
@@ -183,10 +182,12 @@ def _serve(conn, inherited) -> None:
 
 
 class _WorkerPool:
-    """`size` workers forked (by the platform's default start method) with
-    one duplex pipe each.  The parent's main thread does all the work of the
-    pool: it sends every task and reads every result itself, so no helper
-    thread runs and a dead worker is seen as the EOF of its pipe."""
+    """`size` daemonic workers forked (by the platform's default start method)
+    with one duplex pipe each.  The parent's main thread does all the work of
+    the pool: it sends every task and reads every result itself, so no helper
+    thread runs and a dead worker is seen as the EOF of its pipe.  `close`
+    terminates the workers; a pool never closed is terminated and reaped by
+    multiprocessing's own exit handler, as every daemonic child is."""
 
     def __init__(self, size: int):
         self.size = size
@@ -234,57 +235,36 @@ class _WorkerPool:
             self.busy = c < len(chunks) - 1
             yield from value
 
-    def close(self, terminate: bool = False) -> None:
-        """Stop the workers, at once if `terminate` or if results are unread,
-        else after their last task; reap them and close every pipe."""
-        for proc, conn in zip(self.procs, self.conns):
-            if terminate or self.busy:
-                proc.terminate()
-            else:
-                with contextlib.suppress(OSError):
-                    conn.send(None)
+    def close(self) -> None:
+        """Terminate the workers, whatever they are doing, reap them and close
+        every pipe."""
+        for proc in self.procs:
+            proc.terminate()
         for proc in self.procs:
             proc.join()
         for conn in self.conns:
             conn.close()
-        self.busy = False
 
 
 _pool: _WorkerPool | None = None  # see _key_map
 
 
-def _shared_pool(workers: int) -> _WorkerPool:
-    """The process-wide pool of `workers` workers, started if there is none;
-    a pool of another size is closed and reaped first."""
-    global _pool
-    if _pool is not None and _pool.size != workers:
-        _close_pool()
-    if _pool is None:
-        _pool = _WorkerPool(workers)
-        # atexit runs its handlers last in, first out: registered after
-        # multiprocessing's own exit handler, _close_pool reaps the workers
-        # before that one would terminate them
-        atexit.unregister(_close_pool)
-        atexit.register(_close_pool)
-    return _pool
-
-
-def _close_pool(terminate: bool = False) -> None:
-    """Close, or terminate with its chunks in flight, and reap the
-    process-wide pool, if any; also run at interpreter exit."""
+def _close_pool() -> None:
+    """Terminate and reap the process-wide pool, if any."""
     global _pool
     if _pool is not None:
         pool, _pool = _pool, None
-        pool.close(terminate)
+        pool.close()
 
 
 @contextlib.contextmanager
 def _key_map(kind: str, mode: str, workers: int, count: int):
     """Yield keys(fn, graphs), an iterator over fn(g, kind=kind, mode=mode) in
     input order.  With two or more workers and a corpus of `count` >= 4 graphs,
-    every call runs on the process-wide pool of `_shared_pool` (workers
-    receive the `Graph`), which outlives the context: every later pooled
-    survey with the same worker count reuses it.  The pool runs no helper
+    every call runs on the process-wide pool of `workers` workers (workers
+    receive the `Graph`), started here if there is none; a pool of another
+    size is terminated first.  The pool outlives the context: every later
+    pooled survey with the same worker count reuses it.  It runs no helper
     thread: each call sends the workers their tasks, and the caller's thread
     reads the keys while it iterates.  The workers are forked when the pool
     starts and see module state as of then; the pool is shared, so two
@@ -293,17 +273,22 @@ def _key_map(kind: str, mode: str, workers: int, count: int):
     exception, raised at its first failing chunk in input order, and the
     RuntimeError of a dead worker) or with results still unread terminates
     the pool, and the next pooled survey starts a new one."""
+    global _pool
     if workers <= 1 or count < 4:
         yield lambda fn, corpus: map(functools.partial(fn, kind=kind, mode=mode), corpus)
         return
-    pool = _shared_pool(workers)
+    if _pool is not None and _pool.size != workers:
+        _close_pool()
+    if _pool is None:
+        _pool = _WorkerPool(workers)
+    pool = _pool
     try:
         yield lambda fn, corpus: pool.imap(functools.partial(fn, kind=kind, mode=mode), corpus)
     except BaseException:
-        _close_pool(terminate=True)
+        _close_pool()
         raise
     if pool.busy:
-        _close_pool(terminate=True)
+        _close_pool()
 
 
 def _prefiltered_keys(corpus: Sequence[graphs.Graph],
@@ -366,15 +351,15 @@ def _with_mate(keys: Sequence[str]) -> int:
 
 def _checked_workers(kind: str, mode: str, workers: int | None) -> int:
     """The worker count, `default_workers()` if None.  InputError, before any
-    checkpoint is opened or pool started, for an unknown kind or mode or
-    workers < 1."""
+    checkpoint is opened or pool started, for an unknown kind or mode, or a
+    worker count that is not an int (a bool is refused too) or is below 1."""
     if kind not in graphs.MATRIX_KINDS:
         raise graphs.InputError(f"unknown matrix kind {kind!r}")
     if mode not in MODES:
         raise graphs.InputError(f"unknown survey mode {mode!r}")
     if workers is None:
         return default_workers()
-    if workers < 1:
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise graphs.InputError("workers must be a positive integer")
     return workers
 
@@ -462,7 +447,7 @@ def _qx_profile_of(zprofile: IdealProfile) -> IdealProfile:
     monic gcd of I_k's basis over Q is Delta_k, found from minors and Groebner
     bases without the characteristic polynomial."""
     ideals = tuple(Ideal(QX, ideal.canonical_basis()) for ideal in zprofile.ideals)
-    return IdealProfile(zprofile.graph6, zprofile.kind, QX, ideals)
+    return IdealProfile(zprofile.graph, zprofile.kind, QX, ideals)
 
 
 def cross_check(corpus: Iterable[graphs.Graph], kind: str) -> CrossCheckReport:

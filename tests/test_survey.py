@@ -180,6 +180,9 @@ def test_survey_checkpoint(tmp_path, corpus5):
     ("adjacency", "bogus", 2),
     ("adjacency", "cospectral", 0),
     ("adjacency", "cospectral", -5),
+    ("adjacency", "cospectral", 2.5),
+    ("adjacency", "cospectral", "2"),
+    ("adjacency", "cospectral", True),
 ])
 def test_refused_survey_opens_no_checkpoint_and_no_pool(monkeypatch, tmp_path, corpus5,
                                                         kind, mode, workers):
@@ -387,10 +390,12 @@ def test_pooled_surveys_share_one_pool(pool_starts, corpus5, corpus6):
     assert verify_determined_by(corpus6, complete_graph(6), "laplacian", "coinvariant", workers=2)
     assert pool_starts == [2]
     assert pooled == [run_survey(*run, workers=1) for run in runs]
-    # another worker count replaces the pool
+    # another worker count replaces the pool, whose workers are terminated
+    workers = survey._pool.procs
     assert run_survey(corpus5, "laplacian", "cospectral", workers=3) == run_survey(
         corpus5, "laplacian", "cospectral", workers=1)
     assert pool_starts == [2, 3] and survey._pool.size == 3
+    assert not any(w.is_alive() for w in workers)
 
 
 def test_serial_surveys_start_no_pool(pool_starts, corpus5):
@@ -436,6 +441,49 @@ def test_pooled_process_exits_cleanly_and_reaps_its_workers():
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+KILLED_PARENT_SCRIPT = """
+import time
+from detideals import survey
+from detideals.graphs import enumerate_connected
+
+corpus = enumerate_connected(7)
+with survey._key_map("distance", "codet-Z", 2, len(corpus)) as keys:
+    next(keys(survey.invariant_key, corpus))
+    print(*(w.pid for w in survey._pool.procs), flush=True)
+    time.sleep(60)  # mid-map: the other chunks are unread
+"""
+
+
+def _running(pid):
+    """Whether `pid` exists and has not exited.  An orphan that has exited
+    stays a zombie until the reaper of orphans collects it, which need not
+    be at once, so a zombie counts as exited (Linux `/proc` state Z)."""
+    try:
+        os.kill(pid, 0)
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except (ProcessLookupError, FileNotFoundError):
+        return False
+
+
+def test_workers_of_a_killed_parent_exit():
+    # SIGKILL runs no exit handler: the workers stop on their own, at the EOF
+    # or broken pipe of their parent's ends
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    with subprocess.Popen([sys.executable, "-c", KILLED_PARENT_SCRIPT],
+                          env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, text=True) as proc:
+        try:
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+        finally:
+            proc.kill()
+    assert len(pids) == 2
+    deadline = time.monotonic() + 10
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(_running, pids))
 
 
 def test_a_map_left_with_chunks_in_flight_hands_on_no_stale_key(pool_starts, corpus6):
@@ -629,7 +677,7 @@ def _members(report):
     return sorted(g6 for _, gs in report.buckets for g6 in gs)
 
 
-@pytest.mark.parametrize("mode", ["cospectral", "coinvariant"])
+@pytest.mark.parametrize("mode", ["cospectral", "coinvariant", "codet-Q", "codet-Z"])
 def test_survey_encodes_only_its_bucket_members(encoded, corpus6, mode):
     for workers in (1, 2):
         encoded.clear()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 
@@ -169,7 +170,18 @@ def _cmd_snf(args) -> int:
     return EXIT_OK
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file: one existing file (under any link),
+    or one path to a file that does not exist yet."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _cmd_survey(args) -> int:
+    if args.out and args.checkpoint and _same_file(args.out, args.checkpoint):
+        raise graphs.InputError("--out and --checkpoint name the same file")
     if args.n is not None:
         corpus = graphs.enumerate_connected(args.n)
     elif args.input:

@@ -13,9 +13,10 @@ and the buckets, `with_mate` and `total` are those of the real keys:
 * codet-Q: the prefilter key is the characteristic polynomial.  The codet-Q
   key holds Delta_n of x*I - M, which is det(x*I - M).
 * codet-Z: the characteristic polynomial again (I_n is generated by it), and
-  SNF(c*I - M) for c in `PREFILTER_SHIFTS`.  Evaluation at x = c is a ring
-  map that sends I_k onto (Delta_k(c*I - M)), so equal Z[x] ideals give
-  equal integer SNFs at every c.
+  SNF(M), the coinvariant key.  Evaluation at x = 0 is a ring map that sends
+  I_k onto (Delta_k(-M)), and SNF(-M) = SNF(M), so equal Z[x] ideals give
+  equal integer SNFs.  The stage-1 key is thus the pair (cospectral key,
+  coinvariant key).
 
 Pooled keys run on one process-wide pool (`_key_map`): the first pooled
 survey starts it, later ones with the same worker count reuse it, and one
@@ -68,7 +69,6 @@ MODES = ("cospectral", "coinvariant", "codet-Q", "codet-Z")
 LARGE_CORPUS_THRESHOLD = 20000  # anything n >= 9 sized needs the explicit flag
 
 PREFILTER_PREFIX = "prefilter:"
-PREFILTER_SHIFTS = (0, 1, -1)  # the c of SNF(c*I - M) in a codet-Z prefilter key
 
 
 @dataclass(frozen=True)
@@ -131,14 +131,11 @@ def invariant_key(g: graphs.Graph, kind: str, mode: str) -> str:
 
 def prefilter_key(g: graphs.Graph, kind: str, mode: str) -> str:
     """The stage-1 key of a codet survey: the characteristic polynomial, and
-    in codet-Z mode also SNF(c*I - M) for each c in `PREFILTER_SHIFTS`."""
+    in codet-Z mode also the digits of SNF(M), the image of the ideals at x = 0."""
     m = graphs.build_matrix(g, kind)
     key = PREFILTER_PREFIX + _charpoly_text(m)
     if mode == "codet-Z":
-        for c in PREFILTER_SHIFTS:
-            shifted = [[(c if i == j else 0) - v for j, v in enumerate(row)]
-                       for i, row in enumerate(m)]
-            key += f";snf@{c}:" + _snf_text(shifted)
+        key += ";snf@0:" + _snf_text(m)
     return key
 
 
@@ -147,18 +144,14 @@ def default_workers() -> int:
 
 
 def _serve(conn, inherited) -> None:
-    """A pool worker: read (fn, chunks) tasks from `conn` until EOF.  A task
-    is read whole before anything is sent back; then each chunk's
-    (True, keys) is sent in turn, and the task stops at its first exception,
-    sent as (False, exception) with the worker's traceback added as a note.
-    An exception the parent could not unpickle comes back as a RuntimeError
-    holding its repr.  The worker first closes the parent's ends of the pipes
-    it inherited, so that the parent's death reaches every worker as EOF, or
-    as a broken pipe on its next send, and ignores SIGINT, which a terminal
-    sends to the whole process group: the parent alone decides what an
-    interrupt stops.  It runs until the parent terminates it or dies."""
-    import traceback  # here, not at the top: it adds to every import of detideals
-
+    """A pool worker: read (fn, chunks) tasks from `conn` until EOF, and send
+    back the `_replies` of each.  A task is read whole before anything is
+    sent back.  The worker first closes the parent's ends of the pipes it
+    inherited, so that the parent's death reaches every worker as EOF, or as
+    a broken pipe on its next send, and ignores SIGINT, which a terminal sends
+    to the whole process group: the parent alone decides what an interrupt
+    stops.  It runs until the parent terminates it or dies, and returns in
+    silence at either sign of a dead parent: nothing it sends can reach one."""
     for other in inherited:
         other.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -167,18 +160,32 @@ def _serve(conn, inherited) -> None:
             task = conn.recv_bytes()
         except EOFError:
             return
-        try:
-            fn, chunks = pickle.loads(task)
-            for chunk in chunks:
-                conn.send_bytes(pickle.dumps((True, [fn(g) for g in chunk])))
-        except Exception as exc:
-            exc.add_note("".join(traceback.format_exception(exc)).rstrip())
+        for reply in _replies(task):
             try:
-                payload = pickle.dumps((False, exc))
-                pickle.loads(payload)  # the parent must be able to rebuild it
-            except Exception:
-                payload = pickle.dumps((False, RuntimeError(repr(exc))))
-            conn.send_bytes(payload)
+                conn.send_bytes(reply)
+            except OSError:  # a broken pipe: the parent has died
+                return
+
+
+def _replies(task: bytes) -> Iterator[bytes]:
+    """The pickled (True, keys) of each chunk of a pickled (fn, chunks) task in
+    turn, up to its first exception, pickled as (False, exception) with the
+    worker's traceback added as a note.  An exception the parent could not
+    unpickle comes back as a RuntimeError holding its repr."""
+    import traceback  # here, not at the top: it adds to every import of detideals
+
+    try:
+        fn, chunks = pickle.loads(task)
+        for chunk in chunks:
+            yield pickle.dumps((True, [fn(g) for g in chunk]))
+    except Exception as exc:
+        exc.add_note("".join(traceback.format_exception(exc)).rstrip())
+        try:
+            reply = pickle.dumps((False, exc))
+            pickle.loads(reply)  # the parent must be able to rebuild it
+        except Exception:
+            reply = pickle.dumps((False, RuntimeError(repr(exc))))
+        yield reply
 
 
 class _WorkerPool:

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -224,6 +225,29 @@ def test_refused_survey_leaves_out_file_as_it_was(capsys, tmp_path):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and run_cli(capsys, *argv, "--out", str(report))[:2] == (0, "")
     assert report.read_text() == out
+
+
+def test_survey_refuses_one_file_for_out_and_checkpoint(capsys, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no key may be computed")
+
+    monkeypatch.setattr(cli, "run_survey", refuse)
+    monkeypatch.chdir(tmp_path)
+    argv = ("survey", "--n", "4", "--matrix", "adjacency", "--mode", "coinvariant",
+            "--workers", "1", "--out", "r.txt", "--checkpoint")
+    # a file not there yet is not made
+    code, out, err = run_cli(capsys, *argv, "r.txt")
+    assert (code, out) == (2, "") and "same file" in err
+    assert not (tmp_path / "r.txt").exists()
+    # an existing file, under another path or a hard link, is left as it was
+    old = b"an earlier report\n"
+    (tmp_path / "r.txt").write_bytes(old)
+    (tmp_path / "sub").mkdir()
+    os.link(tmp_path / "r.txt", tmp_path / "link.txt")
+    for other in (str(tmp_path / "sub" / ".." / "r.txt"), "link.txt"):
+        code, out, err = run_cli(capsys, *argv, other)
+        assert (code, out) == (2, "") and "same file" in err
+        assert (tmp_path / "r.txt").read_bytes() == old
 
 
 @pytest.mark.parametrize("argv", [

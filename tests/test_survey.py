@@ -231,12 +231,21 @@ def test_prefilter_key_text():
     g1, _ = fig2_graphs()
     charpoly = invariant_key(g1, "adjacency", "cospectral")
     assert prefilter_key(g1, "adjacency", "codet-Q") == PREFILTER_PREFIX + charpoly
-    z = prefilter_key(g1, "adjacency", "codet-Z")
-    snf0 = invariant_key(g1, "adjacency", "coinvariant").removeprefix("snf:")
-    assert z.startswith(f"{PREFILTER_PREFIX}{charpoly};snf@0:{snf0};snf@1:")
-    assert ";snf@-1:" in z
+    assert prefilter_key(g1, "adjacency", "codet-Z") == (
+        "prefilter:charpoly:-1,4,7,-4,-7,0,1;snf@0:1,1,1,1,1,1")
     assert not any(invariant_key(g1, "adjacency", mode).startswith(PREFILTER_PREFIX)
                    for mode in ("cospectral", "coinvariant", *CODET))
+
+
+def test_codet_z_prefilter_classes_are_cospectral_and_coinvariant_classes(mates7):
+    # two graphs share a codet-Z prefilter key iff they share both keys
+    corpora = [(enumerate_connected(n), kind) for n in range(1, 7) for kind in KINDS]
+    corpora += [(mates7[kind], kind) for kind in KINDS]
+    for corpus, kind in corpora:
+        pre = [prefilter_key(g, kind, "codet-Z") for g in corpus]
+        pair = [(invariant_key(g, kind, "cospectral"), invariant_key(g, kind, "coinvariant"))
+                for g in corpus]
+        assert len(set(pre)) == len(set(pair)) == len(set(zip(pre, pair))), (corpus[0].n, kind)
 
 
 def test_prefiltered_reports_equal_real_key_reports(mates7):
@@ -470,20 +479,22 @@ def _running(pid):
 
 def test_workers_of_a_killed_parent_exit():
     # SIGKILL runs no exit handler: the workers stop on their own, at the EOF
-    # or broken pipe of their parent's ends
+    # or broken pipe of their parent's ends, and print nothing
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     with subprocess.Popen([sys.executable, "-c", KILLED_PARENT_SCRIPT],
                           env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE,
-                          stderr=subprocess.DEVNULL, text=True) as proc:
+                          stderr=subprocess.PIPE, text=True) as proc:
         try:
             pids = [int(pid) for pid in proc.stdout.readline().split()]
         finally:
             proc.kill()
-    assert len(pids) == 2
-    deadline = time.monotonic() + 10
-    while any(map(_running, pids)) and time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert not any(map(_running, pids))
+        assert len(pids) == 2
+        deadline = time.monotonic() + 10
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, pids))
+        err = proc.stderr.read()  # the workers held its write end, so it ends now
+    assert "Traceback" not in err, err
 
 
 def test_a_map_left_with_chunks_in_flight_hands_on_no_stale_key(pool_starts, corpus6):
@@ -515,6 +526,10 @@ def _raises(g, kind, mode):
     raise InputError(f"refused {write_graph6(g)}")
 
 
+def _raises_broken_pipe(g, kind, mode):
+    raise BrokenPipeError(f"refused {write_graph6(g)}")
+
+
 class _Unpicklable(Exception):
     def __init__(self, a, b):  # pickle rebuilds it from args alone, so it fails
         super().__init__(a)
@@ -534,9 +549,13 @@ def test_worker_exception_reaches_the_parent_with_its_type(pool_starts, corpus6)
         _pooled_keys(_raises, corpus6)
     assert "in _raises" in caught.value.__notes__[0]  # the worker's traceback
     assert survey._pool is None
+    # a key's own broken pipe is not the worker's: it reaches the parent too
+    with pytest.raises(BrokenPipeError, match="^refused "):
+        _pooled_keys(_raises_broken_pipe, corpus6)
+    assert survey._pool is None
     with pytest.raises(RuntimeError, match="^_Unpicklable"):
         _pooled_keys(_raises_unpicklable, corpus6)
-    assert survey._pool is None and pool_starts == [2, 2]
+    assert survey._pool is None and pool_starts == [2, 2, 2]
 
 
 def _slow_then_refusing(g, kind, mode):

@@ -8,7 +8,8 @@ Run it on two checkouts and diff the two files.  It covers:
 * `survey --output json` reports and `--checkpoint` files for every matrix
   kind and mode at n <= 7 (a cospectral checkpoint holds each graph's
   `char_poly` coefficients; a codet checkpoint holds the prefixed prefilter
-  key of each pruned graph), plus codet-Z at n = 7 over the members of each
+  key of each pruned graph, which in codet-Z is the characteristic
+  polynomial and SNF(M)), plus codet-Z at n = 7 over the members of each
   kind's codet-Q mate buckets;
 * `snf --ring Qx --output json` and `snf --ring Z --output json` over every
   connected graph with n <= 7;
@@ -33,8 +34,8 @@ Run it on two checkouts and diff the two files.  It covers:
 * `build_matrix` of every kind over those 496 graphs (the distance and
   distance Laplacian kinds over the connected ones only);
 * the `snf_integer` factors of c*I - M for those n = 9 graphs, every kind and
-  every c in `survey.PREFILTER_SHIFTS`, of 3,000 seeded random square
-  integer matrices of sizes 1-7 (entries in [-40, 40], mostly zeros, a
+  c = 0, 1 and -1 (no survey key uses c = +-1; they widen the coverage of
+  `snf_integer`), of 3,000 seeded random square integer matrices of sizes 1-7 (entries in [-40, 40], mostly zeros, a
   quarter of them with a row copied from another up to sign, so singular),
   which pivot on entries other than +-1 far more often than graph matrices,
   and of 3,000 more of sizes 1-8 with entries in [-1000, 1000], whose
@@ -77,7 +78,7 @@ from detideals.graphs import (
 from detideals.polyring import RING_Q, UniPoly, gcd_poly_q
 from detideals.smith import deltas_q, snf_integer
 from detideals.suites import SUITES
-from detideals.survey import MODES, PREFILTER_SHIFTS, cross_check
+from detideals.survey import MODES, cross_check
 
 
 def _sha(data: bytes) -> str:
@@ -177,7 +178,7 @@ def print_digests(tmp: str) -> None:
               f"{_sha(chr(10).join(matrices).encode())}", flush=True)
 
     for kind in MATRIX_KINDS:
-        for c in PREFILTER_SHIFTS:
+        for c in (0, 1, -1):
             factors = []
             for g in random_graphs[9]:
                 m = build_matrix(g, kind)

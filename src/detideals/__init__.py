@@ -60,6 +60,7 @@ from .survey import (
     cross_check,
     invariant_key,
     run_survey,
+    run_surveys,
     verify_determined_by,
 )
 

@@ -21,7 +21,7 @@ from .profiles import (
     variety,
 )
 from .smith import SnfResult, cokernel, snf_integer
-from .survey import run_survey, verify_determined_by
+from .survey import run_surveys, verify_determined_by
 
 
 @dataclass(frozen=True)
@@ -411,40 +411,23 @@ KINDS = graphs.MATRIX_KINDS
 
 
 def suite_tables(max_n=None, workers=None) -> list[CheckResult]:
-    results: list[CheckResult] = []
+    rows: dict[str, list[CheckResult]] = {"table1": [], "table2": [], "table3": []}
     top = 7 if max_n is None else max_n
-
-    for n in sorted(TABLE1):
-        if n > top:
-            continue
+    for n in sorted(n for n in TABLE1.keys() | TABLE2.keys() | TABLE3.keys() if n <= top):
         corpus = graphs.enumerate_connected(n)
-        for kind in KINDS:
-            want_q, want_z = TABLE1[n][kind]
-            got_q = run_survey(corpus, kind, "codet-Q", workers=workers).with_mate
-            _check(results, f"table1 n={n} {kind} codet-Q = {want_q}", got_q == want_q,
-                   detail=f"got {got_q}")
-            got_z = run_survey(corpus, kind, "codet-Z", workers=workers).with_mate
-            _check(results, f"table1 n={n} {kind} codet-Z = {want_z}", got_z == want_z,
-                   detail=f"got {got_z}")
-
-    for n in sorted(TABLE2):
-        if n > top:
-            continue
-        corpus = graphs.enumerate_connected(n)
-        for kind, want in zip(KINDS, TABLE2[n]):
-            got = run_survey(corpus, kind, "cospectral", workers=workers).with_mate
-            _check(results, f"table2 n={n} {kind} cospectral = {want}", got == want,
-                   detail=f"got {got}")
-
-    for n in sorted(TABLE3):
-        if n > top:
-            continue
-        corpus = graphs.enumerate_connected(n)
-        for kind, want in zip(KINDS, TABLE3[n]):
-            got = run_survey(corpus, kind, "coinvariant", workers=workers).with_mate
-            _check(results, f"table3 n={n} {kind} coinvariant = {want}", got == want,
-                   detail=f"got {got}")
-    return results
+        for i, kind in enumerate(KINDS):
+            want = {}  # mode -> (table, count)
+            if n in TABLE1:
+                want["codet-Q"], want["codet-Z"] = (("table1", c) for c in TABLE1[n][kind])
+            if n in TABLE2:
+                want["cospectral"] = "table2", TABLE2[n][i]
+            if n in TABLE3:
+                want["coinvariant"] = "table3", TABLE3[n][i]
+            for report in run_surveys(corpus, kind, tuple(want), workers=workers):
+                table, count = want[report.mode]
+                _check(rows[table], f"{table} n={n} {kind} {report.mode} = {count}",
+                       report.with_mate == count, detail=f"got {report.with_mate}")
+    return rows["table1"] + rows["table2"] + rows["table3"]
 
 
 # ---------------------------------------------------------------------------

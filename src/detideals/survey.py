@@ -4,8 +4,11 @@ Keys are canonical text renderings (never hashes), bucketing is exact key
 equality, and the worker-pool map keeps input order so reports are
 byte-identical regardless of worker count.
 
-The codet modes key in two stages.  Stage 1 gives every graph a cheap
-`prefilter_key`; stage 2 computes the real key only for the graphs whose
+`run_surveys` keys one corpus in several modes; `run_survey` is its one-mode
+case.  Stage 1 (`_stage1_keys`) renders each mode's key from one matrix, its
+characteristic polynomial and SNF(M), computing each only if a mode needs
+it: the real key in cospectral and coinvariant mode, a prefilter in a codet
+mode.  Stage 2 computes the real codet key only for the graphs whose
 prefilter class has two or more members.  Equal real keys imply equal
 prefilter keys, so a graph alone in its prefilter class has no codet mate,
 and the buckets, `with_mate` and `total` are those of the real keys:
@@ -18,9 +21,10 @@ and the buckets, `with_mate` and `total` are those of the real keys:
   equal integer SNFs.  The stage-1 key is thus the pair (cospectral key,
   coinvariant key).
 
-Pooled keys run on one process-wide pool (`_key_map`): the first pooled
-survey starts it, later ones with the same worker count reuse it, and one
-with another count terminates it and starts its own.  Its workers are
+Pooled keys run on one process-wide pool (`_key_map`), one map for stage 1
+and one per codet mode: the first pooled survey starts it, later ones with
+the same worker count reuse it, and one with another count terminates it
+and starts its own.  Its workers are
 forked, daemonic, when it starts, so they see module state (patched
 functions, caches) as of then, and multiprocessing terminates and reaps
 them at interpreter exit.  Terminating is the only way a pool stops.
@@ -32,11 +36,11 @@ first failing chunk in input order and after every key before it, so a
 pooled checkpoint keeps every line before the failing graph, as a serial
 one does.  A worker that dies raises RuntimeError there instead of stalling
 the survey; either terminates the pool.
-A checkpoint has one line per graph in input order: the real key of a graph
-that got one, the prefilter key (behind `PREFILTER_PREFIX`, which no real key
-has) of a pruned graph.  The file is line-buffered, so each line reaches it
-whole as soon as its key is known (a pruned line as soon as the survivor
-before it is done), and a killed survey leaves every finished line.
+A checkpoint has one mode's line per graph in input order: the real key of
+a graph that got one, the prefilter key (behind `PREFILTER_PREFIX`, which no
+real key has) of a pruned graph.  The file is line-buffered, so each line
+reaches it whole as soon as its key is known (a pruned line as soon as the
+survivor before it is done), and a killed survey leaves every finished line.
 `invariant_key`, `verify_determined_by` and `cross_check` compute the real
 key of every graph; they are the oracle of the two stages.
 A graph is encoded as graph6 only where it is written: on its checkpoint
@@ -53,7 +57,7 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import graphs
 from .grobner import QX, Ideal
@@ -65,6 +69,7 @@ if TYPE_CHECKING:
     from multiprocessing.connection import Connection
 
 MODES = ("cospectral", "coinvariant", "codet-Q", "codet-Z")
+CODET = ("codet-Q", "codet-Z")
 
 LARGE_CORPUS_THRESHOLD = 20000  # anything n >= 9 sized needs the explicit flag
 
@@ -108,35 +113,30 @@ def _profile_text(profile: IdealProfile) -> str:
     )
 
 
-def _charpoly_text(m: list[list[int]]) -> str:
-    return "charpoly:" + ",".join(str(c) for c in char_poly(m).coeffs)
-
-
-def _snf_text(m: list[list[int]]) -> str:
-    return ",".join(str(f) for f in snf_integer(m).diagonal())
+def _stage1_keys(g: graphs.Graph, kind: str, modes: Sequence[str]) -> tuple[str, ...]:
+    """The stage-1 key text of `g` in each of `modes`, from one matrix: the
+    real key in cospectral and coinvariant mode, the prefilter key in a codet
+    mode.  `char_poly` and `snf_integer` run only if some mode needs them."""
+    m = graphs.build_matrix(g, kind)
+    poly = snf = ""
+    if any(mode != "coinvariant" for mode in modes):
+        poly = "charpoly:" + ",".join(str(c) for c in char_poly(m).coeffs)
+    if "coinvariant" in modes or "codet-Z" in modes:
+        snf = ",".join(str(f) for f in snf_integer(m).diagonal())
+    texts = {"cospectral": poly, "coinvariant": "snf:" + snf, "codet-Q": PREFILTER_PREFIX + poly,
+             "codet-Z": PREFILTER_PREFIX + poly + ";snf@0:" + snf}
+    return tuple(texts[mode] for mode in modes)
 
 
 def invariant_key(g: graphs.Graph, kind: str, mode: str) -> str:
     """The canonical key text of one graph matrix in one survey mode."""
-    if mode == "cospectral":
-        return _charpoly_text(graphs.build_matrix(g, kind))
-    if mode == "coinvariant":
-        return "snf:" + _snf_text(graphs.build_matrix(g, kind))
+    if mode in ("cospectral", "coinvariant"):
+        return _stage1_keys(g, kind, (mode,))[0]
     if mode == "codet-Q":
         return _profile_text(determinantal_ideals(g, kind, "Qx"))
     if mode == "codet-Z":
         return _profile_text(determinantal_ideals(g, kind, "Zx"))
     raise graphs.InputError(f"unknown survey mode {mode!r}")
-
-
-def prefilter_key(g: graphs.Graph, kind: str, mode: str) -> str:
-    """The stage-1 key of a codet survey: the characteristic polynomial, and
-    in codet-Z mode also the digits of SNF(M), the image of the ideals at x = 0."""
-    m = graphs.build_matrix(g, kind)
-    key = PREFILTER_PREFIX + _charpoly_text(m)
-    if mode == "codet-Z":
-        key += ";snf@0:" + _snf_text(m)
-    return key
 
 
 def default_workers() -> int:
@@ -265,11 +265,11 @@ def _close_pool() -> None:
 
 
 @contextlib.contextmanager
-def _key_map(kind: str, mode: str, workers: int, count: int):
-    """Yield keys(fn, graphs), an iterator over fn(g, kind=kind, mode=mode) in
-    input order.  With two or more workers and a corpus of `count` >= 4 graphs,
-    every call runs on the process-wide pool of `workers` workers (workers
-    receive the `Graph`), started here if there is none; a pool of another
+def _key_map(workers: int, count: int):
+    """Yield keys(fn, items), an iterator over fn(item) in input order.  With
+    two or more workers and a corpus of `count` >= 4 graphs, every call runs
+    on the process-wide pool of `workers` workers (workers receive `fn` and
+    the items pickled), started here if there is none; a pool of another
     size is terminated first.  The pool outlives the context: every later
     pooled survey with the same worker count reuses it.  It runs no helper
     thread: each call sends the workers their tasks, and the caller's thread
@@ -282,7 +282,7 @@ def _key_map(kind: str, mode: str, workers: int, count: int):
     the pool, and the next pooled survey starts a new one."""
     global _pool
     if workers <= 1 or count < 4:
-        yield lambda fn, corpus: map(functools.partial(fn, kind=kind, mode=mode), corpus)
+        yield map
         return
     if _pool is not None and _pool.size != workers:
         _close_pool()
@@ -290,7 +290,7 @@ def _key_map(kind: str, mode: str, workers: int, count: int):
         _pool = _WorkerPool(workers)
     pool = _pool
     try:
-        yield lambda fn, corpus: pool.imap(functools.partial(fn, kind=kind, mode=mode), corpus)
+        yield pool.imap
     except BaseException:
         _close_pool()
         raise
@@ -298,32 +298,35 @@ def _key_map(kind: str, mode: str, workers: int, count: int):
         _close_pool()
 
 
-def _prefiltered_keys(corpus: Sequence[graphs.Graph],
-                      keys: Callable[..., Iterator[str]]) -> Iterator[str]:
-    """In input order, the real key of every graph whose prefilter class has
-    two or more members, and the prefilter key of every other graph; each
-    prefilter key is yielded as soon as the real key before it."""
-    pre = list(keys(prefilter_key, corpus))
+def _prefiltered_keys(pre: Sequence[str], corpus: Sequence[graphs.Graph],
+                      keys: Callable[..., Iterator[str]], real: Callable) -> Iterator[str]:
+    """In input order, real(g) for every graph whose prefilter class in `pre`
+    has two or more members, and its prefilter key for every other graph;
+    each prefilter key is yielded as soon as the real key before it."""
     survivors = {i for ids in _classes(pre).values() if len(ids) >= 2 for i in ids}
-    real = keys(invariant_key, [g for i, g in enumerate(corpus) if i in survivors])
+    found = keys(real, [g for i, g in enumerate(corpus) if i in survivors])
     for i, key in enumerate(pre):
-        yield next(real) if i in survivors else key
+        yield next(found) if i in survivors else key
 
 
-def _collect(stream: Iterable[str], corpus: Sequence[graphs.Graph],
-             checkpoint_path: str | None) -> list[str]:
-    """The keys of `stream`, one per graph of `corpus`; optionally written to
-    a JSONL checkpoint naming each graph by its graph6 string, encoded as its
-    line is written.  The file is line-buffered, so each line reaches it
-    whole as soon as its key is known."""
-    if not checkpoint_path:
-        return list(stream)
-    keys: list[str] = []
-    with open(checkpoint_path, "w", buffering=1, encoding="utf-8") as fh:
-        for g, key in zip(corpus, stream, strict=True):
-            keys.append(key)
-            fh.write(json.dumps({"graph": graphs.write_graph6(g), "key_digest_input": key}) + "\n")
-    return keys
+def _collect(rows: Iterable[tuple[str, ...]], corpus: Sequence[graphs.Graph],
+             checkpoint_paths: Sequence[str | None]) -> list[tuple[str, ...]]:
+    """The columns of `rows`, a row of keys per graph of `corpus`; column j
+    optionally written to a JSONL checkpoint at checkpoint_paths[j] naming
+    each graph by its graph6 string, encoded once per row as it is written.
+    The files are line-buffered, so each line reaches them whole at once."""
+    with contextlib.ExitStack() as stack:
+        files = [(j, stack.enter_context(open(path, "w", buffering=1, encoding="utf-8")))
+                 for j, path in enumerate(checkpoint_paths) if path]
+        if not files:
+            return list(zip(*rows))
+        found = []
+        for g, row in zip(corpus, rows, strict=True):
+            found.append(row)
+            g6 = graphs.write_graph6(g)
+            for j, fh in files:
+                fh.write(json.dumps({"graph": g6, "key_digest_input": row[j]}) + "\n")
+    return list(zip(*found))
 
 
 def _validate_corpus(corpus: Sequence[graphs.Graph]) -> int:
@@ -356,14 +359,21 @@ def _with_mate(keys: Sequence[str]) -> int:
     return sum(len(ids) for ids in _classes(keys).values() if len(ids) >= 2)
 
 
-def _checked_workers(kind: str, mode: str, workers: int | None) -> int:
+def _checked_workers(kind: str, modes: Sequence[str], workers: int | None,
+                     checkpoint_modes: Iterable[str] = ()) -> int:
     """The worker count, `default_workers()` if None.  InputError, before any
-    checkpoint is opened or pool started, for an unknown kind or mode, or a
-    worker count that is not an int (a bool is refused too) or is below 1."""
+    checkpoint is opened or pool started, for an unknown kind, no mode, an
+    unknown or repeated mode, a checkpoint for a mode not run, or a worker
+    count that is not an int (a bool is refused too) or is below 1."""
     if kind not in graphs.MATRIX_KINDS:
         raise graphs.InputError(f"unknown matrix kind {kind!r}")
-    if mode not in MODES:
-        raise graphs.InputError(f"unknown survey mode {mode!r}")
+    for mode in modes:
+        if mode not in MODES:
+            raise graphs.InputError(f"unknown survey mode {mode!r}")
+    if not modes or len(set(modes)) < len(modes):
+        raise graphs.InputError("survey modes must be one or more distinct modes")
+    if set(checkpoint_modes) - set(modes):
+        raise graphs.InputError("a checkpoint for a survey mode that is not run")
     if workers is None:
         return default_workers()
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
@@ -371,24 +381,34 @@ def _checked_workers(kind: str, mode: str, workers: int | None) -> int:
     return workers
 
 
-def run_survey(
-    corpus: Iterable[graphs.Graph],
-    kind: str,
-    mode: str,
-    workers: int | None = None,
-    checkpoint_path: str | None = None,
-) -> SurveyReport:
-    workers = _checked_workers(kind, mode, workers)
+def run_surveys(corpus: Iterable[graphs.Graph], kind: str, modes: Sequence[str],
+                workers: int | None = None,
+                checkpoint_paths: Mapping[str, str] | None = None) -> list[SurveyReport]:
+    """The report of each of `modes` over `corpus`, in that order, from one
+    stage-1 map for every mode and one stage-2 map per codet mode.  Each
+    report, and each checkpoint written to checkpoint_paths[mode], has the
+    bytes of a survey in that mode alone."""
+    modes = tuple(modes)
+    paths = dict(checkpoint_paths or {})
+    workers = _checked_workers(kind, modes, workers, paths)
     corpus = list(corpus)
     n = _validate_corpus(corpus)
-    with _key_map(kind, mode, workers, len(corpus)) as keys:
-        if mode in ("codet-Q", "codet-Z"):
-            stream = _prefiltered_keys(corpus, keys)
-        else:
-            stream = keys(invariant_key, corpus)
-        # a pruned graph's prefilter key is alone in its class, so it joins no bucket
-        found = _collect(stream, corpus, checkpoint_path)
-    return _report(n, kind, mode, corpus, found)
+    with _key_map(workers, len(corpus)) as keys:
+        stage1 = functools.partial(_stage1_keys, kind=kind, modes=modes)
+        found = _collect(keys(stage1, corpus), corpus,
+                         [None if mode in CODET else paths.get(mode) for mode in modes])
+        for j, mode in enumerate(modes):
+            if mode in CODET:
+                real = functools.partial(invariant_key, kind=kind, mode=mode)
+                # a pruned graph's prefilter key is alone in its class, so it joins no bucket
+                stream = _prefiltered_keys(found[j], corpus, keys, real)
+                found[j] = _collect(zip(stream), corpus, [paths.get(mode)])[0]
+    return [_report(n, kind, mode, corpus, found[j]) for j, mode in enumerate(modes)]
+
+
+def run_survey(corpus: Iterable[graphs.Graph], kind: str, mode: str, workers: int | None = None,
+               checkpoint_path: str | None = None) -> SurveyReport:
+    return run_surveys(corpus, kind, [mode], workers, checkpoint_path and {mode: checkpoint_path})[0]
 
 
 def _report(n: int, kind: str, mode: str, corpus: Sequence[graphs.Graph],
@@ -408,12 +428,13 @@ def verify_determined_by(
     """True iff the target's invariant bucket inside the corpus is a singleton.
     InputError unless a corpus graph in that bucket is isomorphic to the
     target (has its `canonical_columns`)."""
-    workers = _checked_workers(kind, mode, workers)
+    workers = _checked_workers(kind, (mode,), workers)
     corpus = list(corpus)
     _validate_corpus(corpus)
     key = invariant_key(target, kind, mode)
-    with _key_map(kind, mode, workers, len(corpus)) as keys:
-        bucket = [g for g, k in zip(corpus, keys(invariant_key, corpus)) if k == key]
+    with _key_map(workers, len(corpus)) as keys:
+        real = functools.partial(invariant_key, kind=kind, mode=mode)
+        bucket = [g for g, k in zip(corpus, keys(real, corpus)) if k == key]
     form = graphs.canonical_columns(target)
     if not any(graphs.canonical_columns(g) == form for g in bucket):
         raise graphs.InputError("target graph is not in the corpus")
@@ -464,15 +485,11 @@ def cross_check(corpus: Iterable[graphs.Graph], kind: str) -> CrossCheckReport:
     the Z[x] bases, so it is independent of the characteristic polynomial."""
     corpus = list(corpus)
     n = _validate_corpus(corpus)
-    spectrum = []
-    coinv = []
-    qkeys = []
-    varkeys = []
-    zkeys = []
-    eval0 = []
+    spectrum, coinv, qkeys, varkeys, zkeys, eval0 = [], [], [], [], [], []
     for g in corpus:
-        spectrum.append(invariant_key(g, kind, "cospectral"))
-        coinv.append(invariant_key(g, kind, "coinvariant"))
+        charpoly, snf = _stage1_keys(g, kind, ("cospectral", "coinvariant"))
+        spectrum.append(charpoly)
+        coinv.append(snf)
         zprofile = determinantal_ideals(g, kind, "Zx")
         zkeys.append(_profile_text(zprofile))
         qprofile = _qx_profile_of(zprofile)

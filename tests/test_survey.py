@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -25,14 +27,16 @@ from detideals.graphs import (
 from detideals.suites import TABLE1, fig2_graphs
 from detideals.survey import (
     CSV_HEADER,
+    MODES,
     PREFILTER_PREFIX,
     _profile_text,
     _qx_profile_of,
     _report,
+    _stage1_keys,
     cross_check,
     invariant_key,
-    prefilter_key,
     run_survey,
+    run_surveys,
     verify_determined_by,
 )
 
@@ -175,30 +179,43 @@ def test_survey_checkpoint(tmp_path, corpus5):
     assert rec["key_digest_input"].startswith("snf:")
 
 
-@pytest.mark.parametrize("kind, mode, workers", [
-    ("bogus", "cospectral", 2),
-    ("adjacency", "bogus", 2),
-    ("adjacency", "cospectral", 0),
-    ("adjacency", "cospectral", -5),
-    ("adjacency", "cospectral", 2.5),
-    ("adjacency", "cospectral", "2"),
-    ("adjacency", "cospectral", True),
+@pytest.mark.parametrize("kind, modes, workers, written", [
+    *(pytest.param(kind, [mode], workers, [mode], id=f"{kind}-{mode}-{workers}")
+      for kind, mode, workers in [("bogus", "cospectral", 2), ("adjacency", "bogus", 2),
+                                  *(("adjacency", "cospectral", workers)
+                                    for workers in (0, -5, 2.5, "2", True))]),
+    # run_surveys only: no mode, an unknown or a repeated one, a stray checkpoint
+    pytest.param("adjacency", [], 2, [], id="no-mode"),
+    pytest.param("adjacency", ["cospectral", "bogus"], 2, ["cospectral"], id="unknown-mode"),
+    pytest.param("adjacency", ["codet-Q", "cospectral", "codet-Q"], 2, ["cospectral", "codet-Q"],
+                 id="repeated-mode"),
+    pytest.param("adjacency", ["cospectral"], 2, ["cospectral", "codet-Z"],
+                 id="checkpoint-of-a-mode-not-run"),
 ])
 def test_refused_survey_opens_no_checkpoint_and_no_pool(monkeypatch, tmp_path, corpus5,
-                                                        kind, mode, workers):
-    path = tmp_path / "keys.jsonl"
-    run_survey(corpus5, "adjacency", "coinvariant", workers=1, checkpoint_path=str(path))
-    before = path.read_bytes()
+                                                        kind, modes, workers, written):
+    paths = {mode: tmp_path / f"keys.{mode}.jsonl" for mode in written}
+    run_survey(corpus5, "adjacency", "coinvariant", workers=1,
+               checkpoint_path=str(tmp_path / "keys.jsonl"))
+    before = (tmp_path / "keys.jsonl").read_bytes()
+    for path in paths.values():
+        path.write_bytes(before)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a pool was started")
 
     monkeypatch.setattr(survey, "_WorkerPool", refuse)
     with pytest.raises(InputError):
-        run_survey(corpus5, kind, mode, workers=workers, checkpoint_path=str(path))
-    assert path.read_bytes() == before
-    with pytest.raises(InputError):
-        verify_determined_by(corpus5, corpus5[0], kind, mode, workers=workers)
+        run_surveys(corpus5, kind, modes, workers=workers,
+                    checkpoint_paths={mode: str(path) for mode, path in paths.items()})
+    assert all(path.read_bytes() == before for path in paths.values())
+    if len(modes) == 1 and written == modes:  # one mode, with its checkpoint
+        (mode,), (path,) = modes, paths.values()
+        with pytest.raises(InputError):
+            run_survey(corpus5, kind, mode, workers=workers, checkpoint_path=str(path))
+        assert path.read_bytes() == before
+        with pytest.raises(InputError):
+            verify_determined_by(corpus5, corpus5[0], kind, mode, workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +232,7 @@ def _real_report(corpus, kind, mode):
 
 def _survivors(corpus, kind, mode):
     """The graphs whose prefilter class has two or more members."""
-    keys = [prefilter_key(g, kind, mode) for g in corpus]
+    keys = [_stage1_keys(g, kind, [mode])[0] for g in corpus]
     return {g for g, key in zip(corpus, keys) if keys.count(key) >= 2}
 
 
@@ -230,11 +247,15 @@ def mates7(corpus7):
 def test_prefilter_key_text():
     g1, _ = fig2_graphs()
     charpoly = invariant_key(g1, "adjacency", "cospectral")
-    assert prefilter_key(g1, "adjacency", "codet-Q") == PREFILTER_PREFIX + charpoly
-    assert prefilter_key(g1, "adjacency", "codet-Z") == (
-        "prefilter:charpoly:-1,4,7,-4,-7,0,1;snf@0:1,1,1,1,1,1")
+    assert _stage1_keys(g1, "adjacency", ["codet-Q"]) == (PREFILTER_PREFIX + charpoly,)
+    assert _stage1_keys(g1, "adjacency", ["codet-Z"]) == (
+        "prefilter:charpoly:-1,4,7,-4,-7,0,1;snf@0:1,1,1,1,1,1",)
     assert not any(invariant_key(g1, "adjacency", mode).startswith(PREFILTER_PREFIX)
                    for mode in ("cospectral", "coinvariant", *CODET))
+    # one call renders every mode's stage-1 key, in the order asked for
+    texts = {mode: _stage1_keys(g1, "adjacency", [mode])[0] for mode in MODES}
+    for modes in (MODES, MODES[::-1], ("codet-Z", "cospectral")):
+        assert _stage1_keys(g1, "adjacency", modes) == tuple(texts[mode] for mode in modes)
 
 
 def test_codet_z_prefilter_classes_are_cospectral_and_coinvariant_classes(mates7):
@@ -242,7 +263,7 @@ def test_codet_z_prefilter_classes_are_cospectral_and_coinvariant_classes(mates7
     corpora = [(enumerate_connected(n), kind) for n in range(1, 7) for kind in KINDS]
     corpora += [(mates7[kind], kind) for kind in KINDS]
     for corpus, kind in corpora:
-        pre = [prefilter_key(g, kind, "codet-Z") for g in corpus]
+        pre = [_stage1_keys(g, kind, ["codet-Z"])[0] for g in corpus]
         pair = [(invariant_key(g, kind, "cospectral"), invariant_key(g, kind, "coinvariant"))
                 for g in corpus]
         assert len(set(pre)) == len(set(pair)) == len(set(zip(pre, pair))), (corpus[0].n, kind)
@@ -283,21 +304,43 @@ def test_checkpoint_holds_real_keys_and_prefixed_prefilter_keys(tmp_path, corpus
             if g in survivors:
                 assert key == invariant_key(g, kind, mode)
             else:
-                assert key == prefilter_key(g, kind, mode)
+                assert key == _stage1_keys(g, kind, [mode])[0]
                 assert key.startswith(PREFILTER_PREFIX)
     assert forms == {True, False}
 
 
-@pytest.mark.parametrize("kind, mode", [("laplacian", "codet-Q"), ("laplacian", "codet-Z"),
-                                        ("distlap", "codet-Z"), ("laplacian", "cospectral"),
-                                        ("adjacency", "coinvariant")])
-def test_prefiltered_survey_serial_and_pooled_same_bytes(tmp_path, corpus6, kind, mode):
-    out = {}
-    for workers in (1, 2):
-        path = tmp_path / f"keys{workers}.jsonl"
-        report = run_survey(corpus6, kind, mode, workers=workers, checkpoint_path=str(path))
-        out[workers] = json.dumps(report.to_json()), path.read_bytes()
-    assert out[1] == out[2]
+def _surveyed_bytes(tmp_path, corpus, kind, modes, workers, together):
+    """The JSON report and checkpoint bytes of each of `modes`, from one
+    `run_surveys` call or from one `run_survey` call per mode."""
+    paths = {mode: tmp_path / f"keys.{mode}.{workers}.{together}.jsonl" for mode in modes}
+    if together:
+        reports = run_surveys(corpus, kind, modes, workers=workers,
+                              checkpoint_paths={mode: str(paths[mode]) for mode in modes})
+    else:
+        reports = [run_survey(corpus, kind, mode, workers=workers, checkpoint_path=str(paths[mode]))
+                   for mode in modes]
+    assert [report.mode for report in reports] == list(modes)
+    return [(json.dumps(report.to_json()), paths[report.mode].read_bytes()) for report in reports]
+
+
+@pytest.mark.parametrize("kind, modes", [
+    *(pytest.param(kind, [mode], id=f"{kind}-{mode}")
+      for kind, mode in [("laplacian", "codet-Q"), ("laplacian", "codet-Z"), ("distlap", "codet-Z"),
+                         ("laplacian", "cospectral"), ("adjacency", "coinvariant")]),
+    pytest.param("laplacian", MODES, id="laplacian-one-survey-against-four"),
+])
+def test_prefiltered_survey_serial_and_pooled_same_bytes(tmp_path, corpus6, mates7, kind, modes):
+    # one survey of all four modes against four one-mode surveys too, on
+    # corpus6 and on the n = 7 laplacian mates
+    corpora = [corpus6] if len(modes) == 1 else [corpus6, mates7[kind]]
+    for corpus in corpora:
+        out = {}
+        for workers in (1, 2):
+            out[workers] = _surveyed_bytes(tmp_path, corpus, kind, modes, workers, True)
+            if len(modes) > 1:
+                assert out[workers] == _surveyed_bytes(tmp_path, corpus, kind, modes, workers,
+                                                       False)
+        assert out[1] == out[2]
 
 
 @pytest.mark.parametrize("mode", CODET)
@@ -339,20 +382,72 @@ def test_pruned_lines_stream_before_the_next_real_key(monkeypatch, tmp_path, mat
     assert seen and all(seen)
 
 
+@pytest.fixture
+def stage1_calls(monkeypatch):
+    """Per function, the (graph, kind) of each `build_matrix`, `char_poly` and
+    `snf_integer` call a survey makes in this process, counted; a call is
+    booked under the last matrix built.  Calls made for a real codet key
+    (stage 2) are not counted."""
+    calls = collections.defaultdict(collections.Counter)
+    built, stage2 = [], []
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def spy(*args):
+            if not stage2:
+                if name == "build_matrix":
+                    built[:] = [args]
+                calls[name][built[0]] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, spy)
+
+    def real_key(*args):
+        stage2.append(args)
+        try:
+            return ideals(*args)
+        finally:
+            stage2.pop()
+
+    ideals = survey.determinantal_ideals
+    monkeypatch.setattr(survey, "determinantal_ideals", real_key)
+    counting(graphs, "build_matrix")
+    counting(survey, "char_poly")
+    counting(survey, "snf_integer")
+    return calls
+
+
+def test_one_matrix_charpoly_and_snf_per_graph_and_kind(stage1_calls, corpus6):
+    run_survey(corpus6, "laplacian", "cospectral", workers=1)
+    assert not stage1_calls["snf_integer"]
+    assert stage1_calls["char_poly"].total() == len(corpus6)
+    stage1_calls.clear()
+    run_survey(corpus6, "laplacian", "coinvariant", workers=1)
+    assert not stage1_calls["char_poly"]
+    assert stage1_calls["snf_integer"].total() == len(corpus6)
+    stage1_calls.clear()
+    assert all(r.passed for r in suites.suite_tables(max_n=6, workers=1))
+    pairs = {(g, kind) for n in (4, 5, 6) for g in enumerate_connected(n) for kind in KINDS}
+    assert set(stage1_calls["build_matrix"]) == pairs
+    for name in ("build_matrix", "char_poly", "snf_integer"):
+        assert set(stage1_calls[name]) <= pairs and set(stage1_calls[name].values()) == {1}
+
+
 KILL_SCRIPT = """
 import os, sys
 from detideals import survey
 from detideals.graphs import enumerate_connected
 
-real, calls = survey.invariant_key, []
+real, calls = survey._stage1_keys, []
 
-def dying(g, kind, mode):
+def dying(g, kind, modes):
     calls.append(g)
     if len(calls) == int(sys.argv[2]):
         os._exit(9)
-    return real(g, kind, mode)
+    return real(g, kind, modes)
 
-survey.invariant_key = dying
+survey._stage1_keys = dying
 survey.run_survey(enumerate_connected(6), "laplacian", "coinvariant", workers=1,
                   checkpoint_path=sys.argv[1])
 """
@@ -414,12 +509,15 @@ def test_serial_surveys_start_no_pool(pool_starts, corpus5):
     assert pool_starts == [] and survey._pool is None
 
 
+_cospectral = functools.partial(invariant_key, kind="laplacian", mode="cospectral")
+
+
 @pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt, GeneratorExit])
 def test_key_map_left_by_an_exception_terminates_the_pool(pool_starts, corpus6, exc):
     with pytest.raises(exc):
-        with survey._key_map("laplacian", "cospectral", 2, len(corpus6)) as keys:
+        with survey._key_map(2, len(corpus6)) as keys:
             workers = survey._pool.procs
-            next(keys(invariant_key, corpus6))  # the other tasks are still in flight
+            next(keys(_cospectral, corpus6))  # the other tasks are still in flight
             raise exc
     assert survey._pool is None
     assert not any(w.is_alive() for w in workers)
@@ -453,13 +551,13 @@ def test_pooled_process_exits_cleanly_and_reaps_its_workers():
 
 
 KILLED_PARENT_SCRIPT = """
-import time
+import functools, time
 from detideals import survey
 from detideals.graphs import enumerate_connected
 
 corpus = enumerate_connected(7)
-with survey._key_map("distance", "codet-Z", 2, len(corpus)) as keys:
-    next(keys(survey.invariant_key, corpus))
+with survey._key_map(2, len(corpus)) as keys:
+    next(keys(functools.partial(survey.invariant_key, kind="distance", mode="codet-Z"), corpus))
     print(*(w.pid for w in survey._pool.procs), flush=True)
     time.sleep(60)  # mid-map: the other chunks are unread
 """
@@ -500,14 +598,14 @@ def test_workers_of_a_killed_parent_exit():
 def test_a_map_left_with_chunks_in_flight_hands_on_no_stale_key(pool_starts, corpus6):
     # a second map while the first has chunks in flight is refused
     with pytest.raises(RuntimeError, match="in flight"):
-        with survey._key_map("laplacian", "cospectral", 2, len(corpus6)) as keys:
-            first = keys(invariant_key, corpus6)
+        with survey._key_map(2, len(corpus6)) as keys:
+            first = keys(_cospectral, corpus6)
             next(first)
-            next(keys(invariant_key, corpus6))
+            next(keys(_cospectral, corpus6))
     assert survey._pool is None
     # a context left normally with chunks in flight terminates the pool
-    with survey._key_map("laplacian", "cospectral", 2, len(corpus6)) as keys:
-        key = next(keys(invariant_key, corpus6))
+    with survey._key_map(2, len(corpus6)) as keys:
+        key = next(keys(_cospectral, corpus6))
     assert survey._pool is None
     assert key == invariant_key(corpus6[0], "laplacian", "cospectral")
     assert run_survey(corpus6, "laplacian", "cospectral", workers=2) == run_survey(
@@ -522,11 +620,11 @@ def test_pooled_survey_starts_no_thread(pool_starts, corpus6):
     assert report == run_survey(corpus6, "distlap", "codet-Z", workers=1)
 
 
-def _raises(g, kind, mode):
+def _raises(g):
     raise InputError(f"refused {write_graph6(g)}")
 
 
-def _raises_broken_pipe(g, kind, mode):
+def _raises_broken_pipe(g):
     raise BrokenPipeError(f"refused {write_graph6(g)}")
 
 
@@ -535,12 +633,12 @@ class _Unpicklable(Exception):
         super().__init__(a)
 
 
-def _raises_unpicklable(g, kind, mode):
+def _raises_unpicklable(g):
     raise _Unpicklable(write_graph6(g), 0)
 
 
 def _pooled_keys(fn, corpus):
-    with survey._key_map("laplacian", "cospectral", 2, len(corpus)) as keys:
+    with survey._key_map(2, len(corpus)) as keys:
         return list(keys(fn, corpus))
 
 
@@ -558,14 +656,14 @@ def test_worker_exception_reaches_the_parent_with_its_type(pool_starts, corpus6)
     assert survey._pool is None and pool_starts == [2, 2, 2]
 
 
-def _slow_then_refusing(g, kind, mode):
+def _slow_then_refusing(g, kind, modes):
     # chunk 0 (graphs 0-6, worker 0) is slow, chunk 3 (graph 21, worker 1) fails
     i = enumerate_connected(6).index(g)
     if i < 7:
         time.sleep(0.05)
     if i == 21:
         raise InputError("refused graph 21")
-    return invariant_key(g, kind, mode)
+    return _stage1_keys(g, kind, modes)
 
 
 def test_pooled_survey_raises_at_its_first_failing_chunk_in_order(monkeypatch, pool_starts,
@@ -575,7 +673,7 @@ def test_pooled_survey_raises_at_its_first_failing_chunk_in_order(monkeypatch, p
     assert len(corpus6) // (2 * 8) == 7
     full, path = tmp_path / "full.jsonl", tmp_path / "failed.jsonl"
     run_survey(corpus6, "laplacian", "coinvariant", workers=1, checkpoint_path=str(full))
-    monkeypatch.setattr(survey, "invariant_key", _slow_then_refusing)
+    monkeypatch.setattr(survey, "_stage1_keys", _slow_then_refusing)
     with pytest.raises(InputError, match="refused graph 21"):
         run_survey(corpus6, "laplacian", "coinvariant", workers=2, checkpoint_path=str(path))
     assert survey._pool is None and pool_starts == [2]
@@ -587,14 +685,14 @@ import functools
 from detideals import survey
 from detideals.graphs import enumerate_connected, write_graph6
 
-def big_key(g, kind, mode, pad):
+def big_key(g, pad):
     return (write_graph6(g) + pad[0]) * 2 ** 16  # 4 characters at n = 5: 256 KB
 
 corpus = enumerate_connected(5)
 fn = functools.partial(big_key, pad="x" * (2 ** 20 + 1))  # each task is over 1 MB
-with survey._key_map("laplacian", "cospectral", 1, len(corpus)) as keys:
+with survey._key_map(1, len(corpus)) as keys:
     serial = list(keys(fn, corpus))
-with survey._key_map("laplacian", "cospectral", 2, len(corpus)) as keys:
+with survey._key_map(2, len(corpus)) as keys:
     pooled = list(keys(fn, corpus))
 assert min(map(len, serial)) > 2 ** 17 and pooled == serial
 assert survey._pool is not None and not survey._pool.busy
@@ -617,25 +715,25 @@ from detideals import survey
 from detideals.graphs import enumerate_connected
 
 parent, k, seen = os.getpid(), int(sys.argv[1]), 0
-real = survey.invariant_key
+real = survey._stage1_keys
 
 
-def dying(g, kind, mode):
+def dying(g, kind, modes):
     global seen
     seen += 1
     if seen == k and os.getpid() != parent:
         os._exit(9)
-    return real(g, kind, mode)
+    return real(g, kind, modes)
 
 
-survey.invariant_key = dying
+survey._stage1_keys = dying
 corpus = enumerate_connected(6)
 try:
     survey.run_survey(corpus, "laplacian", "coinvariant", workers=2)
 except RuntimeError as exc:
     print("raised:", exc)
 assert survey._pool is None
-survey.invariant_key = real
+survey._stage1_keys = real
 pooled = survey.run_survey(corpus, "laplacian", "coinvariant", workers=2)
 assert survey._pool is not None
 assert pooled == survey.run_survey(corpus, "laplacian", "coinvariant", workers=1)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from contextlib import nullcontext
 
@@ -27,6 +26,7 @@ from .survey import (
     CSV_HEADER,
     LARGE_CORPUS_THRESHOLD,
     MODES,
+    _same_file,
     run_survey,
 )
 
@@ -168,15 +168,6 @@ def _cmd_snf(args) -> int:
     else:
         print("\n".join(lines))
     return EXIT_OK
-
-
-def _same_file(a: str, b: str) -> bool:
-    """Whether two paths name one file: one existing file (under any link),
-    or one path to a file that does not exist yet."""
-    try:
-        return os.path.samefile(a, b)
-    except OSError:
-        return os.path.realpath(a) == os.path.realpath(b)
 
 
 def _cmd_survey(args) -> int:

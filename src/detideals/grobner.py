@@ -20,7 +20,9 @@ lc_k | lcm(lc_i, lc_j), and neither (i, k) nor (j, k) is still pending
 product criterion familiar from field coefficients stays out: it is unsound
 here (e.g. the G-polynomial of the pair 2x+1, 3y+1 is xy+x-y and is
 essential).  The tests keep a criterion-free subclass of `StrongBasis` as the
-oracle of the criterion.
+oracle of the criterion.  Completion runs once, after the whole feed
+(Gebauer & Moeller, J. Symbolic Comput. 1988): the feed order changes neither
+the ideal nor the criterion's proof, and every pair is still treated.
 
 The engine (`StrongBasis`, and `Ideal.member` over Z[x] and Z[X]) works on
 packed monomials (Monagan & Pearce, "Polynomial division using dynamic
@@ -236,14 +238,14 @@ def _record_key(rec: tuple[dict, int, int]):
 
 
 class StrongBasis:
-    """Incremental strong Groebner basis over Z[x0..x_{arity-1}], built on
-    the `Packing` its generators are packed in and kept in it.
+    """Strong Groebner basis over Z[x0..x_{arity-1}], built on the `Packing`
+    its generators are packed in and kept in it.
 
-    `add` takes `_record`s packed in `packing`, and `canonical` returns term
-    dicts keyed by exponent tuples.  A normal form never goes above the
-    monomials it starts from, so only a pair's lcm can outgrow the fields:
-    `Packing.pack` then raises OverflowError, and the basis is left
-    unfinished (`strong_groebner` starts again in wider fields)."""
+    `add` feeds `_record`s packed in `packing`, and `canonical` completes the
+    basis once and returns term dicts keyed by exponent tuples.  A normal
+    form never goes above the monomials it starts from, so only a pair's lcm
+    can outgrow the fields: `Packing.pack` then raises OverflowError, and the
+    basis is left unfinished (`strong_groebner` starts again in wider fields)."""
 
     def __init__(self, packing: Packing):
         self.packing = packing
@@ -254,15 +256,15 @@ class StrongBasis:
         self._unit = False
 
     def add(self, rec: tuple[dict, int, int]) -> bool:
-        """Feed one generator, a `_record` packed in `packing`; returns True
-        if it enlarged the basis."""
+        """Feed one generator, a `_record` packed in `packing`: append its
+        nonzero normal form over the elements so far and queue its pairs,
+        which `canonical` treats.  True iff it enlarged the basis."""
         if self._unit:
             return False
         r = _normal_form(rec[0], self.elems, self.packing.mask)
         if not r:
             return False
         self._append(r)
-        self._complete()
         return True
 
     def _append(self, terms: dict):
@@ -299,11 +301,7 @@ class StrongBasis:
         pairs treated (Moeller 1988).  A pair leans only on pairs that left the
         queue before it, so no two skips lean on each other.  The G-polynomial
         is formed whenever neither leading coefficient divides the other."""
-        while self._pairs:
-            if self._unit:
-                self._pairs.clear()
-                self._pending.clear()
-                return
+        while self._pairs and not self._unit:
             lcm, i, j = heappop(self._pairs)
             self._pending.remove((i, j))
             lci, lcj = self.elems[i][2], self.elems[j][2]
@@ -338,7 +336,8 @@ class StrongBasis:
 
     def canonical(self) -> list[dict]:
         """The minimal reduced strong basis, signs positive, in ascending
-        `_record_key` order: one minimalisation, then one reduction sweep.
+        `_record_key` order: one completion of the pairs the feed queued,
+        one minimalisation, then one reduction sweep.
 
         Minimalisation drops, in `_record_key` order, each element whose
         leading term a kept one divides (lm_k | lm_f, lc_k | lc_f); the kept
@@ -351,6 +350,7 @@ class StrongBasis:
         for every g with lm_g | X.  Such a remainder modulo a strong basis is
         unique (Kandri-Rody & Kapur, J. Symbolic Comput. 1988; Lichtblau
         2012), so the others may be taken reduced or not."""
+        self._complete()
         if self._unit:
             return [{(0,) * self.packing.arity: 1}]
         mask = self.packing.mask
@@ -367,12 +367,12 @@ class StrongBasis:
 def strong_groebner(gens: Iterable[dict], arity: int) -> list[dict]:
     """Canonical basis of the ideal of `gens`, exponent-tuple term dicts.  The
     engine sets its own feed: nonzero generators with positive leading
-    coefficients, repeats up to sign dropped, in ascending `_record_key`.
-    A generator +-1 gives the unit basis at once, before any packing.  The
-    first packing is sized to the largest generator degree; if a pair's lcm
-    outgrows it, the run starts again in fields for degrees up to twice the
-    old `limit`.  Packing codes keep the monomial order, so every run feeds
-    and pairs in the same order."""
+    coefficients, repeats up to sign dropped, in ascending `_record_key`, all
+    before the one completion.  A generator +-1 gives the unit basis at once,
+    before any packing.  The first packing is sized to the largest generator
+    degree; if a pair's lcm outgrows it, the run starts again in fields for
+    degrees up to twice the old `limit`.  Packing codes keep the monomial
+    order, so every run feeds and pairs in the same order."""
     gens = [g for g in gens if g]
     one = (0,) * arity
     if any(g == {one: 1} or g == {one: -1} for g in gens):
@@ -388,10 +388,9 @@ def strong_groebner(gens: Iterable[dict], arity: int) -> list[dict]:
         try:
             for key in sorted(feed):
                 basis.add(feed[key])
+            return basis.canonical()
         except OverflowError:
             degree = packing.limit
-            continue
-        return basis.canonical()
 
 
 # ---------------------------------------------------------------------------

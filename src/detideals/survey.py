@@ -359,12 +359,22 @@ def _with_mate(keys: Sequence[str]) -> int:
     return sum(len(ids) for ids in _classes(keys).values() if len(ids) >= 2)
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file: one existing file (under any link),
+    or one path to a file that does not exist yet."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _checked_workers(kind: str, modes: Sequence[str], workers: int | None,
-                     checkpoint_modes: Iterable[str] = ()) -> int:
+                     checkpoint_paths: Mapping[str, str] | None = None) -> int:
     """The worker count, `default_workers()` if None.  InputError, before any
     checkpoint is opened or pool started, for an unknown kind, no mode, an
-    unknown or repeated mode, a checkpoint for a mode not run, or a worker
-    count that is not an int (a bool is refused too) or is below 1."""
+    unknown or repeated mode, a checkpoint for a mode not run, two checkpoints
+    in one file (`_same_file`), or a worker count that is not an int (a bool
+    is refused too) or is below 1."""
     if kind not in graphs.MATRIX_KINDS:
         raise graphs.InputError(f"unknown matrix kind {kind!r}")
     for mode in modes:
@@ -372,8 +382,12 @@ def _checked_workers(kind: str, modes: Sequence[str], workers: int | None,
             raise graphs.InputError(f"unknown survey mode {mode!r}")
     if not modes or len(set(modes)) < len(modes):
         raise graphs.InputError("survey modes must be one or more distinct modes")
-    if set(checkpoint_modes) - set(modes):
+    checkpoint_paths = checkpoint_paths or {}
+    if set(checkpoint_paths) - set(modes):
         raise graphs.InputError("a checkpoint for a survey mode that is not run")
+    paths = [path for path in checkpoint_paths.values() if path]
+    if any(_same_file(a, b) for i, a in enumerate(paths) for b in paths[:i]):
+        raise graphs.InputError("two survey modes name the same checkpoint file")
     if workers is None:
         return default_workers()
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:

@@ -220,17 +220,30 @@ def test_chain_criterion_skips_pairs_of_a_critical_ideal():
     assert basis == oracle == [dict(p.terms) for p in ideal.canonical_basis()]
 
 
+def test_strong_basis_completes_once_after_the_whole_feed():
+    # add only reduces and appends; every pair waits for canonical
+    ideal = multivariate_ideals(complete_bipartite_graph(3, 3), "adjacency").ideals[4]
+    gens = [grobner._terms(g) for g in ideal.gens]
+    degree = 4 * max(sum(e) for g in gens for e in g)
+    fed, basis = _reduce_pair_calls(lambda gens, arity: _basis(StrongBasis, arity, gens, degree),
+                                    gens, 6)
+    assert len(basis.elems) > 1 and fed == 0
+    completed, got = _reduce_pair_calls(lambda gens, arity: basis.canonical(), gens, 6)
+    assert completed > 0
+    assert got == strong_groebner(gens, 6) == _criterion_free(gens, 6)
+
+
 def _relabel(g, rng):
     perm = rng.sample(range(g.n), g.n)
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def test_chain_criterion_equals_criterion_free_basis_on_small_corpora():
-    # critical ideals for n <= 6 and distance ideals for n <= 5, relabelled
-    # at random since the cost and the pairs depend on the variable order
+    # critical and distance ideals for n <= 6, relabelled at random since the
+    # cost and the pairs depend on the variable order
     rng = random.Random(20191)
     for n in range(1, 7):
-        for kind in ("adjacency", "distance") if n <= 5 else ("adjacency",):
+        for kind in ("adjacency", "distance"):
             for g in enumerate_connected(n):
                 for ideal in multivariate_ideals(_relabel(g, rng), kind).ideals:
                     gens = [grobner._terms(p) for p in ideal.gens]

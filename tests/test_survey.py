@@ -218,6 +218,31 @@ def test_refused_survey_opens_no_checkpoint_and_no_pool(monkeypatch, tmp_path, c
             verify_determined_by(corpus5, corpus5[0], kind, mode, workers=workers)
 
 
+def test_two_modes_refuse_one_checkpoint_file(monkeypatch, tmp_path, corpus5):
+    # the same path, another spelling of it and a hard link name one file;
+    # an existing file keeps its bytes and no pool starts
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(survey, "_WorkerPool", refuse)
+    path = tmp_path / "keys.jsonl"
+    old = b"an earlier checkpoint\n"
+    path.write_bytes(old)
+    (tmp_path / "sub").mkdir()
+    os.link(path, tmp_path / "link.jsonl")
+    for other in (path, tmp_path / "sub" / ".." / "keys.jsonl", tmp_path / "link.jsonl"):
+        with pytest.raises(InputError, match="same checkpoint file"):
+            run_surveys(corpus5, "laplacian", ["cospectral", "coinvariant"], workers=2,
+                        checkpoint_paths={"cospectral": str(path), "coinvariant": str(other)})
+        assert path.read_bytes() == old
+    # a path to no file yet is refused too, and not made
+    with pytest.raises(InputError, match="same checkpoint file"):
+        run_surveys(corpus5, "laplacian", ["cospectral", "codet-Z"], workers=2,
+                    checkpoint_paths={"cospectral": str(tmp_path / "new.jsonl"),
+                                      "codet-Z": str(tmp_path / "sub" / ".." / "new.jsonl")})
+    assert not (tmp_path / "new.jsonl").exists()
+
+
 # ---------------------------------------------------------------------------
 # the codet prefilter
 

@@ -8,9 +8,10 @@ unreadable or unwritable files; any other exception is a fault and surfaces.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
-from contextlib import nullcontext
 
 from . import graphs
 from .polyring import poly_str
@@ -26,7 +27,6 @@ from .survey import (
     CSV_HEADER,
     LARGE_CORPUS_THRESHOLD,
     MODES,
-    _same_file,
     run_survey,
 )
 
@@ -170,6 +170,32 @@ def _cmd_snf(args) -> int:
     return EXIT_OK
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file: one existing file (under any link),
+    or one path to a file that does not exist yet."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
+@contextlib.contextmanager
+def _report_file(path: str):
+    """`path` opened to append before any key is computed; a file made here is
+    removed again if the survey fails (the caller empties it for the report)."""
+    try:
+        fh, made = open(path, "x", encoding="utf-8"), True
+    except FileExistsError:
+        fh, made = open(path, "a", encoding="utf-8"), False
+    with fh:
+        try:
+            yield fh
+        except BaseException:
+            if made:
+                os.unlink(path)
+            raise
+
+
 def _cmd_survey(args) -> int:
     if args.out and args.checkpoint and _same_file(args.out, args.checkpoint):
         raise graphs.InputError("--out and --checkpoint name the same file")
@@ -182,9 +208,7 @@ def _cmd_survey(args) -> int:
     if len(corpus) >= LARGE_CORPUS_THRESHOLD and not args.allow_large:
         raise SizeGuardError(
             f"corpus of {len(corpus)} graphs requires --allow-large")
-    # --out is opened before any key is computed, and emptied only once the
-    # report is ready, so a refused survey leaves an existing file as it was
-    with open(args.out, "a", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+    with _report_file(args.out) if args.out else contextlib.nullcontext(sys.stdout) as fh:
         report = run_survey(corpus, args.matrix, args.mode, workers=args.workers,
                             checkpoint_path=args.checkpoint)
         if args.output == "csv":

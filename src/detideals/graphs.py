@@ -221,32 +221,19 @@ def is_connected(g: Graph) -> bool:
 
 
 def distance_matrix(g: Graph) -> list[list[int]]:
-    """All-pairs shortest paths; DisconnectedGraphError on a disconnected
-    graph.  Each pass grows the ball around a source by one level, the
-    neighbours of its last level, and gives the new vertices their distance.
-    A ball that stops growing short of every vertex is a component."""
-    n, rows = g.n, g.rows
-    full = (1 << n) - 1
+    """All-pairs shortest paths, a breadth-first search (`_layers`) per
+    source; DisconnectedGraphError on a disconnected graph, where a vertex
+    the search does not reach keeps the 0 that only the source may have."""
     dist = []
-    for s in range(n):
-        row = [0] * n
-        ball = level = 1 << s
-        d = 0
-        while ball != full:
-            d += 1
-            grown = 0
-            while level:
-                low = level & -level
-                level ^= low
-                grown |= rows[low.bit_length() - 1]
-            level = new = grown & ~ball
-            if not new:
-                raise DisconnectedGraphError("distance matrix of a disconnected graph")
-            ball |= new
-            while new:
-                low = new & -new
-                new ^= low
+    for s in range(g.n):
+        row = [0] * g.n
+        for d, layer in enumerate(_layers(g, s)):
+            while layer:
+                low = layer & -layer
+                layer ^= low
                 row[low.bit_length() - 1] = d
+        if row.count(0) > 1:
+            raise DisconnectedGraphError("distance matrix of a disconnected graph")
         dist.append(row)
     return dist
 

@@ -5,7 +5,8 @@ equality, and the worker-pool map keeps input order so reports are
 byte-identical regardless of worker count.
 
 `run_surveys` keys one corpus in several modes; `run_survey` is its one-mode
-case.  Stage 1 (`_stage1_keys`) renders each mode's key from one matrix, its
+case, and the only survey that writes a checkpoint.  Stage 1
+(`_stage1_keys`) renders each mode's key from one matrix, its
 characteristic polynomial and SNF(M), computing each only if a mode needs
 it: the real key in cospectral and coinvariant mode, a prefilter in a codet
 mode.  Stage 2 computes the real codet key only for the graphs whose
@@ -36,8 +37,9 @@ first failing chunk in input order and after every key before it, so a
 pooled checkpoint keeps every line before the failing graph, as a serial
 one does.  A worker that dies raises RuntimeError there instead of stalling
 the survey; either terminates the pool.
-A checkpoint has one mode's line per graph in input order: the real key of
-a graph that got one, the prefilter key (behind `PREFILTER_PREFIX`, which no
+A checkpoint, opened after the refusals and corpus checks and before stage 1
+or any pool starts, has a line per graph in input order: the real key of a
+graph that got one, the prefilter key (behind `PREFILTER_PREFIX`, which no
 real key has) of a pruned graph.  The file is line-buffered, so each line
 reaches it whole as soon as its key is known (a pruned line as soon as the
 survivor before it is done), and a killed survey leaves every finished line.
@@ -57,7 +59,7 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from . import graphs
 from .grobner import QX, Ideal
@@ -189,22 +191,22 @@ def _replies(task: bytes) -> Iterator[bytes]:
 
 
 class _WorkerPool:
-    """`size` daemonic workers forked (by the platform's default start method)
-    with one duplex pipe each.  The parent's main thread does all the work of
-    the pool: it sends every task and reads every result itself, so no helper
-    thread runs and a dead worker is seen as the EOF of its pipe.  `close`
+    """`size` daemonic workers forked (whatever the platform's default start
+    method) with one duplex pipe each.  The parent's main thread does all the
+    work of the pool: it sends every task and reads every result itself, so no
+    helper thread runs and a dead worker is seen as the EOF of its pipe.  `close`
     terminates the workers; a pool never closed is terminated and reaped by
     multiprocessing's own exit handler, as every daemonic child is."""
 
     def __init__(self, size: int):
         self.size = size
-        self.procs: list[multiprocessing.Process] = []
+        self.procs: list[multiprocessing.process.BaseProcess] = []
         self.conns: list[Connection] = []
         self.busy = False  # a map has results left unread
+        fork = multiprocessing.get_context("fork")
         for _ in range(size):
-            conn, child = multiprocessing.Pipe()
-            proc = multiprocessing.Process(target=_serve, args=(child, self.conns + [conn]),
-                                           daemon=True)
+            conn, child = fork.Pipe()
+            proc = fork.Process(target=_serve, args=(child, self.conns + [conn]), daemon=True)
             proc.start()
             child.close()
             self.procs.append(proc)
@@ -310,22 +312,18 @@ def _prefiltered_keys(pre: Sequence[str], corpus: Sequence[graphs.Graph],
 
 
 def _collect(rows: Iterable[tuple[str, ...]], corpus: Sequence[graphs.Graph],
-             checkpoint_paths: Sequence[str | None]) -> list[tuple[str, ...]]:
-    """The columns of `rows`, a row of keys per graph of `corpus`; column j
-    optionally written to a JSONL checkpoint at checkpoint_paths[j] naming
-    each graph by its graph6 string, encoded once per row as it is written.
-    The files are line-buffered, so each line reaches them whole at once."""
-    with contextlib.ExitStack() as stack:
-        files = [(j, stack.enter_context(open(path, "w", buffering=1, encoding="utf-8")))
-                 for j, path in enumerate(checkpoint_paths) if path]
-        if not files:
-            return list(zip(*rows))
-        found = []
-        for g, row in zip(corpus, rows, strict=True):
-            found.append(row)
-            g6 = graphs.write_graph6(g)
-            for j, fh in files:
-                fh.write(json.dumps({"graph": g6, "key_digest_input": row[j]}) + "\n")
+             checkpoint: IO[str] | None) -> list[tuple[str, ...]]:
+    """The columns of `rows`, a row of keys per graph of `corpus`.  With an
+    open `checkpoint` (a one-mode survey, so one column), each row's key is
+    written to it as a JSONL line naming the graph by its graph6 string,
+    encoded as the line is written."""
+    if checkpoint is None:
+        return list(zip(*rows))
+    found = []
+    for g, row in zip(corpus, rows, strict=True):
+        found.append(row)
+        checkpoint.write(json.dumps({"graph": graphs.write_graph6(g),
+                                     "key_digest_input": row[0]}) + "\n")
     return list(zip(*found))
 
 
@@ -359,22 +357,11 @@ def _with_mate(keys: Sequence[str]) -> int:
     return sum(len(ids) for ids in _classes(keys).values() if len(ids) >= 2)
 
 
-def _same_file(a: str, b: str) -> bool:
-    """Whether two paths name one file: one existing file (under any link),
-    or one path to a file that does not exist yet."""
-    try:
-        return os.path.samefile(a, b)
-    except OSError:
-        return os.path.realpath(a) == os.path.realpath(b)
-
-
-def _checked_workers(kind: str, modes: Sequence[str], workers: int | None,
-                     checkpoint_paths: Mapping[str, str] | None = None) -> int:
+def _checked_workers(kind: str, modes: Sequence[str], workers: int | None) -> int:
     """The worker count, `default_workers()` if None.  InputError, before any
     checkpoint is opened or pool started, for an unknown kind, no mode, an
-    unknown or repeated mode, a checkpoint for a mode not run, two checkpoints
-    in one file (`_same_file`), or a worker count that is not an int (a bool
-    is refused too) or is below 1."""
+    unknown or repeated mode, or a worker count that is not an int (a bool is
+    refused too) or is below 1."""
     if kind not in graphs.MATRIX_KINDS:
         raise graphs.InputError(f"unknown matrix kind {kind!r}")
     for mode in modes:
@@ -382,12 +369,6 @@ def _checked_workers(kind: str, modes: Sequence[str], workers: int | None,
             raise graphs.InputError(f"unknown survey mode {mode!r}")
     if not modes or len(set(modes)) < len(modes):
         raise graphs.InputError("survey modes must be one or more distinct modes")
-    checkpoint_paths = checkpoint_paths or {}
-    if set(checkpoint_paths) - set(modes):
-        raise graphs.InputError("a checkpoint for a survey mode that is not run")
-    paths = [path for path in checkpoint_paths.values() if path]
-    if any(_same_file(a, b) for i, a in enumerate(paths) for b in paths[:i]):
-        raise graphs.InputError("two survey modes name the same checkpoint file")
     if workers is None:
         return default_workers()
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
@@ -396,33 +377,38 @@ def _checked_workers(kind: str, modes: Sequence[str], workers: int | None,
 
 
 def run_surveys(corpus: Iterable[graphs.Graph], kind: str, modes: Sequence[str],
-                workers: int | None = None,
-                checkpoint_paths: Mapping[str, str] | None = None) -> list[SurveyReport]:
+                workers: int | None = None) -> list[SurveyReport]:
     """The report of each of `modes` over `corpus`, in that order, from one
     stage-1 map for every mode and one stage-2 map per codet mode.  Each
-    report, and each checkpoint written to checkpoint_paths[mode], has the
-    bytes of a survey in that mode alone."""
-    modes = tuple(modes)
-    paths = dict(checkpoint_paths or {})
-    workers = _checked_workers(kind, modes, workers, paths)
+    report has the bytes of a survey in that mode alone; a checkpoint belongs
+    to a one-mode survey (`run_survey`)."""
+    return _surveys(corpus, kind, tuple(modes), workers, None)
+
+
+def run_survey(corpus: Iterable[graphs.Graph], kind: str, mode: str, workers: int | None = None,
+               checkpoint_path: str | None = None) -> SurveyReport:
+    return _surveys(corpus, kind, (mode,), workers, checkpoint_path)[0]
+
+
+def _surveys(corpus: Iterable[graphs.Graph], kind: str, modes: tuple[str, ...],
+             workers: int | None, checkpoint_path: str | None) -> list[SurveyReport]:
+    """`run_surveys`, with the checkpoint of a one-mode survey opened before
+    stage 1 and before any pool starts (its workers inherit the file with an
+    empty buffer, and never write to it)."""
+    workers = _checked_workers(kind, modes, workers)
     corpus = list(corpus)
     n = _validate_corpus(corpus)
-    with _key_map(workers, len(corpus)) as keys:
+    with (open(checkpoint_path, "w", buffering=1, encoding="utf-8") if checkpoint_path
+          else contextlib.nullcontext()) as checkpoint, _key_map(workers, len(corpus)) as keys:
         stage1 = functools.partial(_stage1_keys, kind=kind, modes=modes)
-        found = _collect(keys(stage1, corpus), corpus,
-                         [None if mode in CODET else paths.get(mode) for mode in modes])
+        found = _collect(keys(stage1, corpus), corpus, None if modes[0] in CODET else checkpoint)
         for j, mode in enumerate(modes):
             if mode in CODET:
                 real = functools.partial(invariant_key, kind=kind, mode=mode)
                 # a pruned graph's prefilter key is alone in its class, so it joins no bucket
                 stream = _prefiltered_keys(found[j], corpus, keys, real)
-                found[j] = _collect(zip(stream), corpus, [paths.get(mode)])[0]
+                found[j] = _collect(zip(stream), corpus, checkpoint)[0]
     return [_report(n, kind, mode, corpus, found[j]) for j, mode in enumerate(modes)]
-
-
-def run_survey(corpus: Iterable[graphs.Graph], kind: str, mode: str, workers: int | None = None,
-               checkpoint_path: str | None = None) -> SurveyReport:
-    return run_surveys(corpus, kind, [mode], workers, checkpoint_path and {mode: checkpoint_path})[0]
 
 
 def _report(n: int, kind: str, mode: str, corpus: Sequence[graphs.Graph],

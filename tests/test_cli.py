@@ -227,6 +227,20 @@ def test_refused_survey_leaves_out_file_as_it_was(capsys, tmp_path):
     assert report.read_text() == out
 
 
+def test_refused_survey_leaves_no_new_out_file(capsys, tmp_path):
+    # the checkpoint is refused after --out is opened: a file made for the
+    # report goes again, and an existing one keeps its bytes
+    report, old = tmp_path / "report.csv", b"an earlier report\n"
+    argv = ("survey", "--n", "5", "--matrix", "adjacency", "--mode", "codet-Z", "--workers", "1",
+            "--out", str(report), "--checkpoint", str(tmp_path / "nodir" / "keys.jsonl"))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and "error" in err
+    assert not report.exists()
+    report.write_bytes(old)
+    assert run_cli(capsys, *argv)[:2] == (2, "")
+    assert report.read_bytes() == old
+
+
 def test_survey_refuses_one_file_for_out_and_checkpoint(capsys, tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("no key may be computed")

@@ -41,6 +41,7 @@ from detideals.survey import (
 )
 
 KINDS = MATRIX_KINDS
+CODET = ("codet-Q", "codet-Z")
 
 
 # ---------------------------------------------------------------------------
@@ -179,75 +180,55 @@ def test_survey_checkpoint(tmp_path, corpus5):
     assert rec["key_digest_input"].startswith("snf:")
 
 
-@pytest.mark.parametrize("kind, modes, workers, written", [
-    *(pytest.param(kind, [mode], workers, [mode], id=f"{kind}-{mode}-{workers}")
+@pytest.mark.parametrize("kind, modes, workers", [
+    *(pytest.param(kind, [mode], workers, id=f"{kind}-{mode}-{workers}")
       for kind, mode, workers in [("bogus", "cospectral", 2), ("adjacency", "bogus", 2),
                                   *(("adjacency", "cospectral", workers)
                                     for workers in (0, -5, 2.5, "2", True))]),
-    # run_surveys only: no mode, an unknown or a repeated one, a stray checkpoint
-    pytest.param("adjacency", [], 2, [], id="no-mode"),
-    pytest.param("adjacency", ["cospectral", "bogus"], 2, ["cospectral"], id="unknown-mode"),
-    pytest.param("adjacency", ["codet-Q", "cospectral", "codet-Q"], 2, ["cospectral", "codet-Q"],
-                 id="repeated-mode"),
-    pytest.param("adjacency", ["cospectral"], 2, ["cospectral", "codet-Z"],
-                 id="checkpoint-of-a-mode-not-run"),
+    # run_surveys only: no mode, an unknown or a repeated one
+    pytest.param("adjacency", [], 2, id="no-mode"),
+    pytest.param("adjacency", ["cospectral", "bogus"], 2, id="unknown-mode"),
+    pytest.param("adjacency", ["codet-Q", "cospectral", "codet-Q"], 2, id="repeated-mode"),
 ])
 def test_refused_survey_opens_no_checkpoint_and_no_pool(monkeypatch, tmp_path, corpus5,
-                                                        kind, modes, workers, written):
-    paths = {mode: tmp_path / f"keys.{mode}.jsonl" for mode in written}
-    run_survey(corpus5, "adjacency", "coinvariant", workers=1,
-               checkpoint_path=str(tmp_path / "keys.jsonl"))
-    before = (tmp_path / "keys.jsonl").read_bytes()
-    for path in paths.values():
-        path.write_bytes(before)
+                                                        kind, modes, workers):
+    path = tmp_path / "keys.jsonl"
+    run_survey(corpus5, "adjacency", "coinvariant", workers=1, checkpoint_path=str(path))
+    before = path.read_bytes()
 
     def refuse(*args, **kwargs):
         raise AssertionError("a pool was started")
 
+    survey._close_pool()  # else a pool left by an earlier test would be reused unseen
     monkeypatch.setattr(survey, "_WorkerPool", refuse)
     with pytest.raises(InputError):
-        run_surveys(corpus5, kind, modes, workers=workers,
-                    checkpoint_paths={mode: str(path) for mode, path in paths.items()})
-    assert all(path.read_bytes() == before for path in paths.values())
-    if len(modes) == 1 and written == modes:  # one mode, with its checkpoint
-        (mode,), (path,) = modes, paths.values()
+        run_surveys(corpus5, kind, modes, workers=workers)
+    if len(modes) == 1:  # one mode, with its checkpoint
         with pytest.raises(InputError):
-            run_survey(corpus5, kind, mode, workers=workers, checkpoint_path=str(path))
+            run_survey(corpus5, kind, modes[0], workers=workers, checkpoint_path=str(path))
         assert path.read_bytes() == before
         with pytest.raises(InputError):
-            verify_determined_by(corpus5, corpus5[0], kind, mode, workers=workers)
+            verify_determined_by(corpus5, corpus5[0], kind, modes[0], workers=workers)
 
 
-def test_two_modes_refuse_one_checkpoint_file(monkeypatch, tmp_path, corpus5):
-    # the same path, another spelling of it and a hard link name one file;
-    # an existing file keeps its bytes and no pool starts
+@pytest.mark.parametrize("mode", CODET)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_unopenable_checkpoint_fails_before_any_key(monkeypatch, tmp_path, corpus5, mode,
+                                                    workers):
+    # the checkpoint is opened before stage 1 and before any pool starts
     def refuse(*args, **kwargs):
-        raise AssertionError("a pool was started")
+        raise AssertionError("a key was computed or a pool was started")
 
+    survey._close_pool()
+    monkeypatch.setattr(survey, "_stage1_keys", refuse)
     monkeypatch.setattr(survey, "_WorkerPool", refuse)
-    path = tmp_path / "keys.jsonl"
-    old = b"an earlier checkpoint\n"
-    path.write_bytes(old)
-    (tmp_path / "sub").mkdir()
-    os.link(path, tmp_path / "link.jsonl")
-    for other in (path, tmp_path / "sub" / ".." / "keys.jsonl", tmp_path / "link.jsonl"):
-        with pytest.raises(InputError, match="same checkpoint file"):
-            run_surveys(corpus5, "laplacian", ["cospectral", "coinvariant"], workers=2,
-                        checkpoint_paths={"cospectral": str(path), "coinvariant": str(other)})
-        assert path.read_bytes() == old
-    # a path to no file yet is refused too, and not made
-    with pytest.raises(InputError, match="same checkpoint file"):
-        run_surveys(corpus5, "laplacian", ["cospectral", "codet-Z"], workers=2,
-                    checkpoint_paths={"cospectral": str(tmp_path / "new.jsonl"),
-                                      "codet-Z": str(tmp_path / "sub" / ".." / "new.jsonl")})
-    assert not (tmp_path / "new.jsonl").exists()
+    with pytest.raises(FileNotFoundError):
+        run_survey(corpus5, "laplacian", mode, workers=workers,
+                   checkpoint_path=str(tmp_path / "nodir" / "keys.jsonl"))
 
 
 # ---------------------------------------------------------------------------
 # the codet prefilter
-
-
-CODET = ("codet-Q", "codet-Z")
 
 
 def _real_report(corpus, kind, mode):
@@ -334,18 +315,11 @@ def test_checkpoint_holds_real_keys_and_prefixed_prefilter_keys(tmp_path, corpus
     assert forms == {True, False}
 
 
-def _surveyed_bytes(tmp_path, corpus, kind, modes, workers, together):
-    """The JSON report and checkpoint bytes of each of `modes`, from one
-    `run_surveys` call or from one `run_survey` call per mode."""
-    paths = {mode: tmp_path / f"keys.{mode}.{workers}.{together}.jsonl" for mode in modes}
-    if together:
-        reports = run_surveys(corpus, kind, modes, workers=workers,
-                              checkpoint_paths={mode: str(paths[mode]) for mode in modes})
-    else:
-        reports = [run_survey(corpus, kind, mode, workers=workers, checkpoint_path=str(paths[mode]))
-                   for mode in modes]
-    assert [report.mode for report in reports] == list(modes)
-    return [(json.dumps(report.to_json()), paths[report.mode].read_bytes()) for report in reports]
+def _surveyed_bytes(tmp_path, corpus, kind, mode, workers):
+    """The JSON report and checkpoint bytes of a one-mode survey."""
+    path = tmp_path / f"keys.{mode}.{workers}.jsonl"
+    report = run_survey(corpus, kind, mode, workers=workers, checkpoint_path=str(path))
+    return json.dumps(report.to_json()), path.read_bytes()
 
 
 @pytest.mark.parametrize("kind, modes", [
@@ -355,16 +329,19 @@ def _surveyed_bytes(tmp_path, corpus, kind, modes, workers, together):
     pytest.param("laplacian", MODES, id="laplacian-one-survey-against-four"),
 ])
 def test_prefiltered_survey_serial_and_pooled_same_bytes(tmp_path, corpus6, mates7, kind, modes):
-    # one survey of all four modes against four one-mode surveys too, on
-    # corpus6 and on the n = 7 laplacian mates
+    # with four modes, the reports of one run_surveys call against four
+    # one-mode surveys too, on corpus6 and on the n = 7 laplacian mates
     corpora = [corpus6] if len(modes) == 1 else [corpus6, mates7[kind]]
     for corpus in corpora:
         out = {}
         for workers in (1, 2):
-            out[workers] = _surveyed_bytes(tmp_path, corpus, kind, modes, workers, True)
+            out[workers] = [_surveyed_bytes(tmp_path, corpus, kind, mode, workers)
+                            for mode in modes]
             if len(modes) > 1:
-                assert out[workers] == _surveyed_bytes(tmp_path, corpus, kind, modes, workers,
-                                                       False)
+                together = run_surveys(corpus, kind, modes, workers=workers)
+                assert [report.mode for report in together] == list(modes)
+                assert [json.dumps(report.to_json()) for report in together] == [
+                    report for report, _ in out[workers]]
         assert out[1] == out[2]
 
 
@@ -573,6 +550,29 @@ def test_pooled_process_exits_cleanly_and_reaps_its_workers():
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+SPAWN_DEFAULT_SCRIPT = """
+import multiprocessing
+from detideals import smith, survey
+from detideals.graphs import enumerate_connected
+
+multiprocessing.set_start_method("spawn")
+# every graph gets the characteristic polynomial of the zero matrix: a worker
+# that sees this patch finds all 21 graphs cospectral, a fresh import none
+survey.char_poly = lambda m: smith.char_poly([[0] * len(m) for _ in m])
+print(survey.run_survey(enumerate_connected(5), "adjacency", "cospectral", workers=2).with_mate)
+"""
+
+
+def test_pool_forks_whatever_the_default_start_method():
+    # the default on Linux is forkserver from Python 3.14; the workers must
+    # still see module state as of the pool's start
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    out = subprocess.run([sys.executable, "-c", SPAWN_DEFAULT_SCRIPT],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                         timeout=120)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "21\n", "")
 
 
 KILLED_PARENT_SCRIPT = """

@@ -4,10 +4,16 @@ snf_integer takes off one entry p of least absolute value at a time (the
 first +-1, if there is one), after division steps (each reduces p's whole
 column, or else its row, mod p) make p divide its row and column, by the
 Schur step it shares with _peel_units (_pivot_out: A ~ p + S), then makes
-the diagonal a divisibility chain in one gcd/lcm sweep.
-deltas_q takes a symmetric integer matrix M (every graph matrix here): such an
-M is diagonalisable, so the Delta_k of x*I - M over Q[x] follow from the
-characteristic polynomial alone, Delta_{k-1} being gcd(Delta_k, Delta_k').
+the diagonal a divisibility chain in one gcd/lcm sweep.  The Schur step
+deletes the pivot column in place from each row it does not reduce, so
+snf_integer works on a copy of its matrix and _peel_units consumes the rows
+it is given.
+For a symmetric M (every graph matrix here), which is diagonalisable, the
+Delta_k of x*I - M over Q[x] follow from the characteristic polynomial
+alone, Delta_{k-1} being gcd(Delta_k, Delta_k'): delta_chain is that chain,
+the one in the package; deltas_q checks that M is square, integer and
+symmetric and runs it on char_poly(M), and a codet-Q survey runs it on the
+characteristic polynomial of its stage-1 key.
 snf_poly_q turns them into the invariant factors of x*I - M.  delta_bruteforce
 recomputes every Delta_k as a gcd over all k-minors and is the independent
 oracle both are tested against.  minor_tables is the package's one Laplace
@@ -158,14 +164,15 @@ def _pivot_out(rows: list[list[int]], i: int, j: int):
     its entry p = rows[i][j], which must divide its column:
     A_{-i,-j} - A_{-i,j} * A_{i,-j} / p, by row operations that clear column
     j.  If p also divides its row, column operations clear row i, so
-    A ~ p + S (direct sum).  The row lists left in `rows` are new."""
+    A ~ p + S (direct sum).  A reduced row is a new list; every other row
+    list loses its entry j in place."""
     pivot_row = rows.pop(i)
     p = pivot_row[j]
     for a, row in enumerate(rows):
         c = row[j] // p
         if c:
-            row = [v - c * w for v, w in zip(row, pivot_row)]
-        rows[a] = row[:j] + row[j + 1:]
+            row = rows[a] = [v - c * w for v, w in zip(row, pivot_row)]
+        del row[j]
 
 
 def _least_entry(rows: list[list[int]]) -> tuple[int, int] | None:
@@ -232,25 +239,31 @@ def snf_integer(matrix: Sequence[Sequence[int]]) -> SnfResult:
 # SNF over Q[x]
 
 
-def deltas_q(matrix: Sequence[Sequence[int]]) -> tuple[UniPoly, ...]:
-    """Monic Delta_1..Delta_n of x*I - M over Q[x], M a symmetric integer matrix.
+def delta_chain(charpoly: UniPoly) -> tuple[UniPoly, ...]:
+    """Monic Delta_1..Delta_n of x*I - M over Q[x] from its determinant
+    `charpoly` = det(x*I - M), monic of degree n, M a symmetric matrix.
 
     A symmetric M is diagonalisable, so every invariant factor is squarefree:
     the eigenvalue lambda of multiplicity m divides exactly the last m factors
     once each.  Hence Delta_n = det(x*I - M) and Delta_{k-1} = gcd(Delta_k,
     Delta_k'), each step down in k lowering every multiplicity by one.
-    ValueError unless M is square and symmetric.
     """
-    m = _int_matrix(matrix)
-    n = len(m)
-    if not _symmetric(m):
-        raise ValueError("M is not symmetric")
-    delta = char_poly(m).to_q()
+    delta = charpoly.to_q()
     deltas = []
-    for _ in range(n):
+    for _ in range(charpoly.degree):
         deltas.append(delta)
         delta = gcd_poly_q(delta, delta.derivative())
     return tuple(reversed(deltas))
+
+
+def deltas_q(matrix: Sequence[Sequence[int]]) -> tuple[UniPoly, ...]:
+    """Monic Delta_1..Delta_n of x*I - M over Q[x], M a symmetric integer
+    matrix: the `delta_chain` of its characteristic polynomial.  ValueError
+    unless M is square and symmetric."""
+    m = _int_matrix(matrix)
+    if not _symmetric(m):
+        raise ValueError("M is not symmetric")
+    return delta_chain(char_poly(m))
 
 
 def snf_poly_q(matrix: Sequence[Sequence[int]]) -> SnfResult:
@@ -375,7 +388,7 @@ def _peel_units(rows: list[list[int]]) -> tuple[int, list[list[int]]]:
     Every entry of S is +- an (r+1)-minor of A and every k-minor of S +- a
     (k+r)-minor of A, so the packing's digit bound still holds: a packed +-1
     is the polynomial +-1, and the minors of S decode like those of A.  The
-    list `rows` is reused for S; its row lists are not modified.
+    list `rows` and its row lists are consumed: S is built in them.
     """
     r = 0
     while rows:

@@ -15,7 +15,11 @@ prefilter keys, so a graph alone in its prefilter class has no codet mate,
 and the buckets, `with_mate` and `total` are those of the real keys:
 
 * codet-Q: the prefilter key is the characteristic polynomial.  The codet-Q
-  key holds Delta_n of x*I - M, which is det(x*I - M).
+  key holds Delta_n of x*I - M, which is det(x*I - M).  For a symmetric M
+  every Delta_k follows from det(x*I - M) alone (`smith.delta_chain`), so
+  stage 2 reads a survivor's codet-Q key off its stage-1 key
+  (`_codet_q_key`) and builds no second matrix or characteristic
+  polynomial.
 * codet-Z: the characteristic polynomial again (I_n is generated by it), and
   SNF(M), the coinvariant key.  Evaluation at x = 0 is a ring map that sends
   I_k onto (Delta_k(-M)), and SNF(-M) = SNF(M), so equal Z[x] ideals give
@@ -63,9 +67,9 @@ from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from . import graphs
 from .grobner import QX, Ideal
-from .polyring import poly_str
+from .polyring import RING_Z, UniPoly, poly_str
 from .profiles import IdealProfile, determinantal_ideals, evaluate_profile, variety
-from .smith import char_poly, snf_integer
+from .smith import char_poly, delta_chain, snf_integer
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
@@ -128,6 +132,16 @@ def _stage1_keys(g: graphs.Graph, kind: str, modes: Sequence[str]) -> tuple[str,
     texts = {"cospectral": poly, "coinvariant": "snf:" + snf, "codet-Q": PREFILTER_PREFIX + poly,
              "codet-Z": PREFILTER_PREFIX + poly + ";snf@0:" + snf}
     return tuple(texts[mode] for mode in modes)
+
+
+def _codet_q_key(pre: str) -> str:
+    """The codet-Q key of a graph from its codet-Q stage-1 key
+    `prefilter:charpoly:c0,c1,...`: the `delta_chain` of that characteristic
+    polynomial, rendered as `invariant_key` renders the Delta_k it gets from
+    the matrix."""
+    coeffs = pre.rpartition(":")[2].split(",")
+    deltas = delta_chain(UniPoly([int(c) for c in coeffs], RING_Z))
+    return "deltaQ:" + ";".join(poly_str(d) for d in deltas)
 
 
 def invariant_key(g: graphs.Graph, kind: str, mode: str) -> str:
@@ -300,13 +314,13 @@ def _key_map(workers: int, count: int):
         _close_pool()
 
 
-def _prefiltered_keys(pre: Sequence[str], corpus: Sequence[graphs.Graph],
-                      keys: Callable[..., Iterator[str]], real: Callable) -> Iterator[str]:
-    """In input order, real(g) for every graph whose prefilter class in `pre`
-    has two or more members, and its prefilter key for every other graph;
-    each prefilter key is yielded as soon as the real key before it."""
+def _prefiltered_keys(pre: Sequence[str], items: Sequence, keys: Callable[..., Iterator[str]],
+                      real: Callable) -> Iterator[str]:
+    """In input order, real(items[i]) for every graph i whose prefilter class
+    in `pre` has two or more members, and its prefilter key for every other
+    graph; each prefilter key is yielded as soon as the real key before it."""
     survivors = {i for ids in _classes(pre).values() if len(ids) >= 2 for i in ids}
-    found = keys(real, [g for i, g in enumerate(corpus) if i in survivors])
+    found = keys(real, [x for i, x in enumerate(items) if i in survivors])
     for i, key in enumerate(pre):
         yield next(found) if i in survivors else key
 
@@ -404,9 +418,10 @@ def _surveys(corpus: Iterable[graphs.Graph], kind: str, modes: tuple[str, ...],
         found = _collect(keys(stage1, corpus), corpus, None if modes[0] in CODET else checkpoint)
         for j, mode in enumerate(modes):
             if mode in CODET:
-                real = functools.partial(invariant_key, kind=kind, mode=mode)
+                items, real = ((found[j], _codet_q_key) if mode == "codet-Q" else
+                               (corpus, functools.partial(invariant_key, kind=kind, mode=mode)))
                 # a pruned graph's prefilter key is alone in its class, so it joins no bucket
-                stream = _prefiltered_keys(found[j], corpus, keys, real)
+                stream = _prefiltered_keys(found[j], items, keys, real)
                 found[j] = _collect(zip(stream), corpus, checkpoint)[0]
     return [_report(n, kind, mode, corpus, found[j]) for j, mode in enumerate(modes)]
 

@@ -669,6 +669,31 @@ def test_peeling_a_unit_keeps_every_delta():
         assert smith._peel_units(rows) == (0, rows)
 
 
+def test_kernels_leave_the_callers_rows_unchanged():
+    # the Schur step deletes the pivot column in place from the rows it does
+    # not reduce: only the kernels' own copies may be touched, also of a
+    # matrix with one row list repeated
+    rnd = random.Random(47)
+    row = [0, 1, 1]
+    matrices = [[row, row, row], [row[:], [1, 0, 1], [1, 1, 0]], [[Fraction(2), 1], [1, 0]]]
+    for _ in range(60):
+        n = rnd.randint(1, 6)
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                m[i][j] = m[j][i] = rnd.choice((-1, 0, 1, 2, -3))
+        matrices.append(m)
+    for m in matrices:
+        before = [list(r) for r in m]
+        snf_integer(m)
+        char_poly(m)
+        char_minors(m, ZX_UNI)
+        char_minors(m, zmulti(len(m)))
+        if smith._symmetric(m):
+            deltas_q(m)
+        assert m == before
+
+
 @pytest.mark.parametrize("ring", [ZX_UNI, zmulti(3)])
 def test_char_minors_unit_level_is_one_without_decoding(monkeypatch, ring):
     # P_3 peels two -1 pivots: levels 1 and 2 are exactly [1] and nothing of

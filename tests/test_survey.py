@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from detideals import graphs, suites, survey
+from detideals import graphs, smith, suites, survey
 from detideals.graphs import (
     MATRIX_KINDS,
     DisconnectedGraphError,
@@ -347,14 +347,17 @@ def test_prefiltered_survey_serial_and_pooled_same_bytes(tmp_path, corpus6, mate
 
 @pytest.mark.parametrize("mode", CODET)
 def test_pruned_graphs_get_no_real_key(monkeypatch, corpus6, mates7, mode):
-    real = survey.determinantal_ideals
+    # stage 2 keys a codet-Q survivor from its stage-1 key, a codet-Z one
+    # from its graph
+    name = "_codet_q_key" if mode == "codet-Q" else "determinantal_ideals"
+    real = getattr(survey, name)
     keyed = []
 
-    def counting(g, kind, ring):
-        keyed.append(g)
-        return real(g, kind, ring)
+    def counting(item, *args):
+        keyed.append(item)
+        return real(item, *args)
 
-    monkeypatch.setattr(survey, "determinantal_ideals", counting)
+    monkeypatch.setattr(survey, name, counting)
     corpora = [(corpus6, "laplacian")]
     if mode == "codet-Z":
         corpora.append((mates7["distlap"], "distlap"))
@@ -362,7 +365,9 @@ def test_pruned_graphs_get_no_real_key(monkeypatch, corpus6, mates7, mode):
         keyed.clear()
         run_survey(corpus, kind, mode, workers=1)
         survivors = _survivors(corpus, kind, mode)
-        assert len(keyed) == len(survivors) and set(keyed) == survivors
+        if mode == "codet-Q":
+            survivors = [_stage1_keys(g, kind, [mode])[0] for g in survivors]
+        assert collections.Counter(keyed) == collections.Counter(survivors)
         assert len(survivors) < len(corpus)
 
 
@@ -434,6 +439,54 @@ def test_one_matrix_charpoly_and_snf_per_graph_and_kind(stage1_calls, corpus6):
     assert set(stage1_calls["build_matrix"]) == pairs
     for name in ("build_matrix", "char_poly", "snf_integer"):
         assert set(stage1_calls[name]) <= pairs and set(stage1_calls[name].values()) == {1}
+
+
+def test_codet_q_survey_makes_one_char_poly_per_graph(monkeypatch):
+    # stage 2 reads a survivor's codet-Q key off its stage-1 key, so the 115
+    # survivors of this survey cost no second characteristic polynomial
+    calls = []
+    real = smith.char_poly
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(survey, "char_poly", counting)
+    monkeypatch.setattr(smith, "char_poly", counting)
+    corpus = enumerate_connected(7)
+    report = run_survey(corpus, "laplacian", "codet-Q", workers=1)
+    assert len(calls) == len(corpus) == 853 and report.with_mate > 0
+
+
+def test_codet_q_stage2_keys_equal_invariant_key(tmp_path):
+    # every real key on a codet-Q checkpoint is the matrix route's key
+    path, checked = tmp_path / "codet-q.jsonl", 0
+    for n in range(1, 8):
+        corpus = enumerate_connected(n)
+        for kind in KINDS:
+            run_survey(corpus, kind, "codet-Q", workers=1, checkpoint_path=str(path))
+            for line in path.read_text().splitlines():
+                row = json.loads(line)
+                key = row["key_digest_input"]
+                if not key.startswith(PREFILTER_PREFIX):
+                    assert key == invariant_key(parse_graph6(row["graph"]), kind, "codet-Q")
+                    checked += 1
+    assert checked > 200  # 249 survivors in all
+
+
+def test_pooled_codet_q_stage2_runs_in_the_workers(pool_starts, monkeypatch, corpus6):
+    # the workers fork after the patch, so their calls do not reach `calls`
+    calls = []
+    real = survey.delta_chain
+
+    def recording(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(survey, "delta_chain", recording)
+    pooled = run_survey(corpus6, "adjacency", "codet-Q", workers=2)
+    assert pool_starts == [2] and not calls
+    assert pooled == run_survey(corpus6, "adjacency", "codet-Q", workers=1) and calls
 
 
 KILL_SCRIPT = """

@@ -18,8 +18,8 @@ and the buckets, `with_mate` and `total` are those of the real keys:
   key holds Delta_n of x*I - M, which is det(x*I - M).  For a symmetric M
   every Delta_k follows from det(x*I - M) alone (`smith.delta_chain`), so
   stage 2 reads a survivor's codet-Q key off its stage-1 key
-  (`_codet_q_key`) and builds no second matrix or characteristic
-  polynomial.
+  (`_codet_q_key`), once per prefilter class, and builds no second matrix
+  or characteristic polynomial.
 * codet-Z: the characteristic polynomial again (I_n is generated by it), and
   SNF(M), the coinvariant key.  Evaluation at x = 0 is a ring map that sends
   I_k onto (Delta_k(-M)), and SNF(-M) = SNF(M), so equal Z[x] ideals give
@@ -318,11 +318,18 @@ def _prefiltered_keys(pre: Sequence[str], items: Sequence, keys: Callable[..., I
                       real: Callable) -> Iterator[str]:
     """In input order, real(items[i]) for every graph i whose prefilter class
     in `pre` has two or more members, and its prefilter key for every other
-    graph; each prefilter key is yielded as soon as the real key before it."""
+    graph; each prefilter key is yielded as soon as the real key before it.
+    Equal items have equal real keys, so `real` runs once per distinct item
+    (once per class in codet-Q mode, whose items are the prefilter keys)."""
     survivors = {i for ids in _classes(pre).values() if len(ids) >= 2 for i in ids}
-    found = keys(real, [x for i, x in enumerate(items) if i in survivors])
+    found = keys(real, list(dict.fromkeys(x for i, x in enumerate(items) if i in survivors)))
+    real_keys: dict = {}
     for i, key in enumerate(pre):
-        yield next(found) if i in survivors else key
+        if i in survivors:
+            if items[i] not in real_keys:
+                real_keys[items[i]] = next(found)
+            key = real_keys[items[i]]
+        yield key
 
 
 def _collect(rows: Iterable[tuple[str, ...]], corpus: Sequence[graphs.Graph],

@@ -154,6 +154,8 @@ def test_gpoly_of_coprime_pair_is_essential():
     assert any(
         g.leading_term()[0] == (1, 1) for g in ideal.canonical_basis()
     ), "basis must cover the xy leading monomial"
+    gens = [grobner._terms(g) for g in ideal.gens]
+    assert strong_groebner(gens, 2) == _criterion_free(gens, 2)
 
 
 def test_spoly_of_coprime_monomial_pair_not_reducible():
@@ -170,8 +172,8 @@ def test_spoly_of_coprime_monomial_pair_not_reducible():
 
 
 class CriterionFree(StrongBasis):
-    """StrongBasis that forms every S-polynomial: the oracle of the chain and
-    coprime criteria and of the lattice path."""
+    """StrongBasis that forms every S-polynomial: the oracle of the chain
+    criterion and of the lattice path."""
 
     def _chained(self, lcm, l, i, j):
         return False
@@ -179,7 +181,7 @@ class CriterionFree(StrongBasis):
 
 def _criterion_free(gens, arity):
     """`strong_groebner` on the criterion-free StrongBasis: the same feed, no
-    chain or coprime criterion."""
+    chain criterion."""
     with mock.patch.object(grobner, "StrongBasis", CriterionFree):
         return strong_groebner(gens, arity)
 
@@ -197,59 +199,24 @@ def test_chain_criterion_hand_cases(gens, want):
     assert strong_groebner(gens, 1) == want == _criterion_free(gens, 1)
 
 
-def _reduce_pair_args(engine, gens, arity):
-    """The (lcm, i, j, ci, cj) of each pair reduction of engine(gens, arity),
-    and its basis."""
+def _reduce_pair_calls(engine, gens, arity):
     calls = []
     reduce_pair = StrongBasis._reduce_pair
 
-    def recording(basis, *args):
+    def counting(basis, *args):
         calls.append(args)
         return reduce_pair(basis, *args)
 
-    with mock.patch.object(StrongBasis, "_reduce_pair", recording):
+    with mock.patch.object(StrongBasis, "_reduce_pair", counting):
         basis = engine(gens, arity)
-    return calls, basis
-
-
-def _reduce_pair_calls(engine, gens, arity):
-    calls, basis = _reduce_pair_args(engine, gens, arity)
     return len(calls), basis
 
 
-def test_coprime_pair_skips_its_s_polynomial_not_its_g_polynomial():
-    # 2x+1 and 3y+1 have coprime leading monomials and coefficients: the
-    # S-polynomial 3y(2x+1) - 2x(3y+1) = (3y+1) - (2x+1) is skipped, and the
-    # G-polynomial x(3y+1) - y(2x+1) = xy+x-y is formed; the basis holds it,
-    # reduced by 3y+1
-    gens = [{(1, 0): 2, (0, 0): 1}, {(0, 1): 3, (0, 0): 1}]
-    chained, basis = _reduce_pair_args(strong_groebner, gens, 2)
-    free, oracle = _reduce_pair_args(_criterion_free, gens, 2)
-    assert basis == oracle
-
-    def first_pair(calls):
-        # the feed puts 3y+1 first, y being the smaller leading monomial
-        return [(ci, cj) for _, i, j, ci, cj in calls if (i, j) == (0, 1)]
-
-    s, g = first_pair(free)
-    assert 3 * s[0] == -2 * s[1] and 3 * g[0] + 2 * g[1] == 1
-    assert first_pair(chained) == [g]
-    assert {(1, 1): 1, (1, 0): 1, (0, 1): 2, (0, 0): 1} in basis
-    x, y = MultiPoly.variable(0, 2), MultiPoly.variable(1, 2)
-    assert Ideal(zmulti(2), [MultiPoly(2, g) for g in gens]).member(x * y + x - y)
-
-
-def test_a_principal_ideal_needs_no_engine():
+def test_a_principal_ideal_basis_is_its_generator():
     # every I_n is one determinant; its basis is that generator with a
     # positive leading coefficient, also when it comes with its negative
     gens = [{(1, 1): -2, (0, 0): 3}, {(1, 1): 2, (0, 0): -3}, {}]
-
-    def refused(packing):
-        raise AssertionError("a StrongBasis was built")
-
-    with mock.patch.object(grobner, "StrongBasis", refused):
-        assert strong_groebner(gens, 2) == [{(1, 1): 2, (0, 0): -3}]
-        assert strong_groebner(gens[:1], 2) == [{(1, 1): 2, (0, 0): -3}]
+    assert strong_groebner(gens, 2) == [{(1, 1): 2, (0, 0): -3}]
     assert strong_groebner(gens, 2) == _preset(2, gens[:1], 4)
     for g in enumerate_connected(6):
         top = [grobner._terms(p) for p in multivariate_ideals(g, "adjacency").ideals[-1].gens]

@@ -347,8 +347,8 @@ def test_prefiltered_survey_serial_and_pooled_same_bytes(tmp_path, corpus6, mate
 
 @pytest.mark.parametrize("mode", CODET)
 def test_pruned_graphs_get_no_real_key(monkeypatch, corpus6, mates7, mode):
-    # stage 2 keys a codet-Q survivor from its stage-1 key, a codet-Z one
-    # from its graph
+    # stage 2 keys a codet-Q survivor from its stage-1 key, once per
+    # prefilter class, and a codet-Z one from its graph
     name = "_codet_q_key" if mode == "codet-Q" else "determinantal_ideals"
     real = getattr(survey, name)
     keyed = []
@@ -366,7 +366,7 @@ def test_pruned_graphs_get_no_real_key(monkeypatch, corpus6, mates7, mode):
         run_survey(corpus, kind, mode, workers=1)
         survivors = _survivors(corpus, kind, mode)
         if mode == "codet-Q":
-            survivors = [_stage1_keys(g, kind, [mode])[0] for g in survivors]
+            survivors = {_stage1_keys(g, kind, [mode])[0] for g in survivors}
         assert collections.Counter(keyed) == collections.Counter(survivors)
         assert len(survivors) < len(corpus)
 

@@ -199,6 +199,9 @@ def _report_file(path: str):
 def _cmd_survey(args) -> int:
     if args.out and args.checkpoint and _same_file(args.out, args.checkpoint):
         raise graphs.InputError("--out and --checkpoint name the same file")
+    for flag, path in (("--out", args.out), ("--checkpoint", args.checkpoint)):
+        if args.input and args.input != "-" and path and _same_file(args.input, path):
+            raise graphs.InputError(f"--input and {flag} name the same file")
     if args.n is not None:
         corpus = graphs.enumerate_connected(args.n)
     elif args.input:
@@ -211,6 +214,13 @@ def _cmd_survey(args) -> int:
     with _report_file(args.out) if args.out else contextlib.nullcontext(sys.stdout) as fh:
         report = run_survey(corpus, args.matrix, args.mode, workers=args.workers,
                             checkpoint_path=args.checkpoint)
+        # two labellings of one graph share every key, so they meet in a bucket
+        for _, members in report.buckets if args.input else ():
+            forms: dict = {}
+            for g6 in members:
+                other = forms.setdefault(graphs.canonical_columns(graphs.parse_graph6(g6)), g6)
+                if other != g6:
+                    raise graphs.InputError(f"{other} and {g6} are one graph in two labellings")
         if args.output == "csv":
             text = CSV_HEADER + "\n" + report.csv_row() + "\n"
         elif args.output == "json":

@@ -54,6 +54,11 @@ generator (a principal minor is monic, and the minors left after its unit
 pivots almost always include one).  Buchberger still runs for Z[x]
 generator sets with no monic element and for every ideal of
 Z[x0..x_{m-1}], and is the oracle the lattice path is tested against.
+The lattice path stays: on a shared 2-vCPU host, routing every Z[x] ideal
+through `StrongBasis` made the n = 7 codet-Z keys 2.5-3x slower (distance:
+552 -> 1,785 ms) and `verify --suite tables --max-n 8 --workers 2` 6.8 ->
+8.7-9.0 s (`table1-n7`, with few codet-Z keys, within noise); feeding L's
+echelon rows to `StrongBasis.canonical` instead was 10-25% slower.
 """
 
 from __future__ import annotations
@@ -250,7 +255,9 @@ class StrongBasis:
     basis once and returns term dicts keyed by exponent tuples.  A normal
     form never goes above the monomials it starts from, so only a pair's lcm
     can outgrow the fields: `Packing.pack` then raises OverflowError, and the
-    basis is left unfinished (`strong_groebner` starts again in wider fields)."""
+    basis is left unfinished (`strong_groebner` starts again in wider fields).
+    A unit found in completion is minimalised like any other element: the
+    engine's one unit rule is the +-1 check of `strong_groebner`'s feed."""
 
     def __init__(self, packing: Packing):
         self.packing = packing
@@ -258,14 +265,11 @@ class StrongBasis:
         self._lms: list[tuple] = []  # the unpacked leading monomial of each element
         self._pairs: list = []
         self._pending: set = set()  # (i, j), i < j, of every pair in _pairs
-        self._unit = False
 
     def add(self, rec: tuple[dict, int, int]) -> bool:
         """Feed one generator, a `_record` packed in `packing`: append its
         nonzero normal form over the elements so far and queue its pairs,
         which `canonical` treats.  True iff it enlarged the basis."""
-        if self._unit:
-            return False
         r = _normal_form(rec[0], self.elems, self.packing.mask)
         if not r:
             return False
@@ -274,8 +278,6 @@ class StrongBasis:
 
     def _append(self, terms: dict):
         rec = _record(terms)
-        if not rec[1] and rec[2] == 1:
-            self._unit = True
         j = len(self.elems)
         lmj = self.packing.unpack(rec[1])
         pack = self.packing.pack
@@ -306,7 +308,7 @@ class StrongBasis:
         pairs treated (Moeller 1988).  A pair leans only on pairs that left the
         queue before it, so no two skips lean on each other.  The G-polynomial
         is formed whenever neither leading coefficient divides the other."""
-        while self._pairs and not self._unit:
+        while self._pairs:
             lcm, i, j = heappop(self._pairs)
             self._pending.remove((i, j))
             lci, lcj = self.elems[i][2], self.elems[j][2]
@@ -356,8 +358,6 @@ class StrongBasis:
         unique (Kandri-Rody & Kapur, J. Symbolic Comput. 1988; Lichtblau
         2012), so the others may be taken reduced or not."""
         self._complete()
-        if self._unit:
-            return [{(0,) * self.packing.arity: 1}]
         mask = self.packing.mask
         keep: list[tuple[dict, int, int]] = []
         for t, lm, lc in sorted(self.elems, key=_record_key):
@@ -373,11 +373,12 @@ def strong_groebner(gens: Iterable[dict], arity: int) -> list[dict]:
     """Canonical basis of the ideal of `gens`, exponent-tuple term dicts.  The
     engine sets its own feed: nonzero generators with positive leading
     coefficients, repeats up to sign dropped, in ascending `_record_key`, all
-    before the one completion.  A generator +-1 gives the unit basis at once,
-    before any packing.  The first packing is sized to the largest generator
-    degree; if a pair's lcm outgrows it, the run starts again in fields for
-    degrees up to twice the old `limit`.  Packing codes keep the monomial
-    order, so every run feeds and pairs in the same order."""
+    before the one completion.  A generator +-1 gives the unit basis before
+    any packing, the engine's one unit rule (it spares each [1] level of
+    `smith.char_minors` a `StrongBasis`).  The first packing is sized to the
+    largest generator degree; if a pair's lcm outgrows it, the run starts
+    again in fields for degrees up to twice the old `limit`.  Packing codes
+    keep the monomial order, so every run feeds and pairs in the same order."""
     gens = [g for g in gens if g]
     one = (0,) * arity
     if any(g == {one: 1} or g == {one: -1} for g in gens):
@@ -453,8 +454,6 @@ def _lattice_basis(gens: Sequence[UniPoly]) -> tuple[UniPoly, ...] | None:
     q = min(monic, key=lambda g: g.degree)
     p = [c * q.lc for c in q.coeffs]
     d = len(p) - 1
-    if not d:
-        return (UniPoly.const(1, RING_Z),)
 
     def mod_p(coeffs) -> list:
         c = list(coeffs) + [0] * (d - len(coeffs))

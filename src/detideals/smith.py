@@ -1,13 +1,13 @@
 """Smith normal forms over Z and Q[x], Delta_k oracles, cokernel groups.
 
-snf_integer takes off one entry p of least absolute value at a time (the
-first +-1, if there is one), after division steps (each reduces p's whole
-column, or else its row, mod p) make p divide its row and column, by the
-Schur step it shares with _peel_units (_pivot_out: A ~ p + S), then makes
-the diagonal a divisibility chain in one gcd/lcm sweep.  The Schur step
-deletes the pivot column in place from each row it does not reduce, so
-snf_integer works on a copy of its matrix and _peel_units consumes the rows
-it is given.
+One pivot rule, _least_entry (the first entry of least absolute value in
+row-major order), and one Schur step, _pivot_out (A ~ p + S for a pivot p
+dividing its row and column), serve snf_integer and _peel_units.
+snf_integer first makes each pivot divide its row and column by division
+steps (each reduces p's column, or else its row, mod p), and ends with one
+gcd/lcm sweep to a divisibility chain; _peel_units takes pivots while they
+are +-1.  _pivot_out deletes the pivot column in place from each row it does
+not reduce, so snf_integer copies its matrix and _peel_units consumes its rows.
 For a symmetric M (every graph matrix here), which is diagonalisable, the
 Delta_k of x*I - M over Q[x] follow from the characteristic polynomial
 alone, Delta_{k-1} being gcd(Delta_k, Delta_k'): delta_chain is that chain,
@@ -208,10 +208,7 @@ def snf_integer(matrix: Sequence[Sequence[int]]) -> SnfResult:
     rows = _int_matrix(matrix)
     n = len(rows)
     diag: list[int] = []
-    while rows:
-        best = _least_entry(rows)
-        if best is None:
-            break
+    while best := _least_entry(rows):
         i, j = best
         p = rows[i][j]
         while p != 1 and p != -1:
@@ -380,28 +377,18 @@ def _peel_units(rows: list[list[int]]) -> tuple[int, list[list[int]]]:
     of `packed_char_matrix`: (r, S) with S (n-r) x (n-r), I_k(A) = (1) for
     k <= r and I_{r+k}(A) = I_k(S) for k >= 1.
 
-    While an entry u = +-1 is left, take the one of least fill
-    (row nonzeros - 1) * (column nonzeros - 1), the first in row-major order
-    on a tie, and `_pivot_out` it: a unit divides its row and column, so
-    A ~ u + S and the determinantal ideals shift by one (Fitting ideals do
-    not depend on the presentation; Eisenbud, Commutative Algebra, 20.2).
-    Every entry of S is +- an (r+1)-minor of A and every k-minor of S +- a
-    (k+r)-minor of A, so the packing's digit bound still holds: a packed +-1
-    is the polynomial +-1, and the minors of S decode like those of A.  The
-    list `rows` and its row lists are consumed: S is built in them.
+    While `_least_entry` finds a +-1 (the first in row-major order, the pivot
+    `snf_integer` takes too), `_pivot_out` takes it off: a unit divides its
+    row and column, so A ~ u + S and the determinantal ideals shift by one
+    (Fitting ideals do not depend on the presentation; Eisenbud, Commutative
+    Algebra, 20.2).  Every entry of S is +- an (r+1)-minor of A and every
+    k-minor of S +- a (k+r)-minor of A, so the packing's digit bound still
+    holds: a packed +-1 is the polynomial +-1, and the minors of S decode
+    like those of A.  The rows given are consumed: S is built in them.
     """
     r = 0
-    while rows:
-        cols = [sum(1 for v in col if v) - 1 for col in zip(*rows)]
-        best = None
-        for i, row in enumerate(rows):
-            fill = sum(1 for v in row if v) - 1
-            for j, v in enumerate(row):
-                if (v == 1 or v == -1) and (best is None or fill * cols[j] < best[0]):
-                    best = (fill * cols[j], i, j)
-        if best is None:
-            break
-        _pivot_out(rows, best[1], best[2])
+    while (best := _least_entry(rows)) and rows[best[0]][best[1]] in (1, -1):
+        _pivot_out(rows, *best)
         r += 1
     return r, rows
 

@@ -402,12 +402,15 @@ def run_surveys(corpus: Iterable[graphs.Graph], kind: str, modes: Sequence[str],
     """The report of each of `modes` over `corpus`, in that order, from one
     stage-1 map for every mode and one stage-2 map per codet mode.  Each
     report has the bytes of a survey in that mode alone; a checkpoint belongs
-    to a one-mode survey (`run_survey`)."""
+    to a one-mode survey (`run_survey`).  The corpus must hold one graph per
+    isomorphism class, as the built-in ones do: two labellings of one graph
+    share every key and would be mates (`survey` checks `--input` corpora)."""
     return _surveys(corpus, kind, tuple(modes), workers, None)
 
 
 def run_survey(corpus: Iterable[graphs.Graph], kind: str, mode: str, workers: int | None = None,
                checkpoint_path: str | None = None) -> SurveyReport:
+    """`run_surveys` of one mode, with its checkpoint (same precondition)."""
     return _surveys(corpus, kind, (mode,), workers, checkpoint_path)[0]
 
 

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 
@@ -262,6 +263,35 @@ def test_survey_refuses_one_file_for_out_and_checkpoint(capsys, tmp_path, monkey
         code, out, err = run_cli(capsys, *argv, other)
         assert (code, out) == (2, "") and "same file" in err
         assert (tmp_path / "r.txt").read_bytes() == old
+    # nor may either name the --input corpus, which keeps its bytes
+    corpus = b"".join(g.encode() + b"\n" for g in ("DCw", "DEw", "D]w", "D^{", "D~{"))
+    (tmp_path / "in.g6").write_bytes(corpus)
+    os.link(tmp_path / "in.g6", tmp_path / "in-link.g6")
+    source = ("survey", "--input", "in.g6", "--matrix", "adjacency", "--mode", "codet-Z")
+    for flag in ("--out", "--checkpoint"):
+        for other in ("in.g6", str(tmp_path / "sub" / ".." / "in.g6"), "in-link.g6"):
+            code, out, err = run_cli(capsys, *source, flag, other)
+            assert (code, out) == (2, "") and f"--input and {flag} name the same file" in err
+            assert (tmp_path / "in.g6").read_bytes() == corpus
+    # --input - names no file: an --out named - is a file like any other
+    monkeypatch.setattr("sys.stdin", io.StringIO("Ch\n"))
+    with pytest.raises(AssertionError, match="no key may be computed"):
+        main(["survey", "--input", "-", "--matrix", "adjacency", "--mode", "cospectral",
+              "--out", "-"])
+    assert not (tmp_path / "-").exists()
+
+
+@pytest.mark.parametrize("mode", ["cospectral", "codet-Z"])
+def test_survey_refuses_two_labellings_of_one_graph(capsys, tmp_path, mode):
+    # Ch and Cd are P_4 in two labellings: they share every key, and would be
+    # counted as two graphs with a mate; K_4 (C~) has none
+    corpus = tmp_path / "p4.g6"
+    corpus.write_text("C~\nCh\nCd\n")
+    report = tmp_path / "report.csv"
+    code, out, err = run_cli(capsys, "survey", "--input", str(corpus), "--matrix", "adjacency",
+                             "--mode", mode, "--workers", "1", "--out", str(report))
+    assert (code, out) == (2, "") and "Ch and Cd are one graph in two labellings" in err
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("argv", [

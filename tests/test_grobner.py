@@ -199,6 +199,14 @@ def test_chain_criterion_hand_cases(gens, want):
     assert strong_groebner(gens, 1) == want == _criterion_free(gens, 1)
 
 
+def test_a_unit_found_in_completion_is_minimalised_like_any_element():
+    # 2x + 1 and 3x + 1 hold no +-1, so the feed's unit rule passes them on;
+    # the unit appears only as the S-polynomial 2x + 1 - 2 * x of the
+    # completion, and minimalisation keeps it alone
+    gens = [{(1,): 2, (0,): 1}, {(1,): 3, (0,): 1}]
+    assert strong_groebner(gens, 1) == [{(0,): 1}] == _criterion_free(gens, 1)
+
+
 def _reduce_pair_calls(engine, gens, arity):
     calls = []
     reduce_pair = StrongBasis._reduce_pair

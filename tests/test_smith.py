@@ -655,11 +655,12 @@ def test_peeling_a_unit_keeps_every_delta():
         assert not any(v in (1, -1) for row in s for v in row)
         for k in range(1, n + 1):
             assert delta_bruteforce(a, k) == (1 if k <= r else delta_bruteforce(s, k - r))
-    # one step by hand: the pivot of least fill is the -1 at (1, 2)
+    # one step by hand: the pivot is `_least_entry`'s, the first +-1 in
+    # row-major order, the 1 at (0, 1) (not the -1 at (1, 2))
     a = [[3, 1, 2], [0, 2, -1], [4, 5, 6]]
-    assert smith._peel_units(a) == (1, [[3, 5], [4, 17]])
-    # three units tie at fill 1: the first in row-major order, (0, 0), is
-    # taken ((0, 1) or (1, 0) would leave -2)
+    assert smith._peel_units(a) == (1, [[-6, -5], [-11, -4]])
+    # three units tie: the first in row-major order, (0, 0), is taken ((0, 1)
+    # or (1, 0) would leave -2)
     assert smith._peel_units([[1, 1], [1, 3]]) == (1, [[2]])
     # no unit entry: nothing is peeled, packed or not
     double = [[0, 2, 0], [2, 0, 2], [0, 2, 0]]

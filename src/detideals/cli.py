@@ -1,8 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 guard refusal.
-Exit 2 covers `graphs.InputError` (bad graph6, corpus, kind or size) and
-unreadable or unwritable files; any other exception is a fault and surfaces.
+Exit 2 comes from argparse for a malformed command (an unknown suite, no
+graph source or two of them, `--checkpoint -`), and from `main` for bad input:
+a `graphs.InputError` (bad graph6, corpus, kind or size, a bound that leaves a
+suite no check) or an unreadable or unwritable file. Exit 3 comes only from
+the Z[X] size guard of `multivariate_ideals`. Any other exception is a fault
+and surfaces. `--input -` reads stdin and `--out -` writes stdout.
 """
 
 from __future__ import annotations
@@ -23,12 +27,7 @@ from .profiles import (
 )
 from .smith import cokernel, snf_integer, snf_poly_q
 from .suites import SUITES, run_suite
-from .survey import (
-    CSV_HEADER,
-    LARGE_CORPUS_THRESHOLD,
-    MODES,
-    run_survey,
-)
+from .survey import CSV_HEADER, MODES, run_survey
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -48,6 +47,12 @@ def _identifier(text: str) -> str:
     return text
 
 
+def _file_not_stdout(text: str) -> str:
+    if text == "-":
+        raise argparse.ArgumentTypeError("expected a file, got - (stdout holds the report)")
+    return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="detideals",
@@ -60,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("ideals", help="determinantal ideal profile of one graph matrix")
-    source = p.add_mutually_exclusive_group()
+    source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("graph6", nargs="?", help="inline graph6 string")
     source.add_argument("--input", help="graph6 file, or - for stdin")
     p.add_argument("--matrix", choices=graphs.MATRIX_KINDS, default="adjacency")
@@ -73,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="override the multivariate size guard")
 
     p = sub.add_parser("snf", help="Smith normal form of a graph matrix")
-    source = p.add_mutually_exclusive_group()
+    source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("graph6", nargs="?", help="inline graph6 string")
     source.add_argument("--input", help="graph6 file, or - for stdin")
     p.add_argument("--matrix", choices=graphs.MATRIX_KINDS, default="adjacency")
@@ -81,20 +86,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", choices=("text", "json"), default="text")
 
     p = sub.add_parser("survey", help="classify a corpus by an invariant key")
-    source = p.add_mutually_exclusive_group()
+    source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--n", type=int, help="use the built-in connected-graph corpus")
     source.add_argument("--input", help="graph6 corpus file, or - for stdin")
     p.add_argument("--matrix", choices=graphs.MATRIX_KINDS, required=True)
     p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--output", choices=("csv", "json", "text"), default="csv")
-    p.add_argument("--out", help="write the report to this file instead of stdout")
+    p.add_argument("--out", help="write the report to this file, or - for stdout (the default)")
     p.add_argument("--workers", type=_positive_int, default=None)
-    p.add_argument("--allow-large", action="store_true",
-                   help="permit corpora at the n=9 scale")
-    p.add_argument("--checkpoint", help="write per-graph key records to this JSONL file")
+    p.add_argument("--checkpoint", type=_file_not_stdout,
+                   help="write per-graph key records to this JSONL file")
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("--suite", required=True)
+    p.add_argument("--suite", choices=sorted(SUITES), required=True)
     p.add_argument("--max-n", type=_positive_int, default=None)
     p.add_argument("--workers", type=_positive_int, default=None)
 
@@ -102,10 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_graphs(args) -> list[graphs.Graph]:
-    if getattr(args, "graph6", None):
+    if getattr(args, "graph6", None) is not None:
         return [graphs.parse_graph6(args.graph6)]
-    if not getattr(args, "input", None):
-        raise graphs.InputError("no graph input given (inline graph6 or --input)")
     try:
         if args.input == "-":
             corpus = list(graphs.read_graph6_lines(sys.stdin))
@@ -197,21 +199,14 @@ def _report_file(path: str):
 
 
 def _cmd_survey(args) -> int:
-    if args.out and args.checkpoint and _same_file(args.out, args.checkpoint):
+    out = None if args.out == "-" else args.out  # - is stdout, as for --input
+    if out and args.checkpoint and _same_file(out, args.checkpoint):
         raise graphs.InputError("--out and --checkpoint name the same file")
-    for flag, path in (("--out", args.out), ("--checkpoint", args.checkpoint)):
+    for flag, path in (("--out", out), ("--checkpoint", args.checkpoint)):
         if args.input and args.input != "-" and path and _same_file(args.input, path):
             raise graphs.InputError(f"--input and {flag} name the same file")
-    if args.n is not None:
-        corpus = graphs.enumerate_connected(args.n)
-    elif args.input:
-        corpus = _read_graphs(args)
-    else:
-        raise graphs.InputError("survey needs --n or --input")
-    if len(corpus) >= LARGE_CORPUS_THRESHOLD and not args.allow_large:
-        raise SizeGuardError(
-            f"corpus of {len(corpus)} graphs requires --allow-large")
-    with _report_file(args.out) if args.out else contextlib.nullcontext(sys.stdout) as fh:
+    corpus = graphs.enumerate_connected(args.n) if args.n is not None else _read_graphs(args)
+    with _report_file(out) if out else contextlib.nullcontext(sys.stdout) as fh:
         report = run_survey(corpus, args.matrix, args.mode, workers=args.workers,
                             checkpoint_path=args.checkpoint)
         # two labellings of one graph share every key, so they meet in a bucket
@@ -230,22 +225,16 @@ def _cmd_survey(args) -> int:
                     f"total={report.total} with_mate={report.with_mate}\n")
             for key, members in report.buckets:
                 text += f"  [{len(members)}] {' '.join(members)}\n"
-        if args.out:
+        if out:
             fh.truncate(0)
         fh.write(text)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    if args.suite not in SUITES:
-        print(f"unknown suite {args.suite!r}; available: {', '.join(sorted(SUITES))}",
-              file=sys.stderr)
-        return EXIT_INPUT_ERROR
     results = run_suite(args.suite, max_n=args.max_n, workers=args.workers)
     if not results:
-        print(f"error: suite {args.suite} ran no checks at --max-n {args.max_n}",
-              file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise graphs.InputError(f"suite {args.suite} ran no checks at --max-n {args.max_n}")
     ok = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"

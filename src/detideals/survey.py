@@ -77,8 +77,6 @@ if TYPE_CHECKING:
 MODES = ("cospectral", "coinvariant", "codet-Q", "codet-Z")
 CODET = ("codet-Q", "codet-Z")
 
-LARGE_CORPUS_THRESHOLD = 20000  # anything n >= 9 sized needs the explicit flag
-
 PREFILTER_PREFIX = "prefilter:"
 
 

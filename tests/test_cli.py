@@ -109,8 +109,16 @@ def test_ideals_bad_graph6_exit_2(capsys):
 
 
 def test_ideals_no_input(capsys):
-    code, _, err = run_cli(capsys, "ideals")
-    assert code == 2
+    # argparse refuses a command with no graph source
+    for command in ("ideals", "snf"):
+        code, out, err = run_cli(capsys, command)
+        assert (code, out) == (2, "") and "one of the arguments graph6 --input is required" in err
+
+
+def test_empty_inline_graph6_is_input_error(capsys):
+    # an empty inline string is a graph source, and bad graph6
+    code, out, err = run_cli(capsys, "snf", "")
+    assert (code, out) == (2, "") and "empty graph6 string" in err
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +182,14 @@ def test_survey_from_file(capsys, tmp_path, corpus5):
     assert out.splitlines()[1] == "5,laplacian,coinvariant,21,8"
 
 
-def test_survey_large_guard(capsys, tmp_path):
+def test_survey_large_corpus_reaches_corpus_validation(capsys, tmp_path):
+    # no corpus is too large to survey: 20,000 lines are checked like any corpus
     corpus = tmp_path / "big.g6"
     corpus.write_text("@\n" * 20000)
-    code, _, err = run_cli(capsys, "survey", "--input", str(corpus),
-                           "--matrix", "adjacency", "--mode", "cospectral")
-    assert code == 3 and "allow-large" in err
+    code, out, err = run_cli(capsys, "survey", "--input", str(corpus),
+                             "--matrix", "adjacency", "--mode", "cospectral")
+    assert (code, out) == (2, "") and "repeated graph in corpus: @" in err
+    assert "guard" not in err
 
 
 @pytest.mark.parametrize("option, value", [("--workers", "0"), ("--workers", "two")])
@@ -213,13 +223,14 @@ def test_refused_survey_leaves_out_file_as_it_was(capsys, tmp_path):
     report = tmp_path / "report.csv"
     old = b"an earlier report\nkept byte for byte\n" * 50
     report.write_bytes(old)
-    repeated, big = tmp_path / "dup.g6", tmp_path / "big.g6"
+    # refused while the keys are computed, and after the report is made
+    repeated, labellings = tmp_path / "dup.g6", tmp_path / "p4.g6"
     repeated.write_text("C~\nC~\n")
-    big.write_text("@\n" * 20000)
-    for corpus, want in ((repeated, 2), (big, 3)):
+    labellings.write_text("C~\nCh\nCd\n")
+    for corpus in (repeated, labellings):
         code, _, _ = run_cli(capsys, "survey", "--input", str(corpus), "--matrix", "adjacency",
                              "--mode", "cospectral", "--workers", "1", "--out", str(report))
-        assert code == want and report.read_bytes() == old
+        assert code == 2 and report.read_bytes() == old
     # a survey that runs replaces the whole file
     argv = ("survey", "--n", "5", "--matrix", "adjacency", "--mode", "cospectral",
             "--workers", "1")
@@ -273,7 +284,7 @@ def test_survey_refuses_one_file_for_out_and_checkpoint(capsys, tmp_path, monkey
             code, out, err = run_cli(capsys, *source, flag, other)
             assert (code, out) == (2, "") and f"--input and {flag} name the same file" in err
             assert (tmp_path / "in.g6").read_bytes() == corpus
-    # --input - names no file: an --out named - is a file like any other
+    # --input - and --out - name no file, so neither is refused
     monkeypatch.setattr("sys.stdin", io.StringIO("Ch\n"))
     with pytest.raises(AssertionError, match="no key may be computed"):
         main(["survey", "--input", "-", "--matrix", "adjacency", "--mode", "cospectral",
@@ -324,9 +335,38 @@ def test_library_value_error_is_not_an_input_error(monkeypatch):
 
 
 def test_survey_needs_input(capsys):
-    code, _, err = run_cli(capsys, "survey", "--matrix", "adjacency",
-                           "--mode", "cospectral")
-    assert code == 2
+    code, out, err = run_cli(capsys, "survey", "--matrix", "adjacency",
+                             "--mode", "cospectral")
+    assert (code, out) == (2, "") and "one of the arguments --n --input is required" in err
+
+
+def test_survey_out_dash_is_stdout(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ("survey", "--n", "5", "--matrix", "adjacency", "--mode", "codet-Z",
+            "--workers", "1", "--output", "text")
+    code, report, _ = run_cli(capsys, *argv)
+    assert code == 0 and report
+    # a checkpoint under another name for - is a file, and no file named - is made
+    code, out, err = run_cli(capsys, *argv, "--out", "-", "--checkpoint", "./-")
+    assert (code, out, err) == (0, report, "")
+    assert (tmp_path / "-").read_text().count("\n") == 21
+    (tmp_path / "-").unlink()
+    assert run_cli(capsys, *argv, "--out", "-")[:2] == (0, report)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_survey_refuses_checkpoint_on_stdout(capsys, tmp_path, monkeypatch):
+    # the key records would mix with the report; argparse refuses before any file is opened
+    def refuse(*args, **kwargs):
+        raise AssertionError("no key may be computed")
+
+    monkeypatch.setattr(cli, "run_survey", refuse)
+    monkeypatch.chdir(tmp_path)
+    for out in ((), ("--out", "r.csv"), ("--out", "-")):
+        code, stdout, err = run_cli(capsys, "survey", "--n", "4", "--matrix", "adjacency",
+                                    "--mode", "cospectral", "--checkpoint", "-", *out)
+        assert (code, stdout) == (2, "") and "argument --checkpoint" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_survey_refuses_both_n_and_input(capsys, tmp_path):
@@ -361,8 +401,8 @@ def test_verify_c4(capsys):
 
 
 def test_verify_unknown_suite(capsys):
-    code, _, err = run_cli(capsys, "verify", "--suite", "nope")
-    assert code == 2 and "unknown suite" in err
+    code, out, err = run_cli(capsys, "verify", "--suite", "nope")
+    assert (code, out) == (2, "") and "argument --suite: invalid choice: 'nope'" in err
 
 
 @pytest.mark.parametrize("suite, max_n", [("tables", "-1"), ("tables", "0"),
@@ -371,6 +411,11 @@ def test_verify_rejects_max_n_that_runs_no_check(capsys, suite, max_n):
     code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-n", max_n)
     assert code == 2 and "error" in err
     assert "all checks passed" not in out
+
+
+def test_verify_no_check_message(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "tables", "--max-n", "3")
+    assert (code, out, err) == (2, "", "error: suite tables ran no checks at --max-n 3\n")
 
 
 def test_verify_appendix_b(capsys):

@@ -338,7 +338,7 @@ def path_graph(n: int) -> Graph:
 # ---------------------------------------------------------------------------
 # canonical form and exhaustive enumeration
 
-MAX_GENERATED_N = 8
+MAX_GENERATED_N = 9
 
 
 def canonical_columns(g: Graph) -> tuple[int, ...]:
@@ -508,7 +508,8 @@ def _connected_cache(n: int) -> tuple[Graph, ...]:
 
 def enumerate_connected(n: int) -> tuple[Graph, ...]:
     """All connected graphs on n vertices, one canonical representative per
-    isomorphism class, in a deterministic order (built-in generator, n <= 8).
+    isomorphism class, in a deterministic order (built-in generator, n <= 9;
+    n = 9 gives 261,080 graphs and takes about a minute).
 
     The representatives are the connected members of `_all_columns(n)`, the
     lex-min strings of every graph on n vertices made by orderly generation,

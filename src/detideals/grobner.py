@@ -42,7 +42,10 @@ whole run.  From then on degrees grow only at a pair's lcm, which
 `Packing.pack` refuses with OverflowError once it would reach a guard bit;
 `strong_groebner` then starts again in wider fields.  `strong_groebner`
 alone sets the generators' signs and feed order; `Ideal` keeps them as
-given.
+given.  `StrongBasis.canonical` decodes each distinct code of its basis
+once, through `polyring.multilinear_exponent` when the monomial is
+multilinear (every term of a critical or distance ideal is), so a basis
+shares its exponent tuples with the minors that generate it.
 
 A Z[x] ideal with a monic generator p of degree D takes no Buchberger run:
 I = (p) + L with L = {f in I : deg f < D}, and L is a Z-lattice in Z^D
@@ -75,6 +78,7 @@ from .polyring import (
     UniPoly,
     divmod_poly,
     gcd_poly_q,
+    multilinear_exponent,
     poly_str,
 )
 
@@ -356,7 +360,9 @@ class StrongBasis:
         and so the order, and leaves each tail term c * X with 0 <= c < lc_g
         for every g with lm_g | X.  Such a remainder modulo a strong basis is
         unique (Kandri-Rody & Kapur, J. Symbolic Comput. 1988; Lichtblau
-        2012), so the others may be taken reduced or not."""
+        2012), so the others may be taken reduced or not.  Each distinct code
+        is decoded once, to the shared `polyring.multilinear_exponent` tuple
+        when the monomial is multilinear."""
         self._complete()
         mask = self.packing.mask
         keep: list[tuple[dict, int, int]] = []
@@ -365,8 +371,15 @@ class StrongBasis:
                 keep.append((t, lm, lc))
         for i, (t, lm, lc) in enumerate(keep):
             keep[i] = (_normal_form(t, keep[:i] + keep[i + 1:], mask), lm, lc)
-        unpack = self.packing.unpack
-        return [{unpack(m): c for m, c in t.items()} for t, _, _ in keep]
+        arity, unpack = self.packing.arity, self.packing.unpack
+        exponents: dict = {}  # packed code -> exponent tuple, decoded once
+        for t, _, _ in keep:
+            for m in t.keys() - exponents.keys():
+                e = unpack(m)
+                if max(e, default=0) <= 1:
+                    e = multilinear_exponent(arity, sum(x << i for i, x in enumerate(e)))
+                exponents[m] = e
+        return [{exponents[m]: c for m, c in t.items()} for t, _, _ in keep]
 
 
 def strong_groebner(gens: Iterable[dict], arity: int) -> list[dict]:
@@ -380,7 +393,7 @@ def strong_groebner(gens: Iterable[dict], arity: int) -> list[dict]:
     again in fields for degrees up to twice the old `limit`.  Packing codes
     keep the monomial order, so every run feeds and pairs in the same order."""
     gens = [g for g in gens if g]
-    one = (0,) * arity
+    one = multilinear_exponent(arity, 0)
     if any(g == {one: 1} or g == {one: -1} for g in gens):
         return [{one: 1}]
     degree = max((sum(e) for g in gens for e in g), default=0)

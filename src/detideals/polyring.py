@@ -4,6 +4,12 @@ Univariate polynomials are dense (degrees stay small here), multivariate
 polynomials are sparse dicts keyed by exponent tuples with integer
 coefficients.  All values are immutable after construction, so they can be
 shared freely between workers.
+
+Every minor of diag(x_0..x_{n-1}) - M is multilinear, so the Z[X] path keys
+its terms by the tuples of `multilinear_exponent`: one table per arity,
+indexed by subset mask and filled as masks are first asked for, so one
+monomial is one tuple object however many polynomials hold it.  Other
+exponent tuples are not interned.
 """
 
 from __future__ import annotations
@@ -327,6 +333,23 @@ def rational_roots(p: UniPoly) -> set[Fraction]:
 
 # ---------------------------------------------------------------------------
 # multivariate polynomials over Z
+
+
+_MULTILINEAR: dict[int, dict[int, tuple[int, ...]]] = {}  # arity -> mask -> exponents
+
+
+def multilinear_exponent(arity: int, mask: int) -> tuple[int, ...]:
+    """The exponent tuple of the multilinear monomial x_S of
+    Z[x0..x_{arity-1}] with mask(S) == mask (bit i is exponent i).
+
+    Each arity has one table, filled as masks are first asked for, so every
+    caller gets the same tuple object for one monomial and the table holds
+    only the monomials in use (at most 2^arity)."""
+    table = _MULTILINEAR.setdefault(arity, {})
+    e = table.get(mask)
+    if e is None:
+        e = table[mask] = tuple(mask >> i & 1 for i in range(arity))
+    return e
 
 
 def monomial_key(e: tuple[int, ...]) -> tuple:

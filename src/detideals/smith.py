@@ -23,7 +23,9 @@ expansion.  packed_char_matrix packs x*I - M (Z[x]) or diag(x_0..x_{n-1}) - M
 I_k(A) = I_{k-1}(S)), then expands the smaller S into the ideals'
 generators, leaving a level with a +-1 minor undecoded as just 1; char_poly
 eliminates the packed matrix by Bareiss, on a trailing block that shrinks by
-one row and column per step; both decode with unpack_minors.
+one row and column per step; both decode with unpack_minors, which keys
+each Z[X] term by the shared tuple of `polyring.multilinear_exponent` (the
+1 of a unit level too).
 _square, _int_matrix (with _all_int, which lets an all-int matrix skip the
 copy or the conversion) and _symmetric are the one square, integer and
 symmetry checks.
@@ -33,12 +35,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Sequence
 
 from .grobner import QX, ZX_UNI, Ideal, Ring
 from .polyring import (RING_Q, RING_Z, MultiPoly, UniPoly, divmod_poly, exact_int,
-                       gcd_int_many, gcd_poly_q, poly_str)
+                       gcd_int_many, gcd_poly_q, multilinear_exponent, poly_str)
 
 
 @dataclass(frozen=True)
@@ -351,11 +353,10 @@ def unpack_minors(values, shift: int, ring: Ring) -> list:
     """The minors packed in `values` (see `packed_char_matrix`): base-2^shift
     digit i of a value, taken in (-2^(shift-1), 2^(shift-1)), is the
     coefficient of x^i over Z[x] and of x_S with mask(S) == i over Z[X].
-    The Z[X] minors share one exponent tuple per monomial."""
+    The Z[X] minors key their terms by the tuples of
+    `polyring.multilinear_exponent`, one per monomial."""
     half, mask = 1 << (shift - 1), (1 << shift) - 1
     n = ring.arity
-    if ring.kind == "ZX":
-        monomials = [e[::-1] for e in product((0, 1), repeat=n)]
     out = []
     for value in values:
         coeffs = []
@@ -368,7 +369,8 @@ def unpack_minors(values, shift: int, ring: Ring) -> list:
         if ring.kind == "Zx":
             out.append(UniPoly(coeffs, RING_Z))
         else:
-            out.append(MultiPoly._trusted(n, {monomials[i]: c for i, c in enumerate(coeffs) if c}))
+            out.append(MultiPoly._trusted(n, {multilinear_exponent(n, i): c
+                                              for i, c in enumerate(coeffs) if c}))
     return out
 
 
@@ -409,7 +411,8 @@ def char_minors(matrix: Sequence[Sequence[int]], ring: Ring) -> list[list]:
     ones."""
     shift, rows = packed_char_matrix(matrix, ring)
     r, rows = _peel_units(rows)
-    one = UniPoly.const(1, RING_Z) if ring.kind == "Zx" else MultiPoly.const(1, ring.arity)
+    one = (UniPoly.const(1, RING_Z) if ring.kind == "Zx"
+           else MultiPoly._trusted(ring.arity, {multilinear_exponent(ring.arity, 0): 1}))
     out = [[one] for _ in range(r)]
     for level in minor_tables(rows).values():
         distinct = {abs(v) for v in level.values()}

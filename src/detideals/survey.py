@@ -29,10 +29,12 @@ and the buckets, `with_mate` and `total` are those of the real keys:
 Pooled keys run on one process-wide pool (`_key_map`), one map for stage 1
 and one per codet mode: the first pooled survey starts it, later ones with
 the same worker count reuse it, and one with another count terminates it
-and starts its own.  Its workers are
-forked, daemonic, when it starts, so they see module state (patched
-functions, caches) as of then, and multiprocessing terminates and reaps
-them at interpreter exit.  Terminating is the only way a pool stops.
+and starts its own.  `multiprocessing` is imported when the first pool
+starts, so a process that surveys serially or only builds profiles never
+loads it.  The workers are still forked, daemonic, when the pool starts,
+so they see module state (patched functions, caches) as of then, and
+multiprocessing terminates and reaps them at interpreter exit.
+Terminating is the only way a pool stops.
 The pool (`_WorkerPool`) runs no helper thread: each worker has its own
 pipe, a map sends each worker one task holding all of its chunks, and the
 surveying thread reads the keys back itself in input order.  An exception
@@ -58,7 +60,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
-import multiprocessing
 import os
 import pickle
 import signal
@@ -73,6 +74,7 @@ from .smith import char_poly, delta_chain, snf_integer
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
+    from multiprocessing.process import BaseProcess
 
 MODES = ("cospectral", "coinvariant", "codet-Q", "codet-Z")
 CODET = ("codet-Q", "codet-Z")
@@ -211,8 +213,10 @@ class _WorkerPool:
     multiprocessing's own exit handler, as every daemonic child is."""
 
     def __init__(self, size: int):
+        import multiprocessing  # loaded with the first pool, not with the package
+
         self.size = size
-        self.procs: list[multiprocessing.process.BaseProcess] = []
+        self.procs: list[BaseProcess] = []
         self.conns: list[Connection] = []
         self.busy = False  # a map has results left unread
         fork = multiprocessing.get_context("fork")

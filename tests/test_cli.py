@@ -33,7 +33,7 @@ def test_gen_single_vertex(capsys):
 
 
 def test_gen_out_of_range(capsys):
-    code, _, err = run_cli(capsys, "gen", "--n", "9")
+    code, _, err = run_cli(capsys, "gen", "--n", "10")
     assert code == 2 and "error" in err
 
 

@@ -672,4 +672,4 @@ def test_enumerate_connected_range():
     with pytest.raises(ValueError):
         enumerate_connected(0)
     with pytest.raises(ValueError):
-        enumerate_connected(9)
+        enumerate_connected(10)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detideals import grobner
+from detideals import grobner, polyring
 from detideals.graphs import (
     MATRIX_KINDS,
     Graph,
@@ -27,7 +27,8 @@ from detideals.grobner import (
     strong_groebner,
     zmulti,
 )
-from detideals.polyring import RING_Q, RING_Z, MultiPoly, UniPoly, gcd_poly_q, monomial_key
+from detideals.polyring import (RING_Q, RING_Z, MultiPoly, UniPoly, gcd_poly_q, monomial_key,
+                                multilinear_exponent)
 from detideals.profiles import determinantal_ideals, multivariate_ideals
 from detideals.survey import invariant_key
 
@@ -375,6 +376,39 @@ def test_engine_feed_ignores_generator_order_and_sign(case):
 
 def test_non_equal_ideals():
     assert not zx(X + zc(1)).equal(zx(zc(2), X + zc(1)))
+
+
+def _mask(e: tuple) -> int:
+    return sum(x << i for i, x in enumerate(e))
+
+
+def test_a_non_multilinear_basis_term_decodes_exactly():
+    # <n*m - 1, n - m> = <n - m, m^2 - 1>: the canonical basis has a square,
+    # which the multilinear table cannot hold; its key is decoded from the
+    # packing, and every multilinear key is the table's own tuple
+    basis = Ideal(NM, [N * M - ONE, N - M]).canonical_basis()
+    assert basis == (N - M, M * M - ONE)
+    keys = [e for p in basis for e in p.terms]
+    assert (0, 2) in keys
+    for e in keys:
+        if max(e) <= 1:
+            assert e is multilinear_exponent(2, _mask(e))
+    assert (0, 2) not in polyring._MULTILINEAR[2].values()
+
+
+def test_the_exponent_table_holds_only_the_monomials_in_use():
+    # a Z[X] ideal of 20 variables and few terms adds to the arity-20 table
+    # only masks of monomials its generators and basis hold, never the 2^20
+    # of a full table
+    arity = 20
+    x = [MultiPoly.variable(i, arity) for i in range(arity)]
+    before = set(polyring._MULTILINEAR.get(arity, {}))
+    ideal = Ideal(zmulti(arity), [x[0] * x[19] - x[3], x[5] * x[5] + MultiPoly.const(2, arity)])
+    basis = ideal.canonical_basis()
+    assert len(basis) == 2
+    used = {_mask(e) for p in ideal.gens + basis for e in p.terms if max(e) <= 1}
+    assert used == {1 | 1 << 19, 1 << 3, 0}
+    assert set(polyring._MULTILINEAR[arity]) - before <= used
 
 
 GUARD_SCRIPT = """

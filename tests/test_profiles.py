@@ -14,7 +14,7 @@ from detideals.graphs import (
     parse_graph6,
     star_graph,
 )
-from detideals.polyring import RING_Q, RING_Z, UniPoly
+from detideals.polyring import RING_Q, RING_Z, UniPoly, multilinear_exponent
 from detideals.profiles import (
     SizeGuardError,
     determinantal_ideals,
@@ -278,6 +278,21 @@ def test_inexact_division_raises_arithmetic_error(monkeypatch):
         polyring.squarefree_part(p)
     with pytest.raises(ArithmeticError):
         strip_rational_roots(p)
+
+
+def test_critical_profiles_share_one_exponent_tuple_per_monomial():
+    # every minor of diag(x) - M is multilinear, and so is every canonical
+    # basis element here: each key of a generator or basis element is the
+    # exponent table's own tuple, so a profile holds one tuple per monomial
+    corpus = enumerate_connected(5)
+    for g in (corpus[0], corpus[-1]):
+        profile = multivariate_ideals(g, "adjacency")
+        keys = [e for ideal in profile.ideals
+                for p in ideal.gens + ideal.canonical_basis() for e in p.terms]
+        assert len(keys) > len(set(keys))
+        for e in keys:
+            assert max(e) <= 1
+            assert e is multilinear_exponent(5, sum(x << i for i, x in enumerate(e)))
 
 
 def test_multivariate_size_guard():

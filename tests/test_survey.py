@@ -628,6 +628,30 @@ def test_pool_forks_whatever_the_default_start_method():
     assert (out.returncode, out.stdout, out.stderr) == (0, "21\n", "")
 
 
+SERIAL_SCRIPT = """
+import sys
+import detideals, detideals.cli
+from detideals.graphs import enumerate_connected
+
+corpus = enumerate_connected(5)
+serial = detideals.run_survey(corpus, "laplacian", "codet-Z", workers=1)
+print("multiprocessing" in sys.modules)
+print(detideals.run_survey(corpus, "laplacian", "codet-Z", workers=2) == serial)
+print("multiprocessing" in sys.modules)
+"""
+
+
+def test_multiprocessing_loads_with_the_first_pool():
+    # importing the package and the CLI and surveying serially never load
+    # multiprocessing; the first pooled survey does, and its report equals
+    # the serial one
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    out = subprocess.run([sys.executable, "-c", SERIAL_SCRIPT],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                         timeout=120)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "False\nTrue\nTrue\n", "")
+
+
 KILLED_PARENT_SCRIPT = """
 import functools, time
 from detideals import survey

@@ -23,10 +23,10 @@ Run it on two checkouts and diff the two files.  It covers:
 * the `cross_check` reports for n = 2..6 and every kind;
 * `verify --max-n 6` of every suite except `tables`;
 * `gen --n N` for N = 1..8 (the built-in connected-graph corpora);
-* `_connected_cache(9)`, the n = 9 corpus beyond the reach of `gen`, as the
+* `_connected_cache(9)`, the n = 9 corpus that `gen --n 9` prints, as the
   SHA-256 of its newline-joined graph6 strings;
 * `write_graph6(canonical_graph(g))` over 500 seeded random connected graphs
-  with n = 9 and 500 with n = 10, beyond the reach of `gen`;
+  with n = 9 and 500 with n = 10, drawn at random rather than enumerated;
 * `write_graph6` over 496 seeded random graphs, eight for each n = 1..62,
   connected or not, in the random labelling they were drawn in (not the
   canonical one), and the adjacency rows `parse_graph6` decodes from those

@@ -42,10 +42,20 @@ whole run.  From then on degrees grow only at a pair's lcm, which
 `Packing.pack` refuses with OverflowError once it would reach a guard bit;
 `strong_groebner` then starts again in wider fields.  `strong_groebner`
 alone sets the generators' signs and feed order; `Ideal` keeps them as
-given.  `StrongBasis.canonical` decodes each distinct code of its basis
-once, through `polyring.multilinear_exponent` when the monomial is
-multilinear (every term of a critical or distance ideal is), so a basis
+given, minus zeros.  `StrongBasis.canonical` decodes each distinct code of
+its basis once, through `polyring.multilinear_exponent` when the monomial
+is multilinear (every term of a critical or distance ideal is), so a basis
 shares its exponent tuples with the minors that generate it.
+
+The engine has one feed rule: a single nonzero generator g is its own
+canonical basis, sign made positive, and no `Packing` is built for it.
+Every element h*g of (g) has leading term lt(h)*lt(g), which lt(g) divides,
+so {g} is a strong basis, and one element is minimal and reduced.  This
+covers every [1] level and every principal level of `smith.char_minors`
+(I_n = (det(diag(x) - M)) among them), which never puts +-1 beside another
+generator.  A +-1 among other generators (user ideals only) is fed first,
+every other generator reduces to zero over it in `StrongBasis.add`, and the
+unit basis comes out of the ordinary completion.
 
 A Z[x] ideal with a monic generator p of degree D takes no Buchberger run:
 I = (p) + L with L = {f in I : deg f < D}, and L is a Z-lattice in Z^D
@@ -78,6 +88,7 @@ from .polyring import (
     UniPoly,
     divmod_poly,
     gcd_poly_q,
+    monomial_key,
     multilinear_exponent,
     poly_str,
 )
@@ -260,8 +271,10 @@ class StrongBasis:
     form never goes above the monomials it starts from, so only a pair's lcm
     can outgrow the fields: `Packing.pack` then raises OverflowError, and the
     basis is left unfinished (`strong_groebner` starts again in wider fields).
-    A unit found in completion is minimalised like any other element: the
-    engine's one unit rule is the +-1 check of `strong_groebner`'s feed."""
+    A unit, fed or found in completion, is minimalised like any other
+    element, and a repeated generator reduces to zero in `add`.  The one
+    feed rule, a single generator g as its own basis (every multiple h*g
+    has leading term lt(h)*lt(g)), spares a principal ideal this class."""
 
     def __init__(self, packing: Packing):
         self.packing = packing
@@ -384,29 +397,28 @@ class StrongBasis:
 
 def strong_groebner(gens: Iterable[dict], arity: int) -> list[dict]:
     """Canonical basis of the ideal of `gens`, exponent-tuple term dicts.  The
-    engine sets its own feed: nonzero generators with positive leading
-    coefficients, repeats up to sign dropped, in ascending `_record_key`, all
-    before the one completion.  A generator +-1 gives the unit basis before
-    any packing, the engine's one unit rule (it spares each [1] level of
-    `smith.char_minors` a `StrongBasis`).  The first packing is sized to the
-    largest generator degree; if a pair's lcm outgrows it, the run starts
-    again in fields for degrees up to twice the old `limit`.  Packing codes
-    keep the monomial order, so every run feeds and pairs in the same order."""
+    engine sets its own feed, in one rule: a single nonzero generator is
+    returned with a positive leading coefficient (under
+    `polyring.monomial_key`, the order of `Packing`) before any packing,
+    since every multiple h*g has leading term lt(h)*lt(g), so {g} is already
+    the minimal reduced strong basis.  Otherwise every nonzero generator,
+    leading coefficient made positive, is fed in ascending `_record_key`
+    before the one completion; a repeat reduces to zero in `add`.  The first
+    packing is sized to the largest generator degree; if a pair's lcm
+    outgrows it, the run starts again in fields for degrees up to twice the
+    old `limit`.  Packing codes keep the monomial order, so every run feeds
+    and pairs in the same order."""
     gens = [g for g in gens if g]
-    one = multilinear_exponent(arity, 0)
-    if any(g == {one: 1} or g == {one: -1} for g in gens):
-        return [{one: 1}]
+    if len(gens) == 1:
+        (g,) = gens
+        return [g if g[max(g, key=monomial_key)] > 0 else {e: -c for e, c in g.items()}]
     degree = max((sum(e) for g in gens for e in g), default=0)
     while True:
         packing = Packing(arity, degree)
-        feed: dict = {}
-        for g in gens:
-            rec = _record(packing.pack_terms(g))
-            feed.setdefault(_record_key(rec), rec)
         basis = StrongBasis(packing)
         try:
-            for key in sorted(feed):
-                basis.add(feed[key])
+            for rec in sorted((_record(packing.pack_terms(g)) for g in gens), key=_record_key):
+                basis.add(rec)
             return basis.canonical()
         except OverflowError:
             degree = packing.limit
@@ -510,10 +522,11 @@ def _lattice_basis(gens: Sequence[UniPoly]) -> tuple[UniPoly, ...] | None:
 
 
 def _terms(p) -> dict:
-    """Term dict (exponent tuple -> coefficient) of a UniPoly or MultiPoly."""
+    """Term dict (exponent tuple -> coefficient) of a UniPoly or MultiPoly;
+    a MultiPoly's own, which no caller mutates."""
     if isinstance(p, UniPoly):
         return {(i,): c for i, c in enumerate(p.coeffs) if c}
-    return dict(p.terms)
+    return p.terms
 
 
 def _lives_in(ring: Ring, p) -> bool:
@@ -529,8 +542,11 @@ class Ideal:
     """An ideal with a ring tag and a canonical basis for exact comparison.
 
     `gens` holds the generators as given (over Q[x] with Q coefficients),
-    minus zeros and exact repeats, in the order given; their signs and feed
-    order are the engine's business (`strong_groebner`, `_lattice_basis`).
+    minus zeros, in the order given; their signs, repeats and feed order are
+    the engine's business (`strong_groebner`, `_lattice_basis`).  One
+    nonzero generator g over Z[x0..x_{m-1}], or over Z[x] with no monic
+    generator, is its own canonical basis up to sign: every multiple h*g has
+    leading term lt(h)*lt(g).
     """
 
     __slots__ = ("ring", "gens", "_basis")
@@ -542,7 +558,7 @@ class Ideal:
         if ring.kind == "Qx":
             gens = tuple(g.to_q() for g in gens)
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "gens", tuple(dict.fromkeys(g for g in gens if not g.is_zero())))
+        object.__setattr__(self, "gens", tuple(g for g in gens if not g.is_zero()))
         object.__setattr__(self, "_basis", None)
 
     def __setattr__(self, name, value):  # pragma: no cover

@@ -8,8 +8,10 @@ the packed matrix (every edge gives one), so the first levels are just 1 and
 the rest are the distinct minors of the smaller Schur complement (just 1 for
 a level with a +-1 minor, which is then never decoded).  The Q[x] ideals are
 generated by the Delta_k of `smith.deltas_q`.  A Z[X] ideal's basis comes
-from `grobner.strong_groebner`, which packs each generator once, feeds them
-all to the chain-criterion `StrongBasis` and then completes it once.
+from `grobner.strong_groebner`: a single generator (every [1] level, and
+every principal level such as I_n) is its own basis; otherwise it packs each
+generator once, feeds them all to the chain-criterion `StrongBasis` and then
+completes it once.
 """
 
 from __future__ import annotations

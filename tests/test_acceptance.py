@@ -15,10 +15,8 @@ from detideals.graphs import (
     MATRIX_KINDS,
     build_matrix,
     char_matrix,
-    complete_graph,
     enumerate_connected,
     read_graph6_lines,
-    star_graph,
     write_graph6,
 )
 from detideals.profiles import (
@@ -30,7 +28,7 @@ from detideals.profiles import (
 )
 from detideals.smith import delta_bruteforce, snf_integer, snf_poly_q
 from detideals.suites import TABLE1, TABLE2, TABLE3, run_suite
-from detideals.survey import default_workers, run_survey, verify_determined_by
+from detideals.survey import default_workers, run_survey
 
 KINDS = MATRIX_KINDS
 
@@ -139,17 +137,21 @@ def test_criterion_10_symbolic_bipartite():
         _assert_suite(run_suite("symbolic-bipartite"))
 
 
-def test_criterion_11_determined_by(corpus8):
+def test_criterion_11_determined_by():
     workers = default_workers()
     with criterion(11, "K_n and K_{1,n-1} unique by distlap SNF, K_n by laplacian SNF, "
-                       "n=4..8", "<10min"):
-        for n in range(4, 9):
-            corpus = enumerate_connected(n)
-            kn = complete_graph(n)
-            star = star_graph(n)
-            assert verify_determined_by(corpus, kn, "distlap", "coinvariant", workers=workers)
-            assert verify_determined_by(corpus, star, "distlap", "coinvariant", workers=workers)
-            assert verify_determined_by(corpus, kn, "laplacian", "coinvariant", workers=workers)
+                       "SNF of F(K_n), n=4..8", "<10min"):
+        complete = run_suite("determined-complete", max_n=8, workers=workers)
+        star = run_suite("determined-star", max_n=8, workers=workers)
+        assert (len(complete), len(star)) == (3 * 5, 5)
+        _assert_suite(complete + star)
+
+
+def test_fig1_critical_ideal_has_a_quadratic_generator():
+    # the Fig. 1 graph: I_4 holds x5^2 - x5 - 1 and equals its listed basis
+    results = run_suite("fig1-critical")
+    assert len(results) == 2
+    _assert_suite(results)
 
 
 def test_criterion_12_property_suites():

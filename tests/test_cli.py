@@ -170,6 +170,16 @@ def test_survey_json_n6_codet_q(capsys):
     assert len(doc["buckets"]) == 1 and len(doc["buckets"][0]["graphs"]) == 2
 
 
+def test_survey_text_prints_each_bucket(capsys):
+    argv = ("survey", "--n", "6", "--matrix", "adjacency", "--mode", "codet-Q", "--workers", "1")
+    code, out, _ = run_cli(capsys, *argv, "--output", "text")
+    assert code == 0
+    doc = json.loads(run_cli(capsys, *argv, "--output", "json")[1])
+    assert out.splitlines() == ["n=6 matrix=adjacency mode=codet-Q total=112 with_mate=2"] + [
+        f"  [{len(b['graphs'])}] {' '.join(b['graphs'])}" for b in doc["buckets"]]
+    assert len(doc["buckets"]) == 1
+
+
 def test_survey_from_file(capsys, tmp_path, corpus5):
     from detideals.graphs import write_graph6
 

@@ -201,9 +201,9 @@ def test_chain_criterion_hand_cases(gens, want):
 
 
 def test_a_unit_found_in_completion_is_minimalised_like_any_element():
-    # 2x + 1 and 3x + 1 hold no +-1, so the feed's unit rule passes them on;
-    # the unit appears only as the S-polynomial 2x + 1 - 2 * x of the
-    # completion, and minimalisation keeps it alone
+    # 2x + 1 and 3x + 1 hold no +-1; the unit appears only as the
+    # S-polynomial 2x + 1 - 2 * x of the completion, and minimalisation
+    # keeps it alone
     gens = [{(1,): 2, (0,): 1}, {(1,): 3, (0,): 1}]
     assert strong_groebner(gens, 1) == [{(0,): 1}] == _criterion_free(gens, 1)
 
@@ -341,10 +341,10 @@ def test_qx_canonical_basis_is_monic_gcd(gens):
 
 
 def test_ideal_keeps_its_generators_as_given():
-    # zeros and exact repeats go; order and signs are left to the engine
+    # zeros go; repeats, order and signs are left to the engine
     gens = (X + zc(1), zc(0), zc(-2), -X - zc(1), zc(-2), X + zc(1))
-    assert zx(*gens).gens == (X + zc(1), zc(-2), -X - zc(1))
-    assert Ideal(NM, [M, MultiPoly.zero(2), -N, M]).gens == (M, -N)
+    assert zx(*gens).gens == (X + zc(1), zc(-2), -X - zc(1), zc(-2), X + zc(1))
+    assert Ideal(NM, [M, MultiPoly.zero(2), -N, M]).gens == (M, -N, M)
     assert zx(zc(0)).gens == ()
 
 
@@ -367,11 +367,21 @@ def _feed(gens):
     st.lists(st.booleans(), min_size=len(gens), max_size=len(gens)))))
 @settings(deadline=None, max_examples=60)
 def test_engine_feed_ignores_generator_order_and_sign(case):
-    # the engine sets sign and order itself, so the same feed reaches
-    # StrongBasis; a repeat up to sign is dropped
+    # the engine sets sign and order itself, so generators that are the same
+    # up to sign and order, one repeat included, reach StrongBasis alike
     gens, shuffled, negate = case
     moved = [-g if flip else g for g, flip in zip(shuffled, negate)]
-    assert _feed(moved + [-moved[0]]) == _feed(gens)
+    assert _feed(moved + [-moved[0]]) == _feed(gens + [shuffled[0]])
+
+
+def test_a_repeat_is_fed_and_reduces_to_zero():
+    # a generator with its negation is two feeds, the second reducing to
+    # zero in add; the generator alone is a one-generator feed and never
+    # reaches StrongBasis
+    g = N * M - ONE
+    fed, basis = _feed([g, -g])
+    assert len(fed) == 2 and fed[0] == fed[1]
+    assert _feed([g]) == ([], basis)
 
 
 def test_non_equal_ideals():
@@ -424,6 +434,15 @@ try:
 except AssertionError:
     print("guard")
 """
+
+
+def test_uniqueness_guard_fires_on_a_non_canonical_basis():
+    # <x0, x1> given the strong basis (x1, x0 + x1), not reduced: the same
+    # ideal, membership holds both ways, and the lists differ
+    a, b = Ideal(NM, [N, M]), Ideal(NM, [M, N])
+    object.__setattr__(b, "_basis", (M, N + M))
+    with pytest.raises(AssertionError, match="uniqueness violated"):
+        a.equal(b)
 
 
 def test_uniqueness_guard_runs_without_assertions():
@@ -765,17 +784,53 @@ def test_strong_groebner_packs_each_generator_once():
     assert got == _preset(2, gens, 1000)
 
 
+def _refuse_packing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a one-generator feed must not be packed")
+
+    monkeypatch.setattr(grobner, "Packing", refuse)
+
+
 @pytest.mark.parametrize("arity, gens", [
-    (1, [{(2,): 3, (0,): 1}, {(0,): -1}]),
-    (2, [{(1, 1): 2, (0, 1): -1}, {(0, 0): 1}, {(40, 0): 7}]),
+    (1, [{(0,): -1}]),
+    (2, [{(0, 0): 1}]),
     (3, [{(0, 0, 0): -1}]),
 ])
 def test_unit_generator_gives_the_unit_basis_before_packing(monkeypatch, arity, gens):
-    want = _preset(arity, gens, 40)
-    assert want == [{(0,) * arity: 1}]
+    # +-1 alone is a one-generator feed; beside other generators it is fed
+    # like any other, and the completion keeps it alone
+    unit = [{(0,) * arity: 1}]
+    others = [{(2,) + (0,) * (arity - 1): 3, (0,) * arity: 1}, {(1,) * arity: -2}]
+    assert strong_groebner(others + gens, arity) == unit == _preset(arity, gens + others, 40)
+    assert _preset(arity, gens, 40) == unit
+    _refuse_packing(monkeypatch)
+    assert strong_groebner([{}] + gens + [{}], arity) == unit
 
-    def refuse(*args):
-        raise AssertionError("a unit generator must not be packed")
 
-    monkeypatch.setattr(grobner, "Packing", refuse)
-    assert strong_groebner(gens, arity) == want
+@pytest.mark.parametrize("arity, g", [
+    # a negative leading coefficient
+    (2, {(1, 1): -2, (0, 1): 1, (0, 0): 3}),
+    # non-multilinear: x1^2 leads x0 in degrevlex, x0*x1 leads x2^2
+    (2, {(0, 2): -1, (1, 0): 5}),
+    (3, {(0, 0, 2): 3, (1, 1, 0): -1}),
+    (1, {(3,): 2, (0,): -5}),
+])
+def test_a_single_generator_is_its_own_basis_before_packing(monkeypatch, arity, g):
+    want = _preset(arity, [g], 40)
+    assert len(want) == 1 and want[0] in (g, {e: -c for e, c in g.items()})
+    _refuse_packing(monkeypatch)
+    assert strong_groebner([{}, g], arity) == want
+
+
+z3_polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), st.integers(-4, 4).filter(bool),
+                           min_size=1, max_size=4)
+
+
+@given(z3_polys)
+@settings(deadline=None, max_examples=60)
+def test_one_feed_rule_equals_the_criterion_free_basis(g):
+    # one generator over Z[x0..x2] of either sign, squares allowed, and the
+    # same generator fed three times with mixed signs
+    neg = {e: -c for e, c in g.items()}
+    for gens in ([g], [neg], [g, neg, g]):
+        assert strong_groebner(gens, 3) == _preset(3, gens, 6)

@@ -87,7 +87,7 @@ from .polyring import (
     MultiPoly,
     UniPoly,
     divmod_poly,
-    gcd_poly_q,
+    gcd_poly_q_many,
     monomial_key,
     multilinear_exponent,
     poly_str,
@@ -571,15 +571,8 @@ class Ideal:
             return self._basis
         ring = self.ring
         if ring.kind == "Qx":
-            if not self.gens:
-                basis: tuple = ()
-            else:
-                g = self.gens[0]
-                for h in self.gens[1:]:
-                    if g.is_constant():
-                        break
-                    g = gcd_poly_q(g, h)
-                basis = (g.monic(),)
+            g = gcd_poly_q_many(self.gens)
+            basis = () if g.is_zero() else (g,)
         elif ring.kind == "Zx":
             basis = _lattice_basis(self.gens)
             if basis is None:

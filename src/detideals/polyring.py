@@ -209,8 +209,9 @@ class UniPoly:
 
 
 def divmod_poly(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
-    """Long division a = q*b + r with deg r < deg b; coefficients over Q."""
-    if b.is_zero():
+    """Long division a = q*b + r with deg r < deg b; coefficients over Q.
+    ZeroDivisionError for a zero divisor of any type (the int 0 too)."""
+    if b.is_zero() if isinstance(b, UniPoly) else b == 0:
         raise ZeroDivisionError("polynomial division by zero")
     a = a.to_q()
     b = b.to_q()
@@ -269,6 +270,19 @@ def gcd_poly_q(a: UniPoly, b: UniPoly) -> UniPoly:
                 r.pop()
         a, b = b, _primitive(r)
     return UniPoly(a, RING_Q).monic()
+
+
+def gcd_poly_q_many(values: Iterable[UniPoly]) -> UniPoly:
+    """Monic gcd over Q[x] of the nonzero polynomials in `values`, the zero
+    polynomial if there is none.  It reads no further once the gcd is a
+    nonzero constant: no later polynomial can change its monic form, 1."""
+    g = None
+    for p in values:
+        if not p.is_zero():
+            g = p if g is None else gcd_poly_q(g, p)
+            if g.is_constant():
+                break
+    return UniPoly.zero(RING_Q) if g is None else g.to_q().monic()
 
 
 def squarefree_part(p: UniPoly) -> UniPoly:

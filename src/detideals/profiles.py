@@ -32,7 +32,7 @@ from .polyring import (
     rational_roots,
     squarefree_part,
 )
-from .smith import char_minors, deltas_q, minor_tables
+from .smith import char_minors, deltas_q, laplace_walk
 
 MULTIVARIATE_GUARD = 6
 
@@ -84,8 +84,10 @@ class VarietyDescription:
 
 
 def minors_k(matrix: Sequence[Sequence], k: int) -> list:
-    """All C(n,k)^2 k-minors (duplicates and zeros retained)."""
-    return list(minor_tables(matrix, k)[k].values())
+    """All C(n,k)^2 k-minors (duplicates and zeros retained), row sets and
+    then column sets in `combinations` order: level k of `smith.laplace_walk`
+    alone, which enters only row sets that can grow to k rows."""
+    return [det for _, level in laplace_walk(matrix, k, k) for det in level.values()]
 
 
 # ---------------------------------------------------------------------------

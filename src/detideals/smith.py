@@ -16,8 +16,11 @@ symmetric and runs it on char_poly(M), and a codet-Q survey runs it on the
 characteristic polynomial of its stage-1 key.
 snf_poly_q turns them into the invariant factors of x*I - M.  delta_bruteforce
 recomputes every Delta_k as a gcd over all k-minors and is the independent
-oracle both are tested against.  minor_tables is the package's one Laplace
-expansion.  packed_char_matrix packs x*I - M (Z[x]) or diag(x_0..x_{n-1}) - M
+oracle both are tested against.  laplace_walk is the package's one Laplace
+expansion, a depth-first walk over row sets that holds one {column mask:
+minor} vector per depth; minor_tables is its table view, and
+delta_bruteforce folds the gcd of level k as the walk yields it, holding no
+level.  packed_char_matrix packs x*I - M (Z[x]) or diag(x_0..x_{n-1}) - M
 (Z[X]) into ints.  char_minors first peels unit pivots off it
 (_peel_units: _pivot_out on an entry u = +-1 gives A ~ u + S, so
 I_k(A) = I_{k-1}(S)), then expands the smaller S into the ideals'
@@ -38,9 +41,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .grobner import QX, ZX_UNI, Ideal, Ring
+from .grobner import ZX_UNI, Ring
 from .polyring import (RING_Q, RING_Z, MultiPoly, UniPoly, divmod_poly, exact_int,
-                       gcd_int_many, gcd_poly_q, multilinear_exponent, poly_str)
+                       gcd_int_many, gcd_poly_q, gcd_poly_q_many, multilinear_exponent,
+                       poly_str)
 
 
 @dataclass(frozen=True)
@@ -278,43 +282,71 @@ def snf_poly_q(matrix: Sequence[Sequence[int]]) -> SnfResult:
 # minors, the brute-force Delta_k oracle and characteristic polynomials
 
 
-def minor_tables(matrix: Sequence[Sequence], max_k: int | None = None) -> dict:
-    """All k x k subdeterminants for k = 1..max_k, memoized Laplace expansion.
+def laplace_walk(matrix: Sequence[Sequence], low: int, k: int):
+    """The package's one Laplace expansion: a depth-first walk over row sets.
 
     Works for any entry type supporting +, -, * (int, Fraction, UniPoly,
-    MultiPoly).  Each k-minor is expanded along its first row, over the
-    (k-1)-minors of the level below; a falsy (zero int or Fraction) entry is
-    skipped.  Returns {k: {(row mask, column mask): det}}, bit i of a mask
-    standing for row or column i.  This is the one expansion in the package:
-    `char_minors` runs it on packed integers, `delta_bruteforce` and
-    `profiles.minors_k` on the matrix they are given, which must be square.
+    MultiPoly) on a square matrix.  Yields (row mask, {column mask: minor})
+    for every row set R of low..k rows, bit i of a mask standing for row or
+    column i: the |R|-minors on R, column sets in `combinations` order.  A
+    child of R adds a row r above R's last one and is expanded along r, its
+    last row, over the vector of R; a falsy (zero int or Fraction) entry is
+    skipped.  Children come in increasing r, so the row sets of each size
+    come out in `combinations` order, and only row sets that can still grow
+    to `low` rows are entered.  The walk holds one vector per depth, at most
+    2^n entries in all.  ValueError unless the matrix is square and
+    1 <= low <= k <= n, raised by the call, before the walk starts.
     """
     n = _square(matrix)
-    if max_k is None:
-        max_k = n
-    if not 1 <= max_k <= n:
+    if not 1 <= low <= k <= n:
         raise ValueError("k out of range")
     zero = matrix[0][0] - matrix[0][0]
-    level = {(1 << i, 1 << j): matrix[i][j] for i in range(n) for j in range(n)}
-    tables = {1: level}
-    for k in range(2, max_k + 1):
-        subsets = [(sum(1 << i for i in s), s) for s in combinations(range(n), k)]
-        prev, level = level, {}
-        for rmask, rows in subsets:
-            r0 = rows[0]
-            rest = rmask ^ (1 << r0)
-            row = matrix[r0]
-            for cmask, cols in subsets:
-                acc = zero
-                odd = False
-                for col in cols:
-                    e = row[col]
-                    if e:
-                        term = e * prev[rest, cmask ^ (1 << col)]
-                        acc = acc - term if odd else acc + term
-                    odd = not odd
-                level[rmask, cmask] = acc
-        tables[k] = level
+    bits = [1 << c for c in range(n)]
+    subsets = {d: [(sum(map(bits.__getitem__, cols)), cols) for cols in combinations(range(n), d)]
+               for d in range(2, k + 1)}
+
+    def grow(rmask: int, depth: int, minors: dict):
+        if depth >= low:
+            yield rmask, minors
+        if depth == k:
+            return
+        # a child whose last row is r can reach `low` rows iff r < stop;
+        # r sits at position `depth` of the child, so the entry in its t-th
+        # column has the sign (-1)^(depth + t)
+        stop = n - max(low - depth - 1, 0)
+        first_odd = depth % 2 == 1
+        for r in range(rmask.bit_length(), stop):
+            row = matrix[r]
+            if not depth:
+                child = dict(zip(bits, row))
+            else:
+                child = {}
+                for cmask, cols in subsets[depth + 1]:
+                    acc = zero
+                    odd = first_odd
+                    for col in cols:
+                        e = row[col]
+                        if e:
+                            term = e * minors[cmask ^ (1 << col)]
+                            acc = acc - term if odd else acc + term
+                        odd = not odd
+                    child[cmask] = acc
+            yield from grow(rmask | 1 << r, depth + 1, child)
+
+    return grow(0, 0, {})
+
+
+def minor_tables(matrix: Sequence[Sequence], max_k: int | None = None) -> dict:
+    """All k x k subdeterminants for k = 1..max_k (default n), the table
+    view of `laplace_walk`: {k: {(row mask, column mask): det}}, row sets
+    and then column sets in `combinations` order, every level held at once.
+    `char_minors` reads it on packed integers; `delta_bruteforce` and
+    `profiles.minors_k`, which need level k only, read the walk itself."""
+    if max_k is None:
+        max_k = len(matrix)
+    tables = {k: {} for k in range(1, max_k + 1)}
+    for rmask, minors in laplace_walk(matrix, 1, max_k):
+        tables[rmask.bit_count()].update({(rmask, c): det for c, det in minors.items()})
     return tables
 
 
@@ -425,16 +457,13 @@ def delta_bruteforce(matrix: Sequence[Sequence], k: int):
     """gcd of all k-minors, computed directly (the SNF oracle).
 
     Integer matrices give the nonnegative gcd; Q[x] matrices give the monic
-    gcd (zero if every minor vanishes).
+    gcd (zero if every minor vanishes).  The gcd is folded as `laplace_walk`
+    yields level k, which is never held: over Z the walk stops once the gcd
+    is 1 (`gcd_int_many`), over Q[x] once it is a constant
+    (`gcd_poly_q_many`, the fold of `Ideal`'s Q[x] basis too).
     """
-    n = len(matrix)
-    if not 1 <= k <= n:
-        raise ValueError("k out of range")
-    minors = list(minor_tables(matrix, k)[k].values())
-    if isinstance(minors[0], UniPoly):
-        basis = Ideal(QX, minors).canonical_basis()
-        return basis[0] if basis else UniPoly.zero(RING_Q)
-    return gcd_int_many(minors)
+    minors = (det for _, level in laplace_walk(matrix, k, k) for det in level.values())
+    return gcd_poly_q_many(minors) if isinstance(matrix[0][0], UniPoly) else gcd_int_many(minors)
 
 
 def char_poly(matrix: Sequence[Sequence[int]]) -> UniPoly:

@@ -1,5 +1,7 @@
 """Each public entry point refuses bad input with the error it documents."""
 
+from fractions import Fraction
+
 import pytest
 
 from detideals.graphs import InputError, build_matrix, cycle_graph
@@ -20,6 +22,9 @@ REFUSALS = {
     "negative power": (ValueError, "negative exponent", lambda: X ** -1),
     "division by zero": (ZeroDivisionError, "division by zero",
                          lambda: divmod_poly(X, UniPoly.zero(RING_Z))),
+    "division by the int 0": (ZeroDivisionError, "division by zero", lambda: divmod_poly(X, 0)),
+    "division by Fraction(0)": (ZeroDivisionError, "division by zero",
+                                lambda: divmod_poly(X, Fraction(0))),
     "exponent arity": (ValueError, "arity mismatch", lambda: MultiPoly(2, {(1,): 1})),
     "generator ring": (RingMismatchError, "tagged ring",
                        lambda: Ideal(ZX_UNI, [MultiPoly.variable(0, 1)])),

@@ -1,8 +1,10 @@
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
-from itertools import permutations
+from functools import reduce
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,7 +25,7 @@ from detideals.graphs import (
 )
 from detideals import smith
 from detideals.grobner import QX, ZX_UNI, Ideal, zmulti
-from detideals.polyring import RING_Q, RING_Z, MultiPoly, UniPoly
+from detideals.polyring import RING_Q, RING_Z, MultiPoly, UniPoly, gcd_poly_q
 from detideals.profiles import minors_k
 from detideals.smith import (
     GroupDescription,
@@ -516,6 +518,140 @@ def test_minor_tables_is_laplace_consistent():
         for g in enumerate_connected(n):
             for kind in KINDS:
                 _assert_minors_are_determinants(build_matrix(g, kind))
+
+
+def _level_tables(matrix, max_k=None):
+    """The level-table expansion that `laplace_walk` replaced, kept frozen as
+    its oracle: every level 1..max_k is held at once, and each k-minor is
+    expanded along its first row over the (k-1)-minors of the level below."""
+    n = len(matrix)
+    max_k = n if max_k is None else max_k
+    zero = matrix[0][0] - matrix[0][0]
+    level = {(1 << i, 1 << j): matrix[i][j] for i in range(n) for j in range(n)}
+    tables = {1: level}
+    for k in range(2, max_k + 1):
+        subsets = [(sum(1 << i for i in s), s) for s in combinations(range(n), k)]
+        prev, level = level, {}
+        for rmask, rows in subsets:
+            r0 = rows[0]
+            rest = rmask ^ (1 << r0)
+            row = matrix[r0]
+            for cmask, cols in subsets:
+                acc = zero
+                odd = False
+                for col in cols:
+                    e = row[col]
+                    if e:
+                        term = e * prev[rest, cmask ^ (1 << col)]
+                        acc = acc - term if odd else acc + term
+                    odd = not odd
+                level[rmask, cmask] = acc
+        tables[k] = level
+    return tables
+
+
+def _sparse_square(rnd, n):
+    """An n x n integer matrix with entries in [-9, 9], about half of them 0;
+    one in three gets a zero row and one in three a zero column."""
+    m = [[rnd.randint(-9, 9) if rnd.random() < 0.5 else 0 for _ in range(n)] for _ in range(n)]
+    if rnd.random() < 1 / 3:
+        m[rnd.randrange(n)] = [0] * n
+    if rnd.random() < 1 / 3:
+        j = rnd.randrange(n)
+        for row in m:
+            row[j] = 0
+    return m
+
+
+def _walk_cases():
+    rnd = random.Random(35)
+    cases = [_sparse_square(rnd, n) for n in range(1, 9) for _ in range(40 if n < 7 else 4)]
+    cases.append(char_matrix(cycle_graph(5), "distlap"))
+    cases.append(_x_minus(_sparse_square(rnd, 4)))
+    return cases
+
+
+def test_minor_tables_and_minors_k_equal_the_level_tables():
+    # same keys, key order, values and value order as the frozen oracle,
+    # for every max_k; minors_k is its level k alone
+    for m in _walk_cases():
+        want = _level_tables(m)
+        for max_k in range(1, len(m) + 1):
+            got = minor_tables(m, max_k)
+            assert list(got) == list(range(1, max_k + 1))
+            for k, level in got.items():
+                assert list(level.items()) == list(want[k].items())
+            assert minors_k(m, max_k) == list(want[max_k].values())
+        assert list(minor_tables(m)) == list(want)
+
+
+def test_delta_bruteforce_is_the_gcd_of_the_level_table():
+    seen = set()
+    for m in (m for m in _walk_cases() if type(m[0][0]) is int):
+        want = _level_tables(m)
+        for k in range(1, len(m) + 1):
+            delta = delta_bruteforce(m, k)
+            assert delta == math.gcd(*want[k].values())
+            seen.add(min(delta, 2))
+    assert seen == {0, 1, 2}  # Delta = 0, the early exit at 1, and a full fold
+    # over Q[x]: x*I - M for every connected graph with n <= 5 and seeded
+    # integer matrices with n <= 5, and matrices of rank below n
+    rnd = random.Random(36)
+    x = UniPoly.variable(RING_Z)
+    cases = [char_matrix(g, kind) for n in range(1, 6) for g in enumerate_connected(n)
+             for kind in KINDS]
+    cases += [_x_minus(_sparse_square(rnd, n)) for n in range(1, 6) for _ in range(8)]
+    # column 1 is twice column 0, so Delta_3 = 0
+    zero, one = UniPoly.zero(RING_Z), UniPoly.const(1, RING_Z)
+    cases.append([[x, x.scale(2), zero], [x * x, (x * x).scale(2), one], [x, x.scale(2), x]])
+    cases.append([[x, x, x], [x, x, x], [x, x, x]])
+    seen = set()
+    for m in cases:
+        want = _level_tables(m)
+        for k in range(1, len(m) + 1):
+            # the gcd of the whole level, with no early exit
+            nonzero = [p for p in want[k].values() if not p.is_zero()]
+            gcd = reduce(gcd_poly_q, nonzero).to_q().monic() if nonzero else UniPoly.zero(RING_Q)
+            delta = delta_bruteforce(m, k)
+            assert delta == gcd
+            seen.add(min(delta.degree, 1))
+    assert seen == {-1, 0, 1}
+
+
+class _Untouchable:
+    """An entry that fails the test when the walk reads it."""
+
+    def _read(self, *args):
+        raise AssertionError("the walk went on after the gcd was a unit")
+
+    __bool__ = __mul__ = __rmul__ = _read
+
+
+def test_delta_bruteforce_stops_at_a_unit_gcd():
+    # the first minor is 1 (or the constant 1), so the last row, never
+    # needed, is never read
+    u = _Untouchable()
+    one, zero = UniPoly.const(1, RING_Z), UniPoly.zero(RING_Z)
+    for m, unit in (([[1, 0, 0], [0, 1, 0], [u, u, u]], 1),
+                    ([[one, zero, zero], [zero, one, zero], [u, u, u]], qc(1))):
+        for k in (1, 2):
+            assert delta_bruteforce(m, k) == unit
+
+
+def test_delta_bruteforce_holds_no_level_of_minors():
+    # the walk holds one vector per depth, at most 2^9 minors at n = 9; the
+    # level tables held up to 48,620 of them, 5.6 MB at this size
+    m = build_matrix(path_graph(9), "distlap")
+    snf = snf_integer(m)
+    for k in range(1, 10):
+        tracemalloc.start()
+        try:
+            delta = delta_bruteforce(m, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert delta == snf.delta(k)
+        assert peak < 256 * 1024, (k, peak)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,21 @@ def _file_not_stdout(text: str) -> str:
     return text
 
 
+def _graph_command(sub, name: str, help: str, rings: tuple[str, ...]) -> argparse.ArgumentParser:
+    """The subparser of a command on the graphs of an inline graph6 or
+    `--input`, with the `--matrix` and `--ring` (default: the first of
+    `rings`) of `ideals` and `snf`."""
+    p = sub.add_parser(name, help=help)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("graph6", nargs="?", help="inline graph6 string")
+    source.add_argument("--input", help="graph6 file, or - for stdin")
+    p.add_argument("--matrix", choices=graphs.MATRIX_KINDS, default="adjacency")
+    p.add_argument("--ring", choices=rings, default=rings[0])
+    return p
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser; each subcommand's `run` default is its handler."""
     parser = argparse.ArgumentParser(
         prog="detideals",
         description="Exact determinantal ideals, Smith normal forms and "
@@ -63,27 +77,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="emit all connected graphs on n vertices as graph6")
     p.add_argument("--n", type=int, required=True)
+    p.set_defaults(run=_cmd_gen)
 
-    p = sub.add_parser("ideals", help="determinantal ideal profile of one graph matrix")
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("graph6", nargs="?", help="inline graph6 string")
-    source.add_argument("--input", help="graph6 file, or - for stdin")
-    p.add_argument("--matrix", choices=graphs.MATRIX_KINDS, default="adjacency")
-    p.add_argument("--ring", choices=("Zx", "Qx", "ZX"), default="Zx")
+    p = _graph_command(sub, "ideals", "determinantal ideal profile of one graph matrix",
+                       ("Zx", "Qx", "ZX"))
     p.add_argument("--var", type=_identifier, default="x",
                    help="variable name of the Zx and Qx profiles in text and JSON output "
                    "(an identifier); ZX profiles always use x0..x{n-1}")
     p.add_argument("--output", choices=("text", "json"), default="text")
     p.add_argument("--force", action="store_true",
                    help="override the multivariate size guard")
+    p.set_defaults(run=_cmd_ideals)
 
-    p = sub.add_parser("snf", help="Smith normal form of a graph matrix")
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("graph6", nargs="?", help="inline graph6 string")
-    source.add_argument("--input", help="graph6 file, or - for stdin")
-    p.add_argument("--matrix", choices=graphs.MATRIX_KINDS, default="adjacency")
-    p.add_argument("--ring", choices=("Z", "Qx"), default="Z")
+    p = _graph_command(sub, "snf", "Smith normal form of a graph matrix", ("Z", "Qx"))
     p.add_argument("--output", choices=("text", "json"), default="text")
+    p.set_defaults(run=_cmd_snf)
 
     p = sub.add_parser("survey", help="classify a corpus by an invariant key")
     source = p.add_mutually_exclusive_group(required=True)
@@ -96,11 +104,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_positive_int, default=None)
     p.add_argument("--checkpoint", type=_file_not_stdout,
                    help="write per-graph key records to this JSONL file")
+    p.set_defaults(run=_cmd_survey)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
     p.add_argument("--max-n", type=_positive_int, default=None)
     p.add_argument("--workers", type=_positive_int, default=None)
+    p.set_defaults(run=_cmd_verify)
 
     return parser
 
@@ -127,19 +137,23 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _print_json(docs: list) -> None:
+    """Print one JSON document, or the list of them if there are several."""
+    print(json.dumps(docs[0] if len(docs) == 1 else docs, indent=2))
+
+
+def _profile(g: graphs.Graph, args):
+    if args.ring == "ZX":
+        return multivariate_ideals(g, args.matrix, force=args.force)
+    return determinantal_ideals(g, args.matrix, args.ring)
+
+
 def _cmd_ideals(args) -> int:
-    out = []
-    for g in _read_graphs(args):
-        if args.ring == "ZX":
-            profile = multivariate_ideals(g, args.matrix, force=args.force)
-        else:
-            profile = determinantal_ideals(g, args.matrix, args.ring)
-        out.append(profile)
+    profiles = [_profile(g, args) for g in _read_graphs(args)]
     if args.output == "json":
-        docs = [profile_json(p, var=args.var) for p in out]
-        print(json.dumps(docs[0] if len(docs) == 1 else docs, indent=2))
+        _print_json([profile_json(p, var=args.var) for p in profiles])
         return EXIT_OK
-    for profile in out:
+    for profile in profiles:
         print(f"graph {profile.graph6} matrix {profile.kind} ring "
               f"{profile.ring.kind} corank {profile.corank}")
         for k, ideal in enumerate(profile.ideals, start=1):
@@ -147,28 +161,24 @@ def _cmd_ideals(args) -> int:
     return EXIT_OK
 
 
+def _snf(g: graphs.Graph, args):
+    m = graphs.build_matrix(g, args.matrix)
+    return snf_integer(m) if args.ring == "Z" else snf_poly_q(m)
+
+
 def _cmd_snf(args) -> int:
-    docs = []
-    lines = []
-    for g in _read_graphs(args):
-        g6 = graphs.write_graph6(g)
-        if args.ring == "Z":
-            snf = snf_integer(graphs.build_matrix(g, args.matrix))
-            docs.append({"graph": g6, **snf.to_json()})
-            diag = ",".join(str(f) for f in snf.diagonal())
-            lines.append(f"graph {g6} matrix {args.matrix} ring Z")
-            lines.append(f"  invariant factors: {diag}")
-            lines.append(f"  cokernel: {cokernel(snf)}")
-        else:
-            snf = snf_poly_q(graphs.build_matrix(g, args.matrix))
-            docs.append({"graph": g6, **snf.to_json()})
-            lines.append(f"graph {g6} matrix {args.matrix} ring Qx")
-            for k, f in enumerate(snf.diagonal(), start=1):
-                lines.append(f"  f_{k} = {poly_str(f)}")
+    results = [(graphs.write_graph6(g), _snf(g, args)) for g in _read_graphs(args)]
     if args.output == "json":
-        print(json.dumps(docs[0] if len(docs) == 1 else docs, indent=2))
-    else:
-        print("\n".join(lines))
+        _print_json([{"graph": g6, **snf.to_json()} for g6, snf in results])
+        return EXIT_OK
+    for g6, snf in results:
+        print(f"graph {g6} matrix {args.matrix} ring {args.ring}")
+        if args.ring == "Z":
+            print(f"  invariant factors: {','.join(str(f) for f in snf.diagonal())}")
+            print(f"  cokernel: {cokernel(snf)}")
+        else:
+            for k, f in enumerate(snf.diagonal(), start=1):
+                print(f"  f_{k} = {poly_str(f)}")
     return EXIT_OK
 
 
@@ -249,17 +259,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "ideals":
-            return _cmd_ideals(args)
-        if args.command == "snf":
-            return _cmd_snf(args)
-        if args.command == "survey":
-            return _cmd_survey(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        raise AssertionError("unreachable")
+        return args.run(args)
     except SizeGuardError as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return EXIT_GUARD

@@ -620,15 +620,19 @@ class Ideal:
             raise RingMismatchError(f"cannot compare ideals over {self.ring} and {other.ring}")
         same = self.canonical_basis() == other.canonical_basis()
         if not same:
-            # canonical-form uniqueness guard: distinct lists must show a
-            # failed membership somewhere
-            mutual = all(other.member(g) for g in self.canonical_basis()) and all(
-                self.member(g) for g in other.canonical_basis()
-            )
-            if mutual:
+            # canonical-form uniqueness guard: each stored basis must be the
+            # one its generators give, and distinct lists must show a failed
+            # membership somewhere.  Membership reduces over the basis as a
+            # strong Groebner basis, so it runs on bases computed afresh, not
+            # on stored ones that may not be Groebner bases at all.
+            a, b = Ideal(self.ring, self.gens), Ideal(other.ring, other.gens)
+            stale = a.canonical_basis() != self._basis or b.canonical_basis() != other._basis
+            if stale or (all(b.member(g) for g in a.canonical_basis())
+                         and all(a.member(g) for g in b.canonical_basis())):
                 raise AssertionError(
-                    "canonical basis uniqueness violated: ideals are mutually "
-                    f"contained but bases differ: {self.basis_strings()} vs {other.basis_strings()}"
+                    "canonical basis uniqueness violated: ideals are mutually contained "
+                    "or a stored basis is not the one its generators give: "
+                    f"{self.basis_strings()} vs {other.basis_strings()}"
                 )
         return same
 

@@ -38,8 +38,9 @@ Terminating is the only way a pool stops.
 The pool (`_WorkerPool`) runs no helper thread: each worker has its own
 pipe, a map sends each worker one task holding all of its chunks, and the
 surveying thread reads the keys back itself in input order.  An exception
-of a key function is raised in the surveying thread with its type, at the
-first failing chunk in input order and after every key before it, so a
+of a key function is raised in the surveying thread with its type, after
+every key before the failing graph in input order: a worker sends the keys
+its failing chunk computed before the failure with the exception.  So a
 pooled checkpoint keeps every line before the failing graph, as a serial
 one does.  A worker that dies raises RuntimeError there instead of stalling
 the survey; either terminates the pool.
@@ -184,23 +185,28 @@ def _serve(conn, inherited) -> None:
 
 
 def _replies(task: bytes) -> Iterator[bytes]:
-    """The pickled (True, keys) of each chunk of a pickled (fn, chunks) task in
-    turn, up to its first exception, pickled as (False, exception) with the
-    worker's traceback added as a note.  An exception the parent could not
-    unpickle comes back as a RuntimeError holding its repr."""
+    """The pickled (keys, None) of each chunk of a pickled (fn, chunks) task in
+    turn, up to its first exception, pickled as (the keys of the chunk before
+    it, exception) with the worker's traceback added as a note.  An exception
+    the parent could not unpickle comes back as a RuntimeError holding its
+    repr."""
     import traceback  # here, not at the top: it adds to every import of detideals
 
+    keys: list = []
     try:
         fn, chunks = pickle.loads(task)
         for chunk in chunks:
-            yield pickle.dumps((True, [fn(g) for g in chunk]))
+            keys = []
+            for g in chunk:
+                keys.append(fn(g))
+            yield pickle.dumps((keys, None))
     except Exception as exc:
         exc.add_note("".join(traceback.format_exception(exc)).rstrip())
         try:
-            reply = pickle.dumps((False, exc))
+            reply = pickle.dumps((keys, exc))
             pickle.loads(reply)  # the parent must be able to rebuild it
         except Exception:
-            reply = pickle.dumps((False, RuntimeError(repr(exc))))
+            reply = pickle.dumps((keys, RuntimeError(repr(exc))))
         yield reply
 
 
@@ -234,8 +240,9 @@ class _WorkerPool:
         Each worker that owns a chunk gets all of them in one task, sent before
         any result is read; it writes only once it has read its whole task, so
         no side blocks the other on a full pipe, and the workers compute ahead
-        of the reader.  The first failing chunk in input order raises its
-        exception here, with its type, after every key before it; a dead
+        of the reader.  The first failing item in input order raises its
+        exception here, with its type, after every key before it (a failing
+        chunk comes back with the keys of the items before the failure); a dead
         worker raises RuntimeError.  Either leaves results unread, and the pool
         must then be terminated."""
         if self.busy:
@@ -250,15 +257,15 @@ class _WorkerPool:
             raise RuntimeError("a survey pool worker has exited") from exc
         for c in range(len(chunks)):
             try:
-                ok, value = pickle.loads(self.conns[c % self.size].recv_bytes())
+                keys, error = pickle.loads(self.conns[c % self.size].recv_bytes())
             except (EOFError, OSError) as exc:
                 raise RuntimeError("a survey pool worker has exited") from exc
-            if not ok:
-                raise value
             # cleared on the read, not after the last yield: a caller may stop
             # at the last key without resuming this generator
             self.busy = c < len(chunks) - 1
-            yield from value
+            yield from keys
+            if error is not None:
+                raise error
 
     def close(self) -> None:
         """Terminate the workers, whatever they are doing, reap them and close
@@ -295,7 +302,7 @@ def _key_map(workers: int, count: int):
     starts and see module state as of then; the pool is shared, so two
     threads must not run pooled surveys at once.  A context left by an
     exception (KeyboardInterrupt and GeneratorExit too, a key function's
-    exception, raised at its first failing chunk in input order, and the
+    exception, raised after every key before it in input order, and the
     RuntimeError of a dead worker) or with results still unread terminates
     the pool, and the next pooled survey starts a new one."""
     global _pool

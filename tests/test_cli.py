@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import re
+import shlex
 
 import pytest
 
@@ -433,3 +435,29 @@ def test_verify_appendix_b(capsys):
     assert code == 0
     assert out.count("PASS") == 3
     assert "all checks passed" in out
+
+
+# ---------------------------------------------------------------------------
+# the README's examples
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argv of each `detideals` line of the README's CLI block, its
+    continuation lines joined and its comments dropped."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        readme = fh.read()
+    block = re.search(r"^## CLI$.*?^```$(.*?)^```$", readme, re.M | re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("detideals ")]
+
+
+def test_readme_cli_examples_exit_0(capsys):
+    commands = _readme_commands()
+    # the two n = 9 lines, which make and survey n9.g6, take about a minute each
+    runnable = [argv for argv in commands if "n9.g6" not in argv]
+    assert len(commands) - len(runnable) == 2 and runnable
+    for argv in runnable:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out, argv

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -118,6 +119,22 @@ def test_membership_z_nm_examples():
 def test_membership_univariate():
     assert zx(X - zc(1)).member(X**2 - zc(1))
     assert not zx(X - zc(1)).member(X + zc(1))
+
+
+def test_membership_over_q():
+    # I = <(2x - 1)(x + 1), (x - 1/2)(3x - 2)> = <x - 1/2> over Q[x]
+    half = UniPoly([Fraction(-1, 2), 1], RING_Q)
+    ideal = Ideal(QX, [(zc(2) * X - zc(1)) * (X + zc(1)),
+                       half * UniPoly([Fraction(-2), Fraction(3)], RING_Q)])
+    assert ideal.canonical_basis() == (half,)
+    assert ideal.member(half * UniPoly([Fraction(7, 3), 0, 1], RING_Q))
+    assert ideal.member(zc(2) * X - zc(1))  # an integer polynomial lives in Q[x]
+    assert not ideal.member(X.to_q())
+    assert not ideal.member(UniPoly.const(Fraction(1, 3), RING_Q))
+    assert ideal.member(UniPoly.zero(RING_Q))
+    zero = Ideal(QX, [UniPoly.zero(RING_Q)])
+    assert zero.gens == () and zero.member(UniPoly.zero(RING_Q))
+    assert not zero.member(half)
 
 
 def test_membership_ring_mismatch():
@@ -443,6 +460,27 @@ def test_uniqueness_guard_fires_on_a_non_canonical_basis():
     object.__setattr__(b, "_basis", (M, N + M))
     with pytest.raises(AssertionError, match="uniqueness violated"):
         a.equal(b)
+
+
+def test_uniqueness_guard_fires_on_a_stored_basis_that_is_not_a_groebner_basis():
+    # <x0, x1> given (x0, x0 + x1), which is not a Groebner basis: x1 does not
+    # reduce over it, so membership over the stored basis fails, yet the
+    # ideals are equal
+    a, b = Ideal(NM, [N, M]), Ideal(NM, [N, M])
+    object.__setattr__(b, "_basis", (N, N + M))
+    with pytest.raises(AssertionError, match="uniqueness violated"):
+        a.equal(b)
+    with pytest.raises(AssertionError, match="uniqueness violated"):
+        b.equal(a)
+
+
+def test_uniqueness_guard_fires_on_equal_ideals_with_distinct_groebner_bases():
+    # an engine that returns its input as given makes (x0, x1) and
+    # (x1, x0 + x1) the bases of <x0, x1>: both are what their generators
+    # give and both are Groebner bases, so only mutual membership shows it
+    with mock.patch.object(grobner, "strong_groebner", lambda gens, arity: [dict(t) for t in gens]):
+        with pytest.raises(AssertionError, match="uniqueness violated"):
+            Ideal(NM, [N, M]).equal(Ideal(NM, [M, N + M]))
 
 
 def test_uniqueness_guard_runs_without_assertions():

@@ -263,3 +263,12 @@ def test_poly_str_multivariate():
     n = MultiPoly.variable(0, 2)
     m = MultiPoly.variable(1, 2)
     assert poly_str(n + m.scale(2)) == "x0 + 2*x1"
+
+
+def test_monic_over_z_divides_exactly_or_refuses():
+    assert (zc(3) * X - zc(6)).monic() == X - zc(2)
+    assert (zc(-2) * X**2 + zc(4)).monic() == X**2 - zc(2)
+    assert (X + zc(5)).monic() == X + zc(5)
+    assert UniPoly.zero(RING_Z).monic().is_zero()
+    with pytest.raises(ValueError, match="indivisible"):
+        (zc(2) * X + zc(1)).monic()

@@ -14,9 +14,12 @@ from detideals.graphs import (
     parse_graph6,
     star_graph,
 )
+from detideals.grobner import QX, ZX_UNI, Ideal
 from detideals.polyring import RING_Q, RING_Z, UniPoly, multilinear_exponent
 from detideals.profiles import (
+    IdealProfile,
     SizeGuardError,
+    VarietyDescription,
     determinantal_ideals,
     divides_in_algebraic_integers,
     evaluate_profile,
@@ -124,6 +127,15 @@ def test_variety_equality_zx_vs_qx():
                         vb.squarefree,
                         vb.roots,
                     )
+
+
+def test_variety_of_a_zero_ideal_is_all_reals():
+    # no graph's x*I - M has a zero ideal, so the profile is built by hand
+    for ring in (ZX_UNI, QX):
+        profile = IdealProfile(complete_graph(2), "adjacency", ring,
+                               (Ideal(ring, [UniPoly.const(1, RING_Z)]), Ideal(ring, [])))
+        assert variety(profile, 2) == VarietyDescription(2, "all_reals", None, ())
+        assert variety(profile, 1).status == "empty"
 
 
 def test_rational_variety_roots_divide_delta():

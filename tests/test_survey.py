@@ -758,13 +758,14 @@ def test_worker_exception_reaches_the_parent_with_its_type(pool_starts, corpus6)
     assert survey._pool is None and pool_starts == [2, 2, 2]
 
 
-def _slow_then_refusing(g, kind, modes):
-    # chunk 0 (graphs 0-6, worker 0) is slow, chunk 3 (graph 21, worker 1) fails
+def _slow_then_refusing(g, kind, modes, failing=21):
+    # chunk 0 (graphs 0-6, worker 0) is slow, chunk 3 (graphs 21-27, worker 1)
+    # fails at graph `failing`
     i = enumerate_connected(6).index(g)
     if i < 7:
         time.sleep(0.05)
-    if i == 21:
-        raise InputError("refused graph 21")
+    if i == failing:
+        raise InputError(f"refused graph {failing}")
     return _stage1_keys(g, kind, modes)
 
 
@@ -780,6 +781,22 @@ def test_pooled_survey_raises_at_its_first_failing_chunk_in_order(monkeypatch, p
         run_survey(corpus6, "laplacian", "coinvariant", workers=2, checkpoint_path=str(path))
     assert survey._pool is None and pool_starts == [2]
     assert path.read_text().splitlines() == full.read_text().splitlines()[:21]
+
+
+def test_pooled_survey_keeps_the_keys_before_a_failure_inside_a_chunk(monkeypatch, pool_starts,
+                                                                      tmp_path, corpus6):
+    # graph 23 is the third of chunk 3: its worker sends the keys of graphs 21
+    # and 22 with the error, so the pooled checkpoint keeps the serial 23 lines
+    full, serial, pooled = (tmp_path / f"{name}.jsonl" for name in ("full", "serial", "pooled"))
+    run_survey(corpus6, "laplacian", "coinvariant", workers=1, checkpoint_path=str(full))
+    monkeypatch.setattr(survey, "_stage1_keys", functools.partial(_slow_then_refusing, failing=23))
+    for workers, path in ((1, serial), (2, pooled)):
+        with pytest.raises(InputError, match="refused graph 23"):
+            run_survey(corpus6, "laplacian", "coinvariant", workers=workers,
+                       checkpoint_path=str(path))
+    assert survey._pool is None and pool_starts == [2]
+    lines = full.read_text().splitlines()[:23]
+    assert pooled.read_text().splitlines() == serial.read_text().splitlines() == lines
 
 
 LARGE_PAYLOAD_SCRIPT = """

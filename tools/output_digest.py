@@ -23,8 +23,10 @@ Run it on two checkouts and diff the two files.  It covers:
 * the `cross_check` reports for n = 2..6 and every kind;
 * `verify --max-n 6` of every suite except `tables`;
 * `gen --n N` for N = 1..8 (the built-in connected-graph corpora);
-* `_connected_cache(9)`, the n = 9 corpus that `gen --n 9` prints, as the
-  SHA-256 of its newline-joined graph6 strings;
+* `enumerate_connected(9)`, the n = 9 corpus that `gen --n 9` prints, as the
+  SHA-256 of its newline-joined graph6 strings (labelled `_connected_cache
+  n=9`, the name of the function it was first read from, so that digest
+  files stay comparable);
 * `write_graph6(canonical_graph(g))` over 500 seeded random connected graphs
   with n = 9 and 500 with n = 10, drawn at random rather than enumerated;
 * `write_graph6` over 496 seeded random graphs, eight for each n = 1..62,
@@ -67,7 +69,6 @@ from detideals.cli import main
 from detideals.graphs import (
     MATRIX_KINDS,
     Graph,
-    _connected_cache,
     build_matrix,
     canonical_graph,
     enumerate_connected,
@@ -156,7 +157,7 @@ def print_digests(tmp: str) -> None:
 
     for n in range(1, 9):
         print(f"gen n={n} {_sha(_cli('gen', '--n', str(n)))}", flush=True)
-    corpus9 = _connected_cache(9)
+    corpus9 = enumerate_connected(9)
     digest = _sha("\n".join(write_graph6(g) for g in corpus9).encode())
     print(f"_connected_cache n=9 {len(corpus9)} graphs {digest}", flush=True)
 

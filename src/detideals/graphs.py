@@ -23,10 +23,11 @@ inverse pair between columns and adjacency rows.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .polyring import RING_Z, MultiPoly, UniPoly
+from .polyring import RING_Z, MultiPoly, UniPoly, exact_int
 
 MATRIX_KINDS = ("adjacency", "laplacian", "distance", "distlap")
 
@@ -45,19 +46,42 @@ class DisconnectedGraphError(InputError):
     pass
 
 
-def _check_vertex_count(n: int) -> None:
+def _int(value, what: str) -> int:
+    """value as an int under `polyring.exact_int`'s rule; InputError for
+    anything else (a float or a string is not read as an integer).  An int
+    is returned at once: every vertex count and `from_edges` endpoint passes
+    here, and `exact_int`'s `numbers.Integral` test took relabelling the
+    `critical-n6` corpus through `from_edges` from 13 to 16 ms."""
+    if type(value) is int:
+        return value
+    try:
+        return exact_int(value, what)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+
+
+def _vertex_count(n) -> int:
+    """n as an int; InputError unless it is an integer in 1..62."""
+    n = _int(n, "vertex count")
     if not 1 <= n <= 62:
         raise InputError("vertex count must be between 1 and 62")
+    return n
 
 
+@dataclass(frozen=True, slots=True)
 class Graph:
-    """Simple undirected graph on vertices 0..n-1 (1 <= n <= 62)."""
+    """Simple undirected graph on vertices 0..n-1 (1 <= n <= 62).  InputError
+    for a vertex count, row or endpoint that is not an integer, or any other
+    input that is not such a graph."""
 
-    __slots__ = ("n", "rows")
+    n: int
+    rows: tuple[int, ...]
 
     def __init__(self, n: int, rows: Sequence[int]):
-        _check_vertex_count(n)
-        rows = tuple(map(int, rows))
+        n = _vertex_count(n)
+        rows = tuple(rows)
+        if not all(type(r) is int for r in rows):
+            rows = tuple(_int(r, f"adjacency row {i}") for i, r in enumerate(rows))
         if len(rows) != n:
             raise InputError("adjacency row count does not match n")
         for i, r in enumerate(rows):
@@ -82,23 +106,26 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
 
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("Graph is immutable")
-
     def __reduce__(self):
+        # the parent of a pooled survey pickles every graph before it reads a
+        # key.  As this constructor call the 853-graph n = 7 corpus pickles in
+        # 0.6 ms against 1.7 ms as the dataclass state, and `table1-n7`
+        # cpu_s is 18% lower (10 of 10 pairs); the workers then re-validate
+        # each graph (unpickling 3.9 ms against 1.4 ms), and wall_s is 4%
+        # higher (9 of 10 pairs, within the spread between runs)
         return (Graph, (self.n, self.rows))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """The graph on vertices 0..n-1 with `edges`; InputError for a vertex
-        count outside 1..62, an endpoint outside 0..n-1 or a loop."""
-        _check_vertex_count(n)
+        count outside 1..62, an endpoint that is not an integer in 0..n-1 or
+        a loop."""
+        n = _vertex_count(n)
         rows = [0] * n
         for u, v in edges:
+            u, v = _int(u, "edge endpoint"), _int(v, "edge endpoint")
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
-            if u == v:
-                raise InputError("loops are not allowed")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return cls(n, rows)
@@ -111,14 +138,6 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.n) for j in range(i + 1, self.n) if self.has_edge(i, j)]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.n == other.n and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.rows))
 
     def __repr__(self) -> str:
         return f"Graph({write_graph6(self)!r})"

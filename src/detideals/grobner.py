@@ -106,6 +106,8 @@ class Ring:
             raise ValueError(f"unknown ring kind {self.kind!r}")
         if self.kind in ("Zx", "Qx") and self.arity != 1:
             raise ValueError("univariate ring tags have arity 1")
+        if self.arity < 0:
+            raise ValueError(f"negative arity {self.arity}")
 
 
 ZX_UNI = Ring("Zx", 1)
@@ -538,6 +540,7 @@ def _lives_in(ring: Ring, p) -> bool:
     return isinstance(p, UniPoly)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class Ideal:
     """An ideal with a ring tag and a canonical basis for exact comparison.
 
@@ -547,9 +550,16 @@ class Ideal:
     nonzero generator g over Z[x0..x_{m-1}], or over Z[x] with no monic
     generator, is its own canonical basis up to sign: every multiple h*g has
     leading term lt(h)*lt(g).
+
+    `==` is identity; `equal` compares the ideals.  `_basis` caches the
+    canonical basis once computed, and a pickled or copied Ideal carries it
+    along.  `equal`'s guard does not trust a stored basis: when two bases
+    differ, it computes both again from `gens`.
     """
 
-    __slots__ = ("ring", "gens", "_basis")
+    ring: Ring
+    gens: tuple
+    _basis: tuple | None
 
     def __init__(self, ring: Ring, gens: Iterable):
         gens = tuple(gens)
@@ -560,9 +570,6 @@ class Ideal:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "gens", tuple(g for g in gens if not g.is_zero()))
         object.__setattr__(self, "_basis", None)
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("Ideal is immutable")
 
     # -- canonical basis
 

@@ -2,8 +2,14 @@
 
 Univariate polynomials are dense (degrees stay small here), multivariate
 polynomials are sparse dicts keyed by exponent tuples with integer
-coefficients.  All values are immutable after construction, so they can be
-shared freely between workers.
+coefficients.  `UniPoly` and `MultiPoly` are frozen slotted dataclasses,
+as are `graphs.Graph` and `grobner.Ideal` (the package's other value classes
+are frozen dataclasses).  Assigning to a field raises
+`dataclasses.FrozenInstanceError`, so values can be shared freely; the one
+field filled after construction is `Ideal`'s cache of its canonical basis.
+Pickle, which carries values across the survey pool, and `copy.copy` and
+`copy.deepcopy` rebuild them from the dataclass state of their fields;
+`Graph` alone pickles as a constructor call (see there).
 
 Every minor of diag(x_0..x_{n-1}) - M is multilinear, so the Z[X] path keys
 its terms by the tuples of `multilinear_exponent`: one table per arity,
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -54,6 +61,7 @@ def gcd_int_many(values: Iterable[int]) -> int:
 # univariate polynomials
 
 
+@dataclass(frozen=True, slots=True)
 class UniPoly:
     """Univariate polynomial, coefficients stored lowest degree first.
 
@@ -61,7 +69,8 @@ class UniPoly:
     polynomial has an empty coefficient tuple and degree -1.
     """
 
-    __slots__ = ("coeffs", "ring")
+    coeffs: tuple
+    ring: str
 
     def __init__(self, coeffs: Sequence, ring: str = RING_Z):
         if ring not in (RING_Z, RING_Q):
@@ -76,12 +85,6 @@ class UniPoly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "ring", ring)
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("UniPoly is immutable")
-
-    def __reduce__(self):
-        return (UniPoly, (self.coeffs, self.ring))
 
     # -- constructors
 
@@ -173,14 +176,6 @@ class UniPoly:
 
     def scale(self, c) -> "UniPoly":
         return UniPoly(tuple(a * c for a in self.coeffs), self.ring)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.ring == other.ring and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.coeffs))
 
     def __repr__(self) -> str:
         return f"UniPoly({self.ring}: {poly_str(self)})"
@@ -373,10 +368,12 @@ def monomial_key(e: tuple[int, ...]) -> tuple:
     return (sum(e), tuple(-x for x in reversed(e)))
 
 
+@dataclass(frozen=True, slots=True)
 class MultiPoly:
     """Sparse multivariate polynomial over Z: exponent tuple -> nonzero int."""
 
-    __slots__ = ("arity", "terms")
+    arity: int
+    terms: dict
 
     def __init__(self, arity: int, terms: dict):
         clean = {}
@@ -405,12 +402,6 @@ class MultiPoly:
         object.__setattr__(p, "terms", terms)
         return p
 
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("MultiPoly is immutable")
-
-    def __reduce__(self):
-        return (MultiPoly, (self.arity, self.terms))
-
     @classmethod
     def zero(cls, arity: int) -> "MultiPoly":
         return cls(arity, {})
@@ -421,9 +412,10 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, i: int, arity: int) -> "MultiPoly":
-        exp = [0] * arity
-        exp[i] = 1
-        return cls(arity, {tuple(exp): 1})
+        """x_i of Z[x0..x_{arity-1}]; ValueError unless 0 <= i < arity."""
+        if not 0 <= i < arity:
+            raise ValueError(f"variable index {i} outside 0..{arity - 1}")
+        return cls(arity, {multilinear_exponent(arity, 1 << i): 1})
 
     def to_unipoly(self) -> UniPoly:
         if self.arity != 1:
@@ -483,12 +475,7 @@ class MultiPoly:
             return MultiPoly.zero(self.arity)
         return MultiPoly(self.arity, {e: a * c for e, a in self.terms.items()})
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.arity == other.arity and self.terms == other.terms
-
-    def __hash__(self) -> int:
+    def __hash__(self) -> int:  # the dataclass's hash would hash the dict `terms`
         return hash((self.arity, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -73,6 +74,15 @@ def test_graph_rejects_bad_rows(n, rows, message):
 def test_from_edges_rejects_bad_input(n, edges, message):
     with pytest.raises(InputError, match=message):
         Graph.from_edges(n, edges)
+
+
+def test_integral_non_int_input_is_read_exactly():
+    # an Integral or an integral Fraction is an integer; floats and strings
+    # are refused (tests/test_refusals.py)
+    g = Graph(Fraction(2), [Fraction(2), True])
+    assert g == Graph(2, [2, 1]) and all(type(v) is int for v in (g.n, *g.rows))
+    h = Graph.from_edges(Fraction(3), [(Fraction(0), True), (1, Fraction(4, 2))])
+    assert h == path_graph(3) and type(h.n) is int
 
 
 def test_graph_symmetry_check_equals_the_pairwise_oracle():

@@ -30,6 +30,7 @@ from detideals.profiles import (
     strip_rational_roots,
     variety,
 )
+from detideals import survey
 from detideals.smith import delta_bruteforce, snf_integer
 
 KINDS = MATRIX_KINDS
@@ -327,3 +328,31 @@ def test_profile_json_shape():
     assert v5["k"] == 5 and "0" in v5["rational_roots"] and "-1" in v5["rational_roots"]
     mv = profile_json(multivariate_ideals(cycle_graph(4), "adjacency"))
     assert mv["ring"] == "ZX" and mv["varieties"] == []
+
+
+def _critical_with_bases(g):
+    profile = multivariate_ideals(g, "adjacency")
+    for ideal in profile.ideals:
+        ideal.canonical_basis()
+    return profile
+
+
+def _distance_qx_with_bases(g):
+    profile = determinantal_ideals(g, "distance", "Qx")
+    for ideal in profile.ideals:
+        ideal.canonical_basis()
+    return profile
+
+
+@pytest.mark.parametrize("profile", [_critical_with_bases, _distance_qx_with_bases])
+def test_pooled_profiles_equal_serial_ones_with_their_bases_cached(corpus5, profile):
+    # pool workers send each profile back pickled, bases and all
+    with survey._key_map(2, len(corpus5)) as keys:
+        pooled = list(keys(profile, corpus5))
+    serial = list(map(profile, corpus5))
+    assert [p.graph for p in pooled] == list(corpus5)
+    for p, s in zip(pooled, serial):
+        assert (p.kind, p.ring) == (s.kind, s.ring)
+        assert [i.gens for i in p.ideals] == [i.gens for i in s.ideals]
+        assert [i._basis for i in p.ideals] == [i._basis for i in s.ideals]
+        assert all(i._basis is not None for i in p.ideals)

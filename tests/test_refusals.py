@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from detideals.graphs import InputError, build_matrix, cycle_graph
-from detideals.grobner import ZX_UNI, Ideal, Ring, RingMismatchError
+from detideals.graphs import Graph, InputError, build_matrix, cycle_graph
+from detideals.grobner import ZX_UNI, Ideal, Ring, RingMismatchError, zmulti
 from detideals.polyring import RING_Z, MultiPoly, UniPoly, divmod_poly
 from detideals.profiles import determinantal_ideals, evaluate_profile, multivariate_ideals, variety
 from detideals.smith import snf_integer
@@ -26,6 +26,21 @@ REFUSALS = {
     "division by Fraction(0)": (ZeroDivisionError, "division by zero",
                                 lambda: divmod_poly(X, Fraction(0))),
     "exponent arity": (ValueError, "arity mismatch", lambda: MultiPoly(2, {(1,): 1})),
+    "negative variable index": (ValueError, "variable index -1 outside 0..1",
+                                lambda: MultiPoly.variable(-1, 2)),
+    "variable index beyond arity": (ValueError, "variable index 2 outside 0..1",
+                                    lambda: MultiPoly.variable(2, 2)),
+    "negative arity": (ValueError, "negative arity", lambda: zmulti(-2)),
+    "float adjacency rows": (InputError, "adjacency row 0 is not an integer",
+                             lambda: Graph(2, [2.7, 1.2])),
+    "string adjacency rows": (InputError, "adjacency row 0 is not an integer",
+                              lambda: Graph(2, ["2", "1"])),
+    "float vertex count": (InputError, "vertex count is not an integer",
+                           lambda: Graph(2.0, [2, 1])),
+    "float vertex count of edges": (InputError, "vertex count is not an integer",
+                                    lambda: Graph.from_edges(2.5, [(0, 1)])),
+    "float edge endpoint": (InputError, "edge endpoint is not an integer",
+                            lambda: Graph.from_edges(2, [(0.0, 1)])),
     "generator ring": (RingMismatchError, "tagged ring",
                        lambda: Ideal(ZX_UNI, [MultiPoly.variable(0, 1)])),
     "equal to a non-ideal": (TypeError, "another Ideal", lambda: Ideal(ZX_UNI, [X]).equal(3)),

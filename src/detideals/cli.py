@@ -26,7 +26,7 @@ from .profiles import (
     profile_json,
 )
 from .smith import cokernel, snf_integer, snf_poly_q
-from .suites import SUITES, run_suite
+from .suites import SUITES
 from .survey import CSV_HEADER, MODES, run_survey
 
 EXIT_OK = 0
@@ -242,15 +242,15 @@ def _cmd_survey(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_suite(args.suite, max_n=args.max_n, workers=args.workers)
-    if not results:
-        raise graphs.InputError(f"suite {args.suite} ran no checks at --max-n {args.max_n}")
-    ok = True
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
+    """Print each check of the suite as it is made, then the verdict."""
+    passed = []
+    for r in SUITES[args.suite](max_n=args.max_n, workers=args.workers):
         detail = f"  ({r.detail})" if r.detail else ""
-        print(f"{status}: {r.name}{detail}")
-        ok = ok and r.passed
+        print(f"{'PASS' if r.passed else 'FAIL'}: {r.name}{detail}", flush=True)
+        passed.append(r.passed)
+    if not passed:
+        raise graphs.InputError(f"suite {args.suite} ran no checks at --max-n {args.max_n}")
+    ok = all(passed)
     print(f"suite {args.suite}: {'all checks passed' if ok else 'FAILURES PRESENT'}")
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 

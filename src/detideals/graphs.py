@@ -79,7 +79,10 @@ class Graph:
 
     def __init__(self, n: int, rows: Sequence[int]):
         n = _vertex_count(n)
-        rows = tuple(rows)
+        try:
+            rows = tuple(rows)
+        except TypeError:
+            raise InputError(f"adjacency rows are not a sequence: {rows!r}") from None
         if not all(type(r) is int for r in rows):
             rows = tuple(_int(r, f"adjacency row {i}") for i, r in enumerate(rows))
         if len(rows) != n:
@@ -118,16 +121,21 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """The graph on vertices 0..n-1 with `edges`; InputError for a vertex
-        count outside 1..62, an endpoint that is not an integer in 0..n-1 or
-        a loop."""
+        count outside 1..62, an edge that is not a pair, an endpoint that is
+        not an integer in 0..n-1 or a loop."""
         n = _vertex_count(n)
         rows = [0] * n
-        for u, v in edges:
-            u, v = _int(u, "edge endpoint"), _int(v, "edge endpoint")
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
+        try:  # the unpacking is the shape check: no work per edge is added
+            for u, v in edges:
+                u, v = _int(u, "edge endpoint"), _int(v, "edge endpoint")
+                if not (0 <= u < n and 0 <= v < n):
+                    raise InputError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+        except InputError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"edges are not pairs of endpoints: {exc}") from None
         return cls(n, rows)
 
     def has_edge(self, u: int, v: int) -> bool:

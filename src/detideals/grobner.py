@@ -87,6 +87,7 @@ from .polyring import (
     MultiPoly,
     UniPoly,
     divmod_poly,
+    exact_arity,
     gcd_poly_q_many,
     monomial_key,
     multilinear_exponent,
@@ -104,10 +105,9 @@ class Ring:
     def __post_init__(self):
         if self.kind not in ("Zx", "Qx", "ZX"):
             raise ValueError(f"unknown ring kind {self.kind!r}")
+        object.__setattr__(self, "arity", exact_arity(self.arity))
         if self.kind in ("Zx", "Qx") and self.arity != 1:
             raise ValueError("univariate ring tags have arity 1")
-        if self.arity < 0:
-            raise ValueError(f"negative arity {self.arity}")
 
 
 ZX_UNI = Ring("Zx", 1)

@@ -40,6 +40,15 @@ def exact_int(value, what: str) -> int:
     raise ValueError(f"{what} is not an integer: {value!r}")
 
 
+def exact_arity(value) -> int:
+    """value as a number of variables under `exact_int`'s rule; ValueError
+    naming the arity unless it is an integer >= 0."""
+    arity = value if type(value) is int else exact_int(value, "arity")
+    if arity < 0:
+        raise ValueError(f"negative arity {arity}")
+    return arity
+
+
 def exact_fraction(value, what: str) -> Fraction:
     """value as a Fraction; ValueError naming `what` unless value is rational
     (an int or a Fraction, not a float), so no binary approximation is stored."""
@@ -376,6 +385,7 @@ class MultiPoly:
     terms: dict
 
     def __init__(self, arity: int, terms: dict):
+        arity = exact_arity(arity)
         clean = {}
         for exp, c in terms.items():
             if type(c) is not int:

@@ -336,16 +336,15 @@ def laplace_walk(matrix: Sequence[Sequence], low: int, k: int):
     return grow(0, 0, {})
 
 
-def minor_tables(matrix: Sequence[Sequence], max_k: int | None = None) -> dict:
-    """All k x k subdeterminants for k = 1..max_k (default n), the table
-    view of `laplace_walk`: {k: {(row mask, column mask): det}}, row sets
-    and then column sets in `combinations` order, every level held at once.
+def minor_tables(matrix: Sequence[Sequence]) -> dict:
+    """All k x k subdeterminants for k = 1..n, the table view of
+    `laplace_walk`: {k: {(row mask, column mask): det}}, row sets and then
+    column sets in `combinations` order, every level held at once.
     `char_minors` reads it on packed integers; `delta_bruteforce` and
     `profiles.minors_k`, which need level k only, read the walk itself."""
-    if max_k is None:
-        max_k = len(matrix)
-    tables = {k: {} for k in range(1, max_k + 1)}
-    for rmask, minors in laplace_walk(matrix, 1, max_k):
+    n = len(matrix)
+    tables = {k: {} for k in range(1, n + 1)}
+    for rmask, minors in laplace_walk(matrix, 1, n):
         tables[rmask.bit_count()].update({(rmask, c): det for c, det in minors.items()})
     return tables
 

@@ -1,14 +1,17 @@
 """Named verification suites: worked examples, golden vectors and table checks.
 
-Every ideal comparison goes through Ideal.equal (canonical bases), never
-through string matching, so the checks are independent of display order.
+A suite is a generator of `CheckResult`s, one per check as it is made, so a
+caller can report each check before the next one is computed (`detideals
+verify` prints them as they come); `run_suite` lists them.  Every ideal
+comparison goes through Ideal.equal (canonical bases), never through string
+matching, so the checks are independent of display order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import graphs
 from .grobner import QX, ZX_UNI, Ideal, zmulti
@@ -31,8 +34,8 @@ class CheckResult:
     detail: str = ""
 
 
-def _check(results: list[CheckResult], name: str, passed: bool, detail: str = ""):
-    results.append(CheckResult(name, bool(passed), detail))
+def _check(name: str, passed: bool, detail: str = "") -> CheckResult:
+    return CheckResult(name, bool(passed), detail)
 
 
 # -- polynomial literals -----------------------------------------------------
@@ -62,37 +65,34 @@ NM_RING = zmulti(2)  # Z[n, m]
 # Appendix A golden vectors (the 5-vertex graph "Dt_")
 
 
-def suite_ltimes(max_n=None, workers=None) -> list[CheckResult]:
-    results: list[CheckResult] = []
+def suite_ltimes(max_n=None, workers=None) -> Iterator[CheckResult]:
     g = graphs.parse_graph6("Dt_")
-    _check(results, "Dt_ decodes to the documented edge set",
-           set(g.edges()) == {(0, 1), (0, 2), (0, 3), (0, 4), (2, 3)})
+    yield _check("Dt_ decodes to the documented edge set",
+                 set(g.edges()) == {(0, 1), (0, 2), (0, 3), (0, 4), (2, 3)})
 
     adj = determinantal_ideals(g, "adjacency", "Zx")
     for k in (1, 2, 3):
-        _check(results, f"adjacency I_{k} trivial", adj.ideals[k - 1].is_trivial())
-    _check(results, "adjacency I_4 = <2, t+1>",
-           adj.ideals[3].equal(zx_ideal(zc(2), X + zc(1))))
-    _check(results, "adjacency I_5 = <t^5-5t^3-2t^2+2t>",
-           adj.ideals[4].equal(zx_ideal(X**5 - zc(5) * X**3 - zc(2) * X**2 + zc(2) * X)))
-    _check(results, "adjacency corank 3", adj.corank == 3)
+        yield _check(f"adjacency I_{k} trivial", adj.ideals[k - 1].is_trivial())
+    yield _check("adjacency I_4 = <2, t+1>",
+                 adj.ideals[3].equal(zx_ideal(zc(2), X + zc(1))))
+    yield _check("adjacency I_5 = <t^5-5t^3-2t^2+2t>",
+                 adj.ideals[4].equal(zx_ideal(X**5 - zc(5) * X**3 - zc(2) * X**2 + zc(2) * X)))
+    yield _check("adjacency corank 3", adj.corank == 3)
 
     dist = determinantal_ideals(g, "distance", "Zx")
-    _check(results, "distance corank 3", dist.corank == 3)
-    _check(results, "distance I_4 = <6, t-1>",
-           dist.ideals[3].equal(zx_ideal(zc(6), X - zc(1))))
-    _check(results, "distance I_5 = <t^5-25t^3-70t^2-66t-20>",
-           dist.ideals[4].equal(zx_ideal(
-               X**5 - zc(25) * X**3 - zc(70) * X**2 - zc(66) * X - zc(20))))
-    return results
+    yield _check("distance corank 3", dist.corank == 3)
+    yield _check("distance I_4 = <6, t-1>",
+                 dist.ideals[3].equal(zx_ideal(zc(6), X - zc(1))))
+    yield _check("distance I_5 = <t^5-25t^3-70t^2-66t-20>",
+                 dist.ideals[4].equal(zx_ideal(
+                     X**5 - zc(25) * X**3 - zc(70) * X**2 - zc(66) * X - zc(20))))
 
 
 # ---------------------------------------------------------------------------
 # K_{3,3} Laplacian characteristic ideals
 
 
-def suite_k33(max_n=None, workers=None) -> list[CheckResult]:
-    results: list[CheckResult] = []
+def suite_k33(max_n=None, workers=None) -> Iterator[CheckResult]:
     g = graphs.complete_bipartite_graph(3, 3)
     profile = determinantal_ideals(g, "laplacian", "Zx")
     xm3 = X - zc(3)
@@ -103,51 +103,48 @@ def suite_k33(max_n=None, workers=None) -> list[CheckResult]:
         6: zx_ideal(X * xm3**4 * (X - zc(6))),
     }
     for k in (1, 2):
-        _check(results, f"I_{k} trivial", profile.ideals[k - 1].is_trivial())
+        yield _check(f"I_{k} trivial", profile.ideals[k - 1].is_trivial())
     for k, ideal in expected.items():
-        _check(results, f"I_{k} matches the listed basis", profile.ideals[k - 1].equal(ideal))
+        yield _check(f"I_{k} matches the listed basis", profile.ideals[k - 1].equal(ideal))
 
     snf = snf_integer(graphs.build_matrix(g, "laplacian"))
-    _check(results, "SNF(L) = diag(1,1,3,3,9,0)",
-           snf.factors == (1, 1, 3, 3, 9) and snf.rank == 5 and snf.n == 6)
-    _check(results, "evaluating the ideals at x=0 recovers the Delta sequence",
-           evaluate_profile(profile, 0) == [1, 1, 3, 9, 81, 0])
+    yield _check("SNF(L) = diag(1,1,3,3,9,0)",
+                 snf.factors == (1, 1, 3, 3, 9) and snf.rank == 5 and snf.n == 6)
+    yield _check("evaluating the ideals at x=0 recovers the Delta sequence",
+                 evaluate_profile(profile, 0) == [1, 1, 3, 9, 81, 0])
     v = variety(profile, 6)
-    _check(results, "variety at k=6 is {0, 3, 6}",
-           v.status == "roots" and v.roots == (Fraction(0), Fraction(3), Fraction(6)))
-    return results
+    yield _check("variety at k=6 is {0, 3, 6}",
+                 v.status == "roots" and v.roots == (Fraction(0), Fraction(3), Fraction(6)))
 
 
 # ---------------------------------------------------------------------------
 # C_4 critical ideals
 
 
-def suite_c4(max_n=None, workers=None) -> list[CheckResult]:
-    results: list[CheckResult] = []
+def suite_c4(max_n=None, workers=None) -> Iterator[CheckResult]:
     g = graphs.cycle_graph(4)
     profile = multivariate_ideals(g, "adjacency")
     ring = profile.ring
     x = [MultiPoly.variable(i, 4) for i in range(4)]
-    _check(results, "I_1, I_2 trivial",
-           profile.ideals[0].is_trivial() and profile.ideals[1].is_trivial())
+    yield _check("I_1, I_2 trivial",
+                 profile.ideals[0].is_trivial() and profile.ideals[1].is_trivial())
     i3 = Ideal(ring, [x[0] + x[2], x[1] + x[3], x[2] * x[3]])
-    _check(results, "I_3 = <x0+x2, x1+x3, x2*x3>", profile.ideals[2].equal(i3))
+    yield _check("I_3 = <x0+x2, x1+x3, x2*x3>", profile.ideals[2].equal(i3))
     gen4 = (x[0] * x[1] * x[2] * x[3] - x[0] * x[1] - x[0] * x[3]
             - x[1] * x[2] - x[2] * x[3])
-    _check(results, "I_4 is the principal determinant ideal",
-           profile.ideals[3].equal(Ideal(ring, [gen4])))
-    _check(results, "corank 2", profile.corank == 2)
+    yield _check("I_4 is the principal determinant ideal",
+                 profile.ideals[3].equal(Ideal(ring, [gen4])))
+    yield _check("corank 2", profile.corank == 2)
 
     deltas = evaluate_profile(profile, (2, 2, 2, 2))
-    _check(results, "evaluation at deg(C4) gives Delta = (1,1,4,0)",
-           deltas == [1, 1, 4, 0])
+    yield _check("evaluation at deg(C4) gives Delta = (1,1,4,0)",
+                 deltas == [1, 1, 4, 0])
     group = cokernel(SnfResult("Z", 4, invariant_factors_from_deltas(deltas)[0]))
-    _check(results, "critical group K(C4) = Z_4", group.torsion == (4,))
+    yield _check("critical group K(C4) = Z_4", group.torsion == (4,))
     deltas0 = evaluate_profile(profile, (0, 0, 0, 0))
-    _check(results, "evaluation at 0 gives Delta = (1,1,0,0)", deltas0 == [1, 1, 0, 0])
+    yield _check("evaluation at 0 gives Delta = (1,1,0,0)", deltas0 == [1, 1, 0, 0])
     group0 = cokernel(SnfResult("Z", 4, invariant_factors_from_deltas(deltas0)[0]))
-    _check(results, "Smith group S(C4) = Z^2", group0.torsion == () and group0.free_rank == 2)
-    return results
+    yield _check("Smith group S(C4) = Z^2", group0.torsion == () and group0.free_rank == 2)
 
 
 # ---------------------------------------------------------------------------
@@ -162,96 +159,81 @@ def fig2_graphs() -> tuple[graphs.Graph, graphs.Graph]:
     return g1, g2
 
 
-def suite_fig2(max_n=None, workers=None) -> list[CheckResult]:
-    results: list[CheckResult] = []
+def suite_fig2(max_n=None, workers=None) -> Iterator[CheckResult]:
     g1, g2 = fig2_graphs()
     q1 = determinantal_ideals(g1, "adjacency", "Qx")
     q2 = determinantal_ideals(g2, "adjacency", "Qx")
-    _check(results, "Q[x] profiles are equal for every k",
-           all(a.equal(b) for a, b in zip(q1.ideals, q2.ideals)))
+    yield _check("Q[x] profiles are equal for every k",
+                 all(a.equal(b) for a, b in zip(q1.ideals, q2.ideals)))
     xq = UniPoly.variable(RING_Q)
 
     def qc(c):
         return UniPoly.const(c, RING_Q)
 
-    _check(results, "I_5 over Q = <x+1>",
-           q1.ideals[4].equal(Ideal(QX, [xq + qc(1)])))
+    yield _check("I_5 over Q = <x+1>",
+                 q1.ideals[4].equal(Ideal(QX, [xq + qc(1)])))
     char6 = (xq - qc(1)) * (xq + qc(1)) ** 2 * (xq**3 - xq**2 - qc(5) * xq + qc(1))
-    _check(results, "I_6 over Q = <(x-1)(x+1)^2(x^3-x^2-5x+1)>",
-           q1.ideals[5].equal(Ideal(QX, [char6])))
+    yield _check("I_6 over Q = <(x-1)(x+1)^2(x^3-x^2-5x+1)>",
+                 q1.ideals[5].equal(Ideal(QX, [char6])))
 
     z1 = determinantal_ideals(g1, "adjacency", "Zx")
     z2 = determinantal_ideals(g2, "adjacency", "Zx")
-    _check(results, "G1: I_k trivial for k <= 4", z1.corank == 4)
-    _check(results, "G2: I_k trivial for k <= 3", z2.corank == 3)
-    _check(results, "G2: I_4 = <2, x+1>",
-           z2.ideals[3].equal(zx_ideal(zc(2), X + zc(1))))
-    _check(results, "G1: I_5 = <2(x+1), (x+1)(x^2+1)>",
-           z1.ideals[4].equal(zx_ideal(zc(2) * (X + zc(1)),
-                                       (X + zc(1)) * (X**2 + zc(1)))))
-    _check(results, "G2: I_5 = <4(x+1), (x+1)(x-3)>",
-           z2.ideals[4].equal(zx_ideal(zc(4) * (X + zc(1)),
-                                       (X + zc(1)) * (X - zc(3)))))
+    yield _check("G1: I_k trivial for k <= 4", z1.corank == 4)
+    yield _check("G2: I_k trivial for k <= 3", z2.corank == 3)
+    yield _check("G2: I_4 = <2, x+1>",
+                 z2.ideals[3].equal(zx_ideal(zc(2), X + zc(1))))
+    yield _check("G1: I_5 = <2(x+1), (x+1)(x^2+1)>",
+                 z1.ideals[4].equal(zx_ideal(zc(2) * (X + zc(1)),
+                                             (X + zc(1)) * (X**2 + zc(1)))))
+    yield _check("G2: I_5 = <4(x+1), (x+1)(x-3)>",
+                 z2.ideals[4].equal(zx_ideal(zc(4) * (X + zc(1)),
+                                             (X + zc(1)) * (X - zc(3)))))
     charz = (X - zc(1)) * (X + zc(1)) ** 2 * (X**3 - X**2 - zc(5) * X + zc(1))
-    _check(results, "both I_6 over Z equal the characteristic polynomial ideal",
-           z1.ideals[5].equal(zx_ideal(charz)) and z2.ideals[5].equal(zx_ideal(charz)))
-    _check(results, "Z[x] profiles differ (k=4 and k=5)",
-           not z1.ideals[3].equal(z2.ideals[3]) and not z1.ideals[4].equal(z2.ideals[4]))
-
-    same_varieties = True
-    for k in range(1, 7):
-        va, vb = variety(z1, k), variety(z2, k)
-        if (va.status, va.squarefree, va.roots) != (vb.status, vb.squarefree, vb.roots):
-            same_varieties = False
-    _check(results, "per-k varieties over Z[x] coincide", same_varieties)
-    return results
+    yield _check("both I_6 over Z equal the characteristic polynomial ideal",
+                 z1.ideals[5].equal(zx_ideal(charz)) and z2.ideals[5].equal(zx_ideal(charz)))
+    yield _check("Z[x] profiles differ (k=4 and k=5)",
+                 not z1.ideals[3].equal(z2.ideals[3]) and not z1.ideals[4].equal(z2.ideals[4]))
+    yield _check("per-k varieties over Z[x] coincide",
+                 all(variety(z1, k) == variety(z2, k) for k in range(1, 7)))
 
 
 # ---------------------------------------------------------------------------
 # Appendix B ideal-equality regression
 
 
-def suite_appendix_b(max_n=None, workers=None) -> list[CheckResult]:
-    results: list[CheckResult] = []
+def suite_appendix_b(max_n=None, workers=None) -> Iterator[CheckResult]:
     p1 = X**3 + zc(1086) * X**2 - zc(22022) * X + zc(108388)
     p2 = zc(1106) * X**2 - zc(22120) * X + zc(108388)
     p3 = X**3 - zc(20) * X**2 + zc(98) * X
     ideal_i = zx_ideal(p1, p2)
     ideal_j = zx_ideal(p3, p2)
-    _check(results, "the two ideals are equal", ideal_i.equal(ideal_j))
-    _check(results, "canonical bases are identical lists",
-           ideal_i.canonical_basis() == ideal_j.canonical_basis())
-    _check(results, "mutual membership of all generators",
-           all(ideal_j.member(p) for p in (p1, p2))
-           and all(ideal_i.member(p) for p in (p3, p2)))
-    return results
+    yield _check("the two ideals are equal", ideal_i.equal(ideal_j))
+    yield _check("canonical bases are identical lists",
+                 ideal_i.canonical_basis() == ideal_j.canonical_basis())
+    yield _check("mutual membership of all generators",
+                 all(ideal_j.member(p) for p in (p1, p2))
+                 and all(ideal_i.member(p) for p in (p3, p2)))
 
 
 # ---------------------------------------------------------------------------
 # characteristic ideals of complete graphs
 
 
-def suite_kn_formula(max_n=None, workers=None) -> list[CheckResult]:
-    results: list[CheckResult] = []
+def suite_kn_formula(max_n=None, workers=None) -> Iterator[CheckResult]:
     top = 8 if max_n is None else max_n
     for n in range(2, top + 1):
         g = graphs.complete_graph(n)
         profile = determinantal_ideals(g, "adjacency", "Zx")
-        ok = True
-        for k in range(1, n):
-            if not profile.ideals[k - 1].equal(zx_ideal((X + zc(1)) ** (k - 1))):
-                ok = False
-        last = zx_ideal((X + zc(1) - zc(n)) * (X + zc(1)) ** (n - 1))
-        if not profile.ideals[n - 1].equal(last):
-            ok = False
-        _check(results, f"K_{n}: I_k = <(x+1)^(k-1)>, I_n = <(x+1-n)(x+1)^(n-1)>", ok)
+        want = [zx_ideal((X + zc(1)) ** (k - 1)) for k in range(1, n)]
+        want.append(zx_ideal((X + zc(1) - zc(n)) * (X + zc(1)) ** (n - 1)))
+        yield _check(f"K_{n}: I_k = <(x+1)^(k-1)>, I_n = <(x+1-n)(x+1)^(n-1)>",
+                     all(a.equal(b) for a, b in zip(profile.ideals, want, strict=True)))
         snf = snf_integer(graphs.build_matrix(g, "adjacency"))
-        _check(results, f"K_{n}: SNF(A) = diag(1,..,1,{n - 1})",
-               snf.factors == (1,) * (n - 1) + (n - 1,))
+        yield _check(f"K_{n}: SNF(A) = diag(1,..,1,{n - 1})",
+                     snf.factors == (1,) * (n - 1) + (n - 1,))
         vn = variety(profile, n)
-        _check(results, f"K_{n}: V(I_n) = {{-1, {n - 1}}}",
-               vn.roots == tuple(sorted((Fraction(-1), Fraction(n - 1)))))
-    return results
+        yield _check(f"K_{n}: V(I_n) = {{-1, {n - 1}}}",
+                     vn.roots == tuple(sorted((Fraction(-1), Fraction(n - 1)))))
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +245,7 @@ def fig1_graph() -> graphs.Graph:
         6, [(0, 1), (0, 2), (0, 4), (1, 3), (1, 4), (2, 3), (2, 5), (3, 5), (4, 5)])
 
 
-def suite_fig1_critical(max_n=None, workers=None) -> list[CheckResult]:
-    results: list[CheckResult] = []
+def suite_fig1_critical(max_n=None, workers=None) -> Iterator[CheckResult]:
     g = fig1_graph()
     profile = multivariate_ideals(g, "adjacency")
     ring = profile.ring
@@ -280,9 +261,8 @@ def suite_fig1_critical(max_n=None, workers=None) -> list[CheckResult]:
         quad,
     ])
     i4 = profile.ideals[3]
-    _check(results, "I_4 contains x5^2 - x5 - 1", i4.member(quad))
-    _check(results, "I_4 equals the listed six-generator basis", i4.equal(listed))
-    return results
+    yield _check("I_4 contains x5^2 - x5 - 1", i4.member(quad))
+    yield _check("I_4 equals the listed six-generator basis", i4.equal(listed))
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +280,9 @@ def _block_representative(sizes: tuple[int, ...],
             for i, a in enumerate(block)]
 
 
-def suite_symbolic_bipartite(max_n=None, workers=None) -> list[CheckResult]:
+def suite_symbolic_bipartite(max_n=None, workers=None) -> Iterator[CheckResult]:
     from .profiles import minors_k
 
-    results: list[CheckResult] = []
     n, m, one = _nm_vars()
     two, three = MultiPoly.const(2, 2), MultiPoly.const(3, 2)
 
@@ -314,7 +293,7 @@ def suite_symbolic_bipartite(max_n=None, workers=None) -> list[CheckResult]:
     ]
     ideal_l1 = Ideal(NM_RING, l1)
     expected_l1 = Ideal(NM_RING, [n.scale(2) + one])
-    _check(results, "<L1> = <2n+1>", ideal_l1.equal(expected_l1))
+    yield _check("<L1> = <2n+1>", ideal_l1.equal(expected_l1))
 
     l2 = [
         (n * n).scale(4) + (n * m).scale(4) - n.scale(8) + m * m - m.scale(4),
@@ -329,55 +308,50 @@ def suite_symbolic_bipartite(max_n=None, workers=None) -> list[CheckResult]:
     ]
     ideal_l2 = Ideal(NM_RING, l2)
     expected_l2 = Ideal(NM_RING, [three, n + m.scale(2)])
-    _check(results, "<L2> = <3, n+2m>", ideal_l2.equal(expected_l2))
+    yield _check("<L2> = <3, n+2m>", ideal_l2.equal(expected_l2))
 
-    _check(results, "m+n-1 is not in <3, n+2m>",
-           not expected_l2.member(m + n - one))
-    _check(results, "2(n+m)+1 is not in <3, n+2m>",
-           not expected_l2.member((n + m).scale(2) + one))
+    yield _check("m+n-1 is not in <3, n+2m>",
+                 not expected_l2.member(m + n - one))
+    yield _check("2(n+m)+1 is not in <3, n+2m>",
+                 not expected_l2.member((n + m).scale(2) + one))
 
     # F(K_{n,1}) on a (4,1) block representative: diagonal 2n - 1 and n
     star_minors = minors_k(_block_representative((4, 1), (n + n - one, n)), 2)
-    _check(results, "2-minors of the star representative generate <L1>",
-           Ideal(NM_RING, star_minors).equal(ideal_l1))
+    yield _check("2-minors of the star representative generate <L1>",
+                 Ideal(NM_RING, star_minors).equal(ideal_l1))
     # F(K_{n,m}) on a (4,4) block representative: diagonal 2n + m - 2 and n + 2m - 2
     bip_minors = minors_k(_block_representative((4, 4), (n + n + m - two, n + m + m - two)), 2)
-    _check(results, "2-minors of the bipartite representative generate <L2>",
-           Ideal(NM_RING, bip_minors).equal(ideal_l2))
-    return results
+    yield _check("2-minors of the bipartite representative generate <L2>",
+                 Ideal(NM_RING, bip_minors).equal(ideal_l2))
 
 
 # ---------------------------------------------------------------------------
 # determined-by-SNF suites (exhaustive per corpus)
 
 
-def suite_determined_complete(max_n=None, workers=None) -> list[CheckResult]:
-    results: list[CheckResult] = []
+def suite_determined_complete(max_n=None, workers=None) -> Iterator[CheckResult]:
     top = 7 if max_n is None else max_n
     for n in range(4, top + 1):
         corpus = graphs.enumerate_connected(n)
         kn = graphs.complete_graph(n)
-        _check(results, f"K_{n} unique distlap coinvariant key among {len(corpus)} graphs",
-               verify_determined_by(corpus, kn, "distlap", "coinvariant", workers=workers))
-        _check(results, f"K_{n} unique laplacian coinvariant key",
-               verify_determined_by(corpus, kn, "laplacian", "coinvariant", workers=workers))
+        yield _check(f"K_{n} unique distlap coinvariant key among {len(corpus)} graphs",
+                     verify_determined_by(corpus, kn, "distlap", "coinvariant", workers=workers))
+        yield _check(f"K_{n} unique laplacian coinvariant key",
+                     verify_determined_by(corpus, kn, "laplacian", "coinvariant", workers=workers))
         # F(K_n) = n*I - J, whose SNF is diag(1, n, ..., n, 0)
         snf = snf_integer(graphs.build_matrix(kn, "distlap"))
-        _check(results, f"K_{n}: second invariant factor of F recorded",
-               snf.diagonal() == (1,) + (n,) * (n - 2) + (0,),
-               detail=f"f_2(F(K_{n})) = {snf.factors[1]}")
-    return results
+        yield _check(f"K_{n}: second invariant factor of F recorded",
+                     snf.diagonal() == (1,) + (n,) * (n - 2) + (0,),
+                     detail=f"f_2(F(K_{n})) = {snf.factors[1]}")
 
 
-def suite_determined_star(max_n=None, workers=None) -> list[CheckResult]:
-    results: list[CheckResult] = []
+def suite_determined_star(max_n=None, workers=None) -> Iterator[CheckResult]:
     top = 7 if max_n is None else max_n
     for n in range(4, top + 1):
         corpus = graphs.enumerate_connected(n)
         star = graphs.star_graph(n)
-        _check(results, f"K_1,{n - 1} unique distlap coinvariant key among {len(corpus)} graphs",
-               verify_determined_by(corpus, star, "distlap", "coinvariant", workers=workers))
-    return results
+        yield _check(f"K_1,{n - 1} unique distlap coinvariant key among {len(corpus)} graphs",
+                     verify_determined_by(corpus, star, "distlap", "coinvariant", workers=workers))
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +384,9 @@ TABLE3 = {  # n -> coinvariant counts for (adjacency, laplacian, distance, distl
 KINDS = graphs.MATRIX_KINDS
 
 
-def suite_tables(max_n=None, workers=None) -> list[CheckResult]:
-    rows: dict[str, list[CheckResult]] = {"table1": [], "table2": [], "table3": []}
+def suite_tables(max_n=None, workers=None) -> Iterator[CheckResult]:
+    """Table 1 checks as their surveys finish, then the held Table 2 and 3 checks."""
+    held: dict[str, list[CheckResult]] = {"table2": [], "table3": []}
     top = 7 if max_n is None else max_n
     for n in sorted(n for n in TABLE1.keys() | TABLE2.keys() | TABLE3.keys() if n <= top):
         corpus = graphs.enumerate_connected(n)
@@ -425,14 +400,18 @@ def suite_tables(max_n=None, workers=None) -> list[CheckResult]:
                 want["coinvariant"] = "table3", TABLE3[n][i]
             for report in run_surveys(corpus, kind, tuple(want), workers=workers):
                 table, count = want[report.mode]
-                _check(rows[table], f"{table} n={n} {kind} {report.mode} = {count}",
-                       report.with_mate == count, detail=f"got {report.with_mate}")
-    return rows["table1"] + rows["table2"] + rows["table3"]
+                check = _check(f"{table} n={n} {kind} {report.mode} = {count}",
+                               report.with_mate == count, detail=f"got {report.with_mate}")
+                if table in held:
+                    held[table].append(check)
+                else:
+                    yield check
+    yield from held["table2"] + held["table3"]
 
 
 # ---------------------------------------------------------------------------
 
-SUITES: dict[str, Callable[..., list[CheckResult]]] = {
+SUITES: dict[str, Callable[..., Iterator[CheckResult]]] = {
     "ltimes": suite_ltimes,
     "k33": suite_k33,
     "c4": suite_c4,
@@ -449,4 +428,4 @@ SUITES: dict[str, Callable[..., list[CheckResult]]] = {
 
 def run_suite(name: str, max_n: int | None = None,
               workers: int | None = None) -> list[CheckResult]:
-    return SUITES[name](max_n=max_n, workers=workers)
+    return list(SUITES[name](max_n=max_n, workers=workers))

@@ -6,7 +6,7 @@ import shlex
 
 import pytest
 
-from detideals import cli
+from detideals import cli, suites
 from detideals.cli import main
 
 
@@ -428,6 +428,17 @@ def test_verify_rejects_max_n_that_runs_no_check(capsys, suite, max_n):
 def test_verify_no_check_message(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "tables", "--max-n", "3")
     assert (code, out, err) == (2, "", "error: suite tables ran no checks at --max-n 3\n")
+
+
+def test_verify_prints_each_check_as_it_is_made(capsys, monkeypatch):
+    # the ltimes suite's first check decodes Dt_; its second needs the ideals
+    def broken(*args, **kwargs):
+        raise RuntimeError("the second check broke")
+
+    monkeypatch.setattr(suites, "determinantal_ideals", broken)
+    with pytest.raises(RuntimeError, match="the second check broke"):
+        main(["verify", "--suite", "ltimes"])
+    assert capsys.readouterr().out == "PASS: Dt_ decodes to the documented edge set\n"
 
 
 def test_verify_appendix_b(capsys):

@@ -31,6 +31,12 @@ REFUSALS = {
     "variable index beyond arity": (ValueError, "variable index 2 outside 0..1",
                                     lambda: MultiPoly.variable(2, 2)),
     "negative arity": (ValueError, "negative arity", lambda: zmulti(-2)),
+    "float arity": (ValueError, "arity is not an integer: 2.5", lambda: zmulti(2.5)),
+    "string arity": (ValueError, "arity is not an integer: '2'", lambda: zmulti("2")),
+    "float arity of a polynomial": (ValueError, "arity is not an integer: 2.5",
+                                    lambda: MultiPoly(2.5, {})),
+    "negative arity of a polynomial": (ValueError, "negative arity -1",
+                                       lambda: MultiPoly(-1, {})),
     "float adjacency rows": (InputError, "adjacency row 0 is not an integer",
                              lambda: Graph(2, [2.7, 1.2])),
     "string adjacency rows": (InputError, "adjacency row 0 is not an integer",
@@ -41,6 +47,16 @@ REFUSALS = {
                                     lambda: Graph.from_edges(2.5, [(0, 1)])),
     "float edge endpoint": (InputError, "edge endpoint is not an integer",
                             lambda: Graph.from_edges(2, [(0.0, 1)])),
+    "adjacency rows not a sequence": (InputError, "adjacency rows are not a sequence",
+                                      lambda: Graph(2, 5)),
+    "edge of three endpoints": (InputError, "edges are not pairs of endpoints",
+                                lambda: Graph.from_edges(2, [(0, 1, 2)])),
+    "edge of one endpoint": (InputError, "edges are not pairs of endpoints",
+                             lambda: Graph.from_edges(2, [(0,)])),
+    "edge that is an int": (InputError, "edges are not pairs of endpoints",
+                            lambda: Graph.from_edges(2, [5])),
+    "edges that are an int": (InputError, "edges are not pairs of endpoints",
+                              lambda: Graph.from_edges(2, 5)),
     "generator ring": (RingMismatchError, "tagged ring",
                        lambda: Ideal(ZX_UNI, [MultiPoly.variable(0, 1)])),
     "equal to a non-ideal": (TypeError, "another Ideal", lambda: Ideal(ZX_UNI, [X]).equal(3)),

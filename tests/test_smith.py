@@ -520,16 +520,15 @@ def test_minor_tables_is_laplace_consistent():
                 _assert_minors_are_determinants(build_matrix(g, kind))
 
 
-def _level_tables(matrix, max_k=None):
+def _level_tables(matrix):
     """The level-table expansion that `laplace_walk` replaced, kept frozen as
-    its oracle: every level 1..max_k is held at once, and each k-minor is
+    its oracle: every level 1..n is held at once, and each k-minor is
     expanded along its first row over the (k-1)-minors of the level below."""
     n = len(matrix)
-    max_k = n if max_k is None else max_k
     zero = matrix[0][0] - matrix[0][0]
     level = {(1 << i, 1 << j): matrix[i][j] for i in range(n) for j in range(n)}
     tables = {1: level}
-    for k in range(2, max_k + 1):
+    for k in range(2, n + 1):
         subsets = [(sum(1 << i for i in s), s) for s in combinations(range(n), k)]
         prev, level = level, {}
         for rmask, rows in subsets:
@@ -572,17 +571,15 @@ def _walk_cases():
 
 
 def test_minor_tables_and_minors_k_equal_the_level_tables():
-    # same keys, key order, values and value order as the frozen oracle,
-    # for every max_k; minors_k is its level k alone
+    # same keys, key order, values and value order as the frozen oracle;
+    # minors_k is its level k alone, for every k
     for m in _walk_cases():
         want = _level_tables(m)
-        for max_k in range(1, len(m) + 1):
-            got = minor_tables(m, max_k)
-            assert list(got) == list(range(1, max_k + 1))
-            for k, level in got.items():
-                assert list(level.items()) == list(want[k].items())
-            assert minors_k(m, max_k) == list(want[max_k].values())
-        assert list(minor_tables(m)) == list(want)
+        got = minor_tables(m)
+        assert list(got) == list(want)
+        for k, level in got.items():
+            assert list(level.items()) == list(want[k].items())
+            assert minors_k(m, k) == list(want[k].values())
 
 
 def test_delta_bruteforce_is_the_gcd_of_the_level_table():

@@ -971,7 +971,7 @@ def test_cross_check_n6(corpus6):
 
 def test_determined_complete_checks_the_snf_of_the_distance_laplacian(monkeypatch):
     name = "K_{}: second invariant factor of F recorded"
-    results = suites.suite_determined_complete(max_n=5, workers=1)
+    results = list(suites.suite_determined_complete(max_n=5, workers=1))
     assert {name.format(4), name.format(5)} <= {r.name for r in results}
     assert all(r.passed for r in results)
     real = suites.snf_integer
